@@ -6,11 +6,12 @@ is timed on those same strings, so within a cell the comparison is
 like-for-like. Each implementation gets one untimed warm-up pass per cell.
 Trials run strictly sequentially.
 
-Implementations are named "naive" (quadratic oracle), "augmented"
-(materialized dummy-interleaved buffer), and "indexmap" (the virtual
-augmentation engine). The naive one is skipped, not errored, above the
-oracle cap; an allocation failure in the augmented one is recorded as an
-out_of_memory outcome for that trial instead of aborting the run.
+Implementations are the entries of :data:`lps.reference.SOLVERS`: "naive"
+(quadratic oracle), "augmented" (materialized dummy-interleaved buffer),
+and "indexmap" (the virtual augmentation engine). The naive one is
+skipped, not errored, above the oracle cap; an allocation failure in the
+augmented one is recorded as an out_of_memory outcome for that trial
+instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from . import core, reference
+from . import reference
 from .generator import MASK64, GenSpec, gen_text
 
-IMPLS = ("naive", "augmented", "indexmap")
+IMPLS = tuple(reference.SOLVERS)
 
 CSV_HEADER = "impl,length,alphabet,repeat,wall_seconds,comparisons,outcome"
 
@@ -96,15 +97,10 @@ def _run_impl(
     """Time one implementation on one string: (seconds, comparisons, outcome)."""
     if impl == "naive" and len(text) > oracle_cap:
         return 0.0, None, "skipped"
+    limits = {"naive": {"cap": oracle_cap}, "augmented": {"alloc_cap": augmented_alloc_cap}}
     start = perf_counter()
     try:
-        if impl == "naive":
-            stats = core.CompareStats()
-            reference.naive_radii(text, cap=oracle_cap, stats=stats)
-        elif impl == "augmented":
-            _, stats = reference.augmented_radii(text, alloc_cap=augmented_alloc_cap)
-        else:
-            _, stats = core.compute_radii(text)
+        _, stats = reference.SOLVERS[impl](text, **limits.get(impl, {}))
     except MemoryError:
         return perf_counter() - start, None, "out_of_memory"
     return perf_counter() - start, stats.comparisons, "ok"
@@ -121,6 +117,10 @@ def run_bench(
     ``augmented_alloc_cap`` bounds the augmented implementation's buffer
     allocation (in symbols); trials over the cap come back as out_of_memory.
     """
+
+    def trial(impl: str, text: str) -> tuple[float, int | None, str]:
+        return _run_impl(impl, text, oracle_cap=oracle_cap, augmented_alloc_cap=augmented_alloc_cap)
+
     records: list[BenchRecord] = []
     for length in spec.lengths:
         for alphabet in spec.alphabet_sizes:
@@ -129,20 +129,9 @@ def run_bench(
                 for repeat in range(spec.repeats)
             ]
             for impl in spec.impls:
-                # warm-up pass, discarded
-                _run_impl(
-                    impl,
-                    texts[0],
-                    oracle_cap=oracle_cap,
-                    augmented_alloc_cap=augmented_alloc_cap,
-                )
+                trial(impl, texts[0])  # warm-up pass, discarded
                 for repeat, text in enumerate(texts):
-                    seconds, comparisons, outcome = _run_impl(
-                        impl,
-                        text,
-                        oracle_cap=oracle_cap,
-                        augmented_alloc_cap=augmented_alloc_cap,
-                    )
+                    seconds, comparisons, outcome = trial(impl, text)
                     records.append(
                         BenchRecord(
                             impl=impl,

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 input error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -139,25 +140,9 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
     return text
 
 
-def _solve(impl: str, text):
-    if impl == "naive":
-        return reference.naive_lps(text)
-    if impl == "augmented":
-        return reference.augmented_lps(text)
-    return core.longest_palindrome(text)
-
-
-def _radii_table(impl: str, text):
-    if impl == "naive":
-        return reference.naive_radii(text)
-    if impl == "augmented":
-        return reference.augmented_radii(text)[0]
-    return core.compute_radii(text)[0]
-
-
 def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    result = _solve(args.impl, text)
+    result = core.result_from_radii(reference.SOLVERS[args.impl](text)[0])
     sub = result.substring(text)
     if isinstance(sub, bytes):
         sys.stdout.flush()
@@ -173,7 +158,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    table = _radii_table(args.impl, text)
+    table = reference.SOLVERS[args.impl](text)[0]
     print(",".join(map(str, table)))
     return EXIT_OK
 
@@ -196,13 +181,11 @@ def _cmd_bench(args) -> int:
         impls=args.impls,
         seed=args.seed,
     )
-    records = run_bench(spec, oracle_cap=args.oracle_cap)
-    report = to_csv(records) if args.format == "csv" else to_table(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    # open --out before the grid runs, so an unwritable path fails at once
+    sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        records = run_bench(spec, oracle_cap=args.oracle_cap)
+        out.write(to_csv(records) if args.format == "csv" else to_table(records))
     return EXIT_OK
 
 

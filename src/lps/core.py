@@ -45,6 +45,7 @@ __all__ = [
     "is_mismatch",
     "longest_palindrome",
     "palength",
+    "result_from_radii",
     "to_mirror_image",
     "to_original_span",
 ]
@@ -195,13 +196,17 @@ def argmax(radii: RadiiTable) -> int:
     return radii.index(max(radii))
 
 
-def longest_palindrome(text: Text) -> LpsResult:
-    """Longest palindromic substring of ``text``.
+def result_from_radii(radii: RadiiTable) -> LpsResult:
+    """The longest palindrome a radii table describes, from any solver.
 
     Among equally long palindromes the one with the smallest start index
     is returned, a consequence of the leftmost argmax over centers.
     """
-    radii, _ = compute_radii(text)
     center = argmax(radii)
     length = radii[center]
     return LpsResult(span=to_original_span(center, length), length=length, center=center)
+
+
+def longest_palindrome(text: Text) -> LpsResult:
+    """Longest palindromic substring of ``text``, leftmost on ties."""
+    return result_from_radii(compute_radii(text)[0])

@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 MASK64 = (1 << 64) - 1
 ALPHABET_MAX = 26
 
@@ -74,8 +72,12 @@ def _chunk_symbols(seed: int, start_step: int, count: int, alphabet_size: int) -
     """Symbols for RNG steps ``start_step + 1 .. start_step + count``.
 
     Vectorized SplitMix64: the state after k steps is ``seed + k * gamma``
-    mod 2**64, so a whole chunk of outputs is one elementwise mix.
+    mod 2**64, so a whole chunk of outputs is one elementwise mix. numpy is
+    imported here, its only use, so that importing the CLI for find/radii
+    does not pay for it.
     """
+    import numpy as np
+
     steps = np.arange(start_step + 1, start_step + count + 1, dtype=np.uint64)
     z = np.uint64(seed) + np.uint64(_GAMMA) * steps
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)

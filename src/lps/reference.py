@@ -11,9 +11,11 @@ compared for both output and cost.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .core import CompareStats, LpsResult, RadiiTable, Text, argmax, to_original_span
+from . import core
+from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
 
 ORACLE_CAP = 100_000
 
@@ -22,6 +24,7 @@ __all__ = [
     "DummyUnavailable",
     "ORACLE_CAP",
     "OracleCapExceeded",
+    "SOLVERS",
     "augment",
     "augmented_lps",
     "augmented_radii",
@@ -79,10 +82,7 @@ def naive_radii(text: Text, *, cap: int = ORACLE_CAP, stats: CompareStats | None
 
 def naive_lps(text: Text, *, cap: int = ORACLE_CAP) -> LpsResult:
     """Longest palindromic substring via the naive oracle, leftmost on ties."""
-    radii = naive_radii(text, cap=cap)
-    center = argmax(radii)
-    length = radii[center]
-    return LpsResult(span=to_original_span(center, length), length=length, center=center)
+    return result_from_radii(naive_radii(text, cap=cap))
 
 
 def choose_dummy(text: Text):
@@ -188,7 +188,20 @@ def augmented_radii(text: Text, *, alloc_cap: int | None = None) -> tuple[RadiiT
 
 def augmented_lps(text: Text) -> LpsResult:
     """Longest palindromic substring via the augmented solver."""
-    radii, _ = augmented_radii(text)
-    center = argmax(radii)
-    length = radii[center]
-    return LpsResult(span=to_original_span(center, length), length=length, center=center)
+    return result_from_radii(augmented_radii(text)[0])
+
+
+def _naive_solver(text: Text, **limits) -> tuple[RadiiTable, CompareStats]:
+    stats = CompareStats()
+    return naive_radii(text, stats=stats, **limits), stats
+
+
+# Every implementation the CLI and the bench run, by name, in report order:
+# text -> (radii, stats), plus the solver's own limit keywords (naive: cap,
+# augmented: alloc_cap). Entries look their solver up at call time, so a
+# wrapper installed on e.g. ``core.compute_radii`` sees registry calls too.
+SOLVERS: dict[str, Callable[..., tuple[RadiiTable, CompareStats]]] = {
+    "naive": _naive_solver,
+    "augmented": lambda text, **limits: augmented_radii(text, **limits),
+    "indexmap": lambda text: core.compute_radii(text),
+}

@@ -116,6 +116,14 @@ def test_naive_skipped_above_cap():
             assert record.outcome == "ok"
 
 
+def test_oracle_cap_reaches_naive_solver():
+    # 100,001 symbols is over the naive solver's own default cap, so only a
+    # cap passed through by the bench lets the trial run
+    spec = BenchSpec(lengths=(100_001,), alphabet_sizes=(26,), repeats=1, impls=("naive",))
+    (record,) = run_bench(spec, oracle_cap=200_000)
+    assert record.outcome == "ok"
+
+
 def test_out_of_memory_injection():
     spec = BenchSpec(lengths=(100,), alphabet_sizes=(2,), repeats=2, seed=0)
     records = run_bench(spec, augmented_alloc_cap=150)  # augmented needs 201

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from lps import cli
 from lps.bench import parse_csv
 
 
@@ -74,6 +75,28 @@ def test_file_input(tmp_path):
     path.write_text("bananas")
     proc = run_cli("find", str(path))
     assert proc.stdout == b"anana\n"
+
+
+def test_find_naive_over_oracle_cap_exits_2():
+    proc = run_cli("find", "--impl", "naive", stdin=b"a" * 100_001)
+    assert proc.returncode == 2
+    assert b"oracle cap" in proc.stderr
+
+
+def test_augmented_without_free_dummy_exits_2():
+    proc = run_cli("--bytes", "radii", "--impl", "augmented", stdin=bytes(range(256)))
+    assert proc.returncode == 2
+    assert b"256 byte values" in proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lps.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 def test_missing_file_exits_2():
@@ -208,6 +231,15 @@ def test_bench_out_file(tmp_path):
     assert proc.stdout == b""
     records, _ = parse_csv(out.read_text())
     assert len(records) == 3
+
+
+def test_bench_unwritable_out_fails_before_running(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: calls.append(args) or [])
+    out = tmp_path / "missing" / "report.csv"
+    code = cli.main(["bench", "--lengths", "10", "--alphabets", "2", "--out", str(out)])
+    assert code == 2
+    assert calls == []
 
 
 def test_bench_bad_lengths_exit_64():

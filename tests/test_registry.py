@@ -1,0 +1,82 @@
+"""Tests for the solver registry and the shared result builder."""
+
+from __future__ import annotations
+
+import argparse
+from collections import Counter
+
+import pytest
+
+import lps.core
+from lps import cli
+from lps.bench import IMPLS, BenchSpec, run_bench
+from lps.core import CompareStats, result_from_radii
+from lps.generator import GenSpec, gen_text
+from lps.reference import SOLVERS, naive_lps, naive_radii
+
+CORPUS = {
+    "empty": "",
+    "unary": "a" * 200,
+    "ab-periodic": "ab" * 100,
+    "aab-periodic": "aab" * 67,
+    "random-a2": gen_text(GenSpec(300, 2, 11)),
+    "random-a3": gen_text(GenSpec(300, 3, 12)),
+    "random-a26": gen_text(GenSpec(300, 26, 13)),
+    "bytes": b"\x00xyzzyx\xff\xfe\xffabba",
+    "tokens": ("to", "be", "or", "not", "or", "be", "to", "be"),
+}
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+@pytest.mark.parametrize("case", CORPUS)
+def test_every_solver_matches_naive_oracle(name, case):
+    text = CORPUS[case]
+    if name == "augmented" and isinstance(text, tuple):
+        # the materialized solver can pick a dummy symbol only for str and bytes
+        with pytest.raises(TypeError):
+            SOLVERS[name](text)
+        return
+    radii, stats = SOLVERS[name](text)
+    assert isinstance(stats, CompareStats)
+    assert radii == naive_radii(text)
+    assert result_from_radii(radii) == naive_lps(text)
+
+
+def test_registry_names_every_implementation_once():
+    assert tuple(SOLVERS) == IMPLS == ("naive", "augmented", "indexmap")
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("find", "radii"):
+        (impl,) = [a for a in commands.choices[command]._actions if a.dest == "impl"]
+        assert tuple(impl.choices) == IMPLS
+
+
+def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
+    # The benchmark's tracer replaces these module attributes; every entry
+    # point must reach the replacement, not a reference bound at import.
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lps.core, "compute_radii", counting("compute_radii", lps.core.compute_radii))
+    monkeypatch.setattr(lps.core, "argmax", counting("argmax", lps.core.argmax))
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+
+    assert cli.main(["find", str(path)]) == 0
+    assert calls == {"compute_radii": 1, "argmax": 1}
+
+    calls.clear()
+    assert cli.main(["radii", str(path)]) == 0
+    assert calls == {"compute_radii": 1}
+
+    calls.clear()
+    run_bench(BenchSpec(lengths=(20,), alphabet_sizes=(2,), repeats=1, impls=("indexmap",)))
+    assert calls == {"compute_radii": 2}  # warm-up pass plus one trial
+
+    assert capsys.readouterr().out == "anana\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n"
