@@ -144,15 +144,14 @@ def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
     result = core.result_from_radii(reference.SOLVERS[args.impl](text)[0])
     sub = result.substring(text)
-    if isinstance(sub, bytes):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(sub + b"\n")
-        sys.stdout.buffer.flush()
-    else:
-        print(sub)
+    lines = [sub if args.as_bytes else sub.encode("utf-8")]
     if args.span:
         span = result.span
-        print(f"{span.start} {span.end} {span.length}")
+        lines.append(b"%d %d %d" % (span.start, span.end, span.length))
+    # bytes straight to the buffer: the output is UTF-8 whatever the
+    # locale's stdout encoding is, like the input
+    sys.stdout.buffer.write(b"\n".join(lines) + b"\n")
+    sys.stdout.buffer.flush()
     return EXIT_OK
 
 

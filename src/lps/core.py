@@ -39,12 +39,9 @@ __all__ = [
     "Text",
     "argmax",
     "compute_radii",
-    "expand",
     "get_left_bound",
     "get_right_bound",
-    "is_mismatch",
     "longest_palindrome",
-    "palength",
     "result_from_radii",
     "to_mirror_image",
     "to_original_span",
@@ -106,11 +103,6 @@ def get_right_bound(i: int, radii: RadiiTable) -> int:
     return i + radii[i]
 
 
-def palength(i: int, radii: RadiiTable) -> int:
-    """Length, in original symbols, of the palindrome centered at ``i``."""
-    return radii[i]
-
-
 def to_original_span(center: int, radius: int) -> Span:
     """Map an augmented center and radius to the original-string span.
 
@@ -120,74 +112,55 @@ def to_original_span(center: int, radius: int) -> Span:
     return Span((center - radius) // 2, (center + radius) // 2)
 
 
-def is_mismatch(text: Text, p: int, q: int, stats: CompareStats) -> bool:
-    """Probe one symmetric extension step at augmented positions ``p``, ``q``.
-
-    True means the step is blocked: an index fell outside ``[0, 2N]``, or
-    ``p`` and ``q`` address real symbols that differ. Even positions are
-    boundaries and match by definition at zero cost; only a real symbol
-    test increments ``stats.comparisons``. ``p`` and ``q`` share parity
-    whenever they are symmetric about a common center, so only ``p`` is
-    inspected.
-    """
-    if p < 0 or q > 2 * len(text):
-        return True
-    if p % 2 == 0:
-        return False
-    stats.comparisons += 1
-    return text[(p - 1) // 2] != text[(q - 1) // 2]
-
-
-def expand(text: Text, center: int, start_radius: int, stats: CompareStats) -> int:
-    """Grow a known palindrome at ``center`` to its maximal radius.
-
-    ``start_radius`` must already describe a palindrome at ``center`` and
-    share its parity. Each step probes one position further out on both
-    sides; boundary steps are free, so the counter moves only on real
-    symbol comparisons.
-    """
-    radius = start_radius
-    while not is_mismatch(text, center - radius - 1, center + radius + 1, stats):
-        radius += 1
-    return radius
-
-
 def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     """Palindrome lengths for all 2N+1 centers, in linear time.
 
-    Scans centers left to right, keeping the reference center whose
-    palindrome currently reaches farthest right. A center ``j`` inside
-    the reference palindrome first consults its mirror image:
+    Scans centers left to right, keeping the reference center ``ref``
+    whose palindrome currently reaches farthest right, to ``right``. A
+    center ``j`` inside the reference palindrome first consults its mirror
+    image ``k``:
 
     * mirror palindrome strictly inside the reference: lengths are equal
       by reflection, copy with no comparisons;
     * mirror touching or crossing the reference's left edge: only the
-      stretch up to the reference's right bound is guaranteed, so
-      expansion resumes from there.
+      stretch up to ``right`` is guaranteed, so expansion resumes there.
 
-    Centers beyond the reference expand from scratch. Every real symbol
-    comparison either terminates one center's expansion or pushes the
-    right frontier outward, which bounds the total at ``4 * (N + 1)``.
+    Centers beyond the reference start from the center itself (one real
+    symbol when ``j`` is odd). A radius always shares the parity of its
+    center, so a known palindrome ends on boundaries at both sides, and
+    expansion walks the original symbols ``text[lo]``, ``text[hi]`` just
+    outside it. Boundaries match by definition and are never probed;
+    only real symbol tests are counted. Every one of them either ends a
+    center's expansion or pushes ``right`` outward, which bounds the
+    total at ``4 * (N + 1)``.
     """
-    size = 2 * len(text) + 1
-    radii = [0] * size
-    stats = CompareStats()
-    ref = 0
-    for j in range(size):
-        ref_right = get_right_bound(ref, radii)
-        if j > ref_right:
-            # Outside the reference palindrome: only the center itself
-            # (one real symbol when j is odd) is known palindromic.
-            radius = expand(text, j, j % 2, stats)
-        else:
-            k = to_mirror_image(ref, j)
-            if get_left_bound(k, radii) > get_left_bound(ref, radii):
+    n = len(text)
+    radii = [0] * (2 * n + 1)
+    comparisons = 0
+    ref = right = 0
+    for j in range(2 * n + 1):
+        if j <= right:
+            k = 2 * ref - j
+            if k - radii[k] > 2 * ref - right:
                 radii[j] = radii[k]
                 continue
-            radius = expand(text, j, ref_right - j, stats)
+            radius = right - j
+        else:
+            radius = j & 1
+        lo = ((j - radius) >> 1) - 1
+        hi = (j + radius) >> 1
+        while lo >= 0 and hi < n:
+            comparisons += 1
+            if text[lo] != text[hi]:
+                break
+            lo -= 1
+            hi += 1
+        radius = hi - lo - 1
         radii[j] = radius
-        if j + radius > ref_right:
-            ref = j
+        if j + radius > right:
+            ref, right = j, j + radius
+    stats = CompareStats()
+    stats.comparisons = comparisons
     return radii, stats
 
 

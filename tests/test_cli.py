@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -115,6 +116,18 @@ def test_bytes_mode():
     proc = run_cli("--bytes", "find", "--span", stdin=b"ab\xff\xfe\xffba")
     assert proc.returncode == 0
     assert proc.stdout == b"ab\xff\xfe\xffba\n0 7 7\n"
+
+
+def test_find_writes_utf8_whatever_the_stdout_encoding():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lps", "find"],
+        input=b"x\xc3\xa9y\xc3\xa9x",
+        capture_output=True,
+        timeout=120,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"x\xc3\xa9y\xc3\xa9x\n"
 
 
 def test_trailing_newline_stripped_by_default():

@@ -5,16 +5,12 @@ from __future__ import annotations
 import pytest
 
 from lps.core import (
-    CompareStats,
     Span,
     argmax,
     compute_radii,
-    expand,
     get_left_bound,
     get_right_bound,
-    is_mismatch,
     longest_palindrome,
-    palength,
     to_mirror_image,
     to_original_span,
 )
@@ -38,11 +34,10 @@ def test_mirror_image(center, x, expected):
     assert to_mirror_image(center, expected) == x
 
 
-def test_bounds_and_palength():
+def test_bounds():
     radii = BANANAS_RADII
     assert get_left_bound(7, radii) == 2
     assert get_right_bound(7, radii) == 12
-    assert palength(7, radii) == 5
     assert get_left_bound(0, radii) == 0
     assert get_right_bound(0, radii) == 0
 
@@ -68,41 +63,6 @@ def test_span_helpers():
     assert Span(0, 0).substring("bananas") == ""
 
 
-def test_is_mismatch_out_of_range():
-    stats = CompareStats()
-    assert is_mismatch("ab", -1, 3, stats)
-    assert is_mismatch("ab", 1, 5, stats)
-    assert stats.comparisons == 0  # range checks are not symbol comparisons
-
-
-def test_is_mismatch_boundary_positions_match_free():
-    # even indices are virtual boundaries: equal by definition, no comparison
-    stats = CompareStats()
-    assert not is_mismatch("ab", 0, 4, stats)
-    assert not is_mismatch("ab", 2, 2, stats)
-    assert stats.comparisons == 0
-
-
-def test_is_mismatch_counts_symbol_comparisons():
-    stats = CompareStats()
-    assert not is_mismatch("aba", 1, 5, stats)  # 'a' vs 'a'
-    assert is_mismatch("abc", 1, 5, stats)  # 'a' vs 'c'
-    assert stats.comparisons == 2
-
-
-def test_expand_whole_even_palindrome():
-    stats = CompareStats()
-    assert expand("abba", 4, 0, stats) == 4
-
-
-def test_expand_from_seeded_radius_single_comparison():
-    # center 9 of "bananas" seeded with radius 3: one failing comparison
-    # ('n' vs 's') settles it
-    stats = CompareStats()
-    assert expand("bananas", 9, 3, stats) == 3
-    assert stats.comparisons == 1
-
-
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -119,6 +79,27 @@ def test_expand_from_seeded_radius_single_comparison():
 def test_compute_radii(text, expected):
     radii, _ = compute_radii(text)
     assert radii == expected
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("", 0),  # out-of-range probes are free
+        ("a", 0),
+        ("ab", 1),  # boundaries match by definition and are never probed
+        ("abba", 4),
+        ("aba", 2),
+        ("abc", 3),
+        ("bananas", 11),  # centers inside a palindrome resume from its edge
+        *(pytest.param("a" * n, n - 1, id=f"unary-{n}") for n in (2, 100, 100_000)),
+        pytest.param(b"bananas", 11, id="bytes-bananas"),
+        pytest.param(tuple("bananas"), 11, id="tokens-bananas"),
+    ],
+)
+def test_comparison_counts(text, expected):
+    # exactly one count per real symbol test
+    _, stats = compute_radii(text)
+    assert stats.comparisons == expected
 
 
 def test_radii_table_size():
