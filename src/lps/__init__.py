@@ -5,8 +5,13 @@ indices, so it never builds the dummy-interleaved buffer. Reference
 implementations (quadratic naive, materialized augmentation) back it up
 for testing and benchmarking, and a seeded generator plus a bench harness
 round out the package. See the ``lps`` command for the CLI.
+
+Importing the package plugs the compiled kernel (:mod:`lps.native`) into
+:mod:`lps.core`, so ``compute_radii`` and ``longest_palindrome`` run it on
+``str`` and ``bytes`` where it can be built.
 """
 
+from . import core, native
 from .core import (
     CompareStats,
     LpsResult,
@@ -14,7 +19,7 @@ from .core import (
     compute_radii,
     longest_palindrome,
 )
-from .generator import GenSpec, InvalidAlphabet, gen_text
+from .generator import GenSpec, InvalidAlphabet, UsageError, gen_text
 from .reference import (
     DummyUnavailable,
     OracleCapExceeded,
@@ -26,6 +31,8 @@ from .reference import (
     naive_radii,
 )
 
+core.kernel = native
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
     "LpsResult",
     "OracleCapExceeded",
     "Span",
+    "UsageError",
     "augment",
     "augmented_lps",
     "augmented_radii",

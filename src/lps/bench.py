@@ -1,4 +1,4 @@
-"""Wall-clock benchmark harness for the three radii implementations.
+"""Wall-clock benchmark harness for the radii implementations.
 
 Protocol: for every (length, alphabet) cell one string is generated per
 repeat (seed = base seed + repeat index) and every selected implementation
@@ -8,7 +8,8 @@ Trials run strictly sequentially.
 
 Implementations are the entries of :data:`lps.reference.SOLVERS`: "naive"
 (quadratic oracle), "augmented" (materialized dummy-interleaved buffer),
-and "indexmap" (the virtual augmentation engine). The naive one is
+"indexmap" (the virtual augmentation engine) and "native" (the same scan
+compiled, see :mod:`lps.native`). The naive one is
 skipped, not errored, above the oracle cap; an allocation failure in the
 augmented one is recorded as an out_of_memory outcome for that trial
 instead of aborting the run.
@@ -16,11 +17,11 @@ instead of aborting the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
-from . import reference
-from .generator import MASK64, GenSpec, gen_text
+from . import native, reference
+from .generator import MASK64, GenSpec, UsageError, gen_text
 
 IMPLS = tuple(reference.SOLVERS)
 
@@ -32,6 +33,7 @@ __all__ = [
     "BenchRecord",
     "BenchSpec",
     "BenchSummary",
+    "default_impls",
     "parse_csv",
     "run_bench",
     "summarize",
@@ -40,26 +42,32 @@ __all__ = [
 ]
 
 
+def default_impls() -> tuple[str, ...]:
+    """Every implementation but "native" where the kernel cannot be built
+    (which says so once on stderr)."""
+    return tuple(name for name in IMPLS if name != "native" or native.available())
+
+
 @dataclass(frozen=True)
 class BenchSpec:
     lengths: tuple[int, ...]
     alphabet_sizes: tuple[int, ...]
     repeats: int = 3
-    impls: tuple[str, ...] = IMPLS
+    impls: tuple[str, ...] = field(default_factory=default_impls)
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.lengths:
-            raise ValueError("need at least one length")
+            raise UsageError("need at least one length")
         if not self.alphabet_sizes:
-            raise ValueError("need at least one alphabet size")
+            raise UsageError("need at least one alphabet size")
         if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+            raise UsageError(f"repeats must be >= 1, got {self.repeats}")
         if not self.impls:
-            raise ValueError("need at least one implementation")
+            raise UsageError("need at least one implementation")
         unknown = [name for name in self.impls if name not in IMPLS]
         if unknown:
-            raise ValueError(f"unknown implementations: {unknown}; choose from {IMPLS}")
+            raise UsageError(f"unknown implementations: {unknown}; choose from {IMPLS}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ exactly one trailing line feed (shell pipelines add one); --raw keeps it.
 The global --bytes flag switches the symbol model to raw bytes, in which
 case nothing is stripped.
 
-Exit codes: 0 success, 2 input error, 64 usage error.
+find and radii run lps.core.compute_radii by default: the compiled kernel
+(lps.native), or where it cannot be built the pure-Python indexmap engine
+after one note on stderr. --impl picks an implementation explicitly.
+
+Exit codes: 0 success, 2 input error (including --impl native where the
+kernel cannot be built), 64 usage error.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ import contextlib
 import os
 import sys
 
-from . import core, reference
-from .bench import IMPLS, BenchSpec, run_bench, to_csv, to_table
-from .generator import ALPHABET_MAX, GenSpec, InvalidAlphabet, iter_chunks
+from . import core, native, reference
+from .bench import IMPLS, BenchSpec, default_impls, run_bench, to_csv, to_table
+from .generator import ALPHABET_MAX, GenSpec, UsageError, iter_chunks
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 64
+
+RADII_CHUNK = 65_536  # table entries formatted per write, so output memory stays bounded
 
 __all__ = ["EXIT_INPUT", "EXIT_OK", "EXIT_USAGE", "entrypoint", "main"]
 
@@ -74,8 +81,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument(
             "--impl",
             choices=IMPLS,
-            default="indexmap",
-            help="implementation to run (default: indexmap)",
+            help="implementation to run (default: native, or indexmap where it cannot be built)",
         )
         cmd.add_argument(
             "--raw",
@@ -110,8 +116,7 @@ def _build_parser() -> _Parser:
     bench.add_argument(
         "--impls",
         type=_impl_list,
-        default=IMPLS,
-        help=f"comma-separated subset of {','.join(IMPLS)} (default: all)",
+        help=f"comma-separated subset of {','.join(IMPLS)} (default: all that load)",
     )
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument(
@@ -140,9 +145,24 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
     return text
 
 
+def _radii(args, text):
+    solve = reference.SOLVERS[args.impl] if args.impl else core.compute_radii
+    return solve(text)[0]
+
+
+def _write_radii(table, out) -> None:
+    """Write ``table`` comma separated with a closing newline, formatting
+    RADII_CHUNK entries at a time instead of one string for all of them."""
+    for start in range(0, len(table), RADII_CHUNK):
+        if start:
+            out.write(b",")
+        out.write(",".join(map(str, table[start : start + RADII_CHUNK])).encode("ascii"))
+    out.write(b"\n")
+
+
 def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    result = core.result_from_radii(reference.SOLVERS[args.impl](text)[0])
+    result = core.result_from_radii(_radii(args, text))
     sub = result.substring(text)
     lines = [sub if args.as_bytes else sub.encode("utf-8")]
     if args.span:
@@ -157,8 +177,8 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    table = reference.SOLVERS[args.impl](text)[0]
-    print(",".join(map(str, table)))
+    _write_radii(_radii(args, text), sys.stdout.buffer)
+    sys.stdout.buffer.flush()
     return EXIT_OK
 
 
@@ -177,7 +197,7 @@ def _cmd_bench(args) -> int:
         lengths=args.lengths,
         alphabet_sizes=args.alphabets,
         repeats=args.repeats,
-        impls=args.impls,
+        impls=args.impls or default_impls(),
         seed=args.seed,
     )
     # open --out before the grid runs, so an unwritable path fails at once
@@ -200,14 +220,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (reference.OracleCapExceeded, reference.DummyUnavailable) as exc:
+    except (reference.OracleCapExceeded, reference.DummyUnavailable, native.NativeUnavailable) as exc:
         print(f"lps: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"lps: error: input is not valid UTF-8 ({exc}); try --bytes", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidAlphabet, ValueError) as exc:
+    except UsageError as exc:
         # bad parameter values that argparse's type checks can't see
+        # (InvalidAlphabet is one); any other ValueError is a bug and propagates
         print(f"lps: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

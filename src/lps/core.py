@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TypeAlias
 
 Text: TypeAlias = Sequence
-RadiiTable: TypeAlias = "list[int]"
+RadiiTable: TypeAlias = Sequence[int]
 
 __all__ = [
     "CompareStats",
@@ -41,11 +41,19 @@ __all__ = [
     "compute_radii",
     "get_left_bound",
     "get_right_bound",
+    "kernel",
     "longest_palindrome",
+    "python_radii",
     "result_from_radii",
     "to_mirror_image",
     "to_original_span",
 ]
+
+
+# The compiled kernel, or None: the package sets it to :mod:`lps.native`,
+# which then runs compute_radii on the texts it takes and argmax on the
+# tables it owns. Loaded on its own, this module is the pure-Python engine.
+kernel = None
 
 
 class CompareStats:
@@ -113,7 +121,19 @@ def to_original_span(center: int, radius: int) -> Span:
 
 
 def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
-    """Palindrome lengths for all 2N+1 centers, in linear time.
+    """Palindrome lengths for all 2N+1 centers: the default engine.
+
+    ``str`` and ``bytes`` run on the compiled kernel where it loads (an
+    ``array('i')`` table), anything else on :func:`python_radii` (a
+    ``list``). Both give the same radii and the same comparison count.
+    """
+    if kernel is not None and kernel.takes(text):
+        return kernel.compute_radii(text)
+    return python_radii(text)
+
+
+def python_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
+    """Palindrome lengths for all 2N+1 centers, in linear time, in Python.
 
     Scans centers left to right, keeping the reference center ``ref``
     whose palindrome currently reaches farthest right, to ``right``. A
@@ -165,7 +185,12 @@ def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
 
 
 def argmax(radii: RadiiTable) -> int:
-    """Index of the maximum entry; the leftmost wins ties."""
+    """Index of the maximum entry; the leftmost wins ties.
+
+    The compiled kernel scans the tables it returned itself.
+    """
+    if kernel is not None and kernel.owns(radii):
+        return kernel.argmax(radii)
     return radii.index(max(radii))
 
 

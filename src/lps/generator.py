@@ -30,13 +30,18 @@ __all__ = [
     "GenSpec",
     "InvalidAlphabet",
     "MASK64",
+    "UsageError",
     "gen_text",
     "iter_chunks",
     "rng_next",
 ]
 
 
-class InvalidAlphabet(ValueError):
+class UsageError(ValueError):
+    """A parameter value outside its allowed range; the CLI exits 64 on it."""
+
+
+class InvalidAlphabet(UsageError):
     """Alphabet size outside [1, 26]."""
 
 
@@ -59,13 +64,13 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
+            raise UsageError(f"length must be >= 0, got {self.length}")
         if not 1 <= self.alphabet_size <= ALPHABET_MAX:
             raise InvalidAlphabet(
                 f"alphabet size must be in [1, {ALPHABET_MAX}], got {self.alphabet_size}"
             )
         if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise UsageError("seed must fit in 64 unsigned bits")
 
 
 def _chunk_symbols(seed: int, start_step: int, count: int, alphabet_size: int) -> str:

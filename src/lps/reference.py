@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import core
+from . import core, native
 from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
 
 ORACLE_CAP = 100_000
@@ -92,7 +92,8 @@ def choose_dummy(text: Text):
     value 0, then successive values for ``bytes``. The fixed order makes
     both the result and the failure deterministic. DummyUnavailable is
     the string-augmentation failure mode that index mapping does not
-    have.
+    have. Any other sequence, such as a tuple of tokens, gets a fresh
+    ``object()``, which equals no token.
     """
     if isinstance(text, (bytes, bytearray)):
         seen = set(text)
@@ -107,7 +108,7 @@ def choose_dummy(text: Text):
             if ch not in seen:
                 return ch
         raise DummyUnavailable("every Unicode scalar value occurs in the text")
-    raise TypeError(f"choose_dummy supports str and bytes, got {type(text).__name__}")
+    return object()
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def augmented_radii(text: Text, *, alloc_cap: int | None = None) -> tuple[RadiiT
     the stats; the surplus over the core engine's count is exactly the
     overhead that virtual augmentation removes. A palindrome's radius in
     the augmented string equals its length in the original, so the
-    returned table matches :func:`lps.core.compute_radii` entrywise.
+    returned table matches :func:`lps.core.python_radii` entrywise.
     """
     dummy = choose_dummy(text)
     symbols = augment(text, dummy, alloc_cap=alloc_cap).symbols
@@ -199,9 +200,12 @@ def _naive_solver(text: Text, **limits) -> tuple[RadiiTable, CompareStats]:
 # Every implementation the CLI and the bench run, by name, in report order:
 # text -> (radii, stats), plus the solver's own limit keywords (naive: cap,
 # augmented: alloc_cap). Entries look their solver up at call time, so a
-# wrapper installed on e.g. ``core.compute_radii`` sees registry calls too.
+# wrapper installed on e.g. ``core.python_radii`` sees registry calls too.
+# "indexmap" is the Python scan; "native" is the compiled kernel (str and
+# bytes only), which raises NativeUnavailable where it cannot be built.
 SOLVERS: dict[str, Callable[..., tuple[RadiiTable, CompareStats]]] = {
     "naive": _naive_solver,
     "augmented": lambda text, **limits: augmented_radii(text, **limits),
-    "indexmap": lambda text: core.compute_radii(text),
+    "indexmap": lambda text: core.python_radii(text),
+    "native": lambda text: native.compute_radii(text),
 }

@@ -17,12 +17,14 @@ from pathlib import Path
 import pytest
 
 import lps.core
+from lps import native
 from lps.bench import BenchSpec, parse_csv, run_bench, summarize, to_csv
 from lps.core import (
     compute_radii,
     get_left_bound,
     get_right_bound,
     longest_palindrome,
+    python_radii,
     to_mirror_image,
     to_original_span,
 )
@@ -52,11 +54,11 @@ def sweep():
 
 @pytest.fixture(scope="session")
 def sweep_tables(sweep):
-    return [(text, *compute_radii(text)) for text in sweep]
+    return [(text, *python_radii(text)) for text in sweep]
 
 
 def test_c1_bananas_fixture():
-    radii, _ = compute_radii("bananas")
+    radii, _ = python_radii("bananas")
     assert radii == BANANAS_RADII
     result = longest_palindrome("bananas")
     assert result.substring("bananas") == "anana"
@@ -65,16 +67,20 @@ def test_c1_bananas_fixture():
 
 
 def test_c2_oracle_equivalence(sweep_tables):
-    for text, radii, _ in sweep_tables:
+    for text, radii, stats in sweep_tables:
         expected = naive_radii(text)
         assert radii == expected
         assert augmented_radii(text)[0] == expected
+        native_radii, native_stats = native.compute_radii(text)
+        assert list(native_radii) == expected
+        assert native_stats.comparisons == stats.comparisons
         span = naive_lps(text).span
         assert longest_palindrome(text).span == span
+        assert lps.core.result_from_radii(radii).span == span
         assert augmented_lps(text).span == span
     print(
         f"PASS [C2] oracle equivalence: {len(sweep_tables)} texts, "
-        "three implementations entrywise identical, identical spans"
+        "four implementations entrywise identical, identical spans"
     )
 
 

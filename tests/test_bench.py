@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from lps import native
 from lps.bench import (
     CSV_HEADER,
     IMPLS,
     BenchRecord,
     BenchSpec,
+    default_impls,
     parse_csv,
     run_bench,
     summarize,
@@ -22,19 +24,28 @@ from lps.reference import naive_radii
 SMALL = BenchSpec(lengths=(1000,), alphabet_sizes=(2,), repeats=3, seed=0)
 
 
+def test_default_impls_leave_out_a_kernel_that_cannot_load(monkeypatch):
+    spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,))
+    assert spec.impls == IMPLS == default_impls()
+    monkeypatch.setattr(native, "available", lambda: False)
+    spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,))
+    assert spec.impls == default_impls() == tuple(name for name in IMPLS if name != "native")
+    assert {r.impl for r in run_bench(spec)} == set(spec.impls)
+
+
 @pytest.fixture(scope="module")
 def small_records():
     return run_bench(SMALL)
 
 
 def test_counting_contract(small_records):
-    # 1 cell x 3 impls x 3 repeats
-    assert len(small_records) == 9
+    # 1 cell x every impl x 3 repeats
+    assert len(small_records) == len(IMPLS) * 3
     lines = to_csv(small_records).rstrip("\n").split("\n")
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 9 + 3  # header, trials, one avg row per impl
+    assert len(lines) == 1 + len(IMPLS) * 3 + len(IMPLS)  # header, trials, one avg row per impl
     avg_rows = [line for line in lines if ",avg," in line]
-    assert len(avg_rows) == 3
+    assert len(avg_rows) == len(IMPLS)
 
 
 def test_all_ok_and_comparisons_present(small_records):
@@ -134,7 +145,7 @@ def test_out_of_memory_injection():
         else:
             assert record.outcome == "ok"
     # the failure must not abort the run: every trial is still recorded
-    assert len(records) == 6
+    assert len(records) == len(IMPLS) * 2
 
 
 def test_out_of_memory_in_csv_and_table():
@@ -177,7 +188,7 @@ def test_warmup_excluded_from_records():
     # impl also ran once untimed
     spec = BenchSpec(lengths=(64,), alphabet_sizes=(2,), repeats=1, seed=5)
     records = run_bench(spec)
-    assert len(records) == 3
+    assert len(records) == len(IMPLS)
     assert sorted(r.impl for r in records) == sorted(IMPLS)
 
 

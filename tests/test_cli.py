@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from lps import cli
-from lps.bench import parse_csv
+from lps import cli, reference
+from lps.bench import IMPLS, parse_csv
 
 
 def run_cli(*args, stdin=b""):
@@ -39,7 +39,7 @@ def test_find_span_leftmost_tie():
     assert proc.stdout == b"aba\n0 3 3\n"
 
 
-@pytest.mark.parametrize("impl", ["naive", "augmented", "indexmap"])
+@pytest.mark.parametrize("impl", ["naive", "augmented", "indexmap", "native"])
 def test_find_impl_selection(impl):
     proc = run_cli("find", "--impl", impl, stdin=b"bananas")
     assert proc.returncode == 0
@@ -202,8 +202,8 @@ def test_bench_csv_round_trips():
     )
     assert proc.returncode == 0
     records, summaries = parse_csv(proc.stdout.decode())
-    assert len(records) == 2 * 3 * 2
-    assert len(summaries) == 2 * 3
+    assert len(records) == 2 * len(IMPLS) * 2
+    assert len(summaries) == 2 * len(IMPLS)
     assert all(r.outcome == "ok" for r in records)
 
 
@@ -243,7 +243,7 @@ def test_bench_out_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == b""
     records, _ = parse_csv(out.read_text())
-    assert len(records) == 3
+    assert len(records) == len(IMPLS)
 
 
 def test_bench_unwritable_out_fails_before_running(monkeypatch, tmp_path):
@@ -253,6 +253,17 @@ def test_bench_unwritable_out_fails_before_running(monkeypatch, tmp_path):
     code = cli.main(["bench", "--lengths", "10", "--alphabets", "2", "--out", str(out)])
     assert code == 2
     assert calls == []
+
+
+def test_engine_value_error_is_not_a_usage_error(monkeypatch, tmp_path):
+    def broken(text):
+        raise ValueError("engine bug")
+
+    monkeypatch.setitem(reference.SOLVERS, "indexmap", broken)
+    path = tmp_path / "input.txt"
+    path.write_text("abc")
+    with pytest.raises(ValueError, match="engine bug"):
+        cli.main(["find", "--impl", "indexmap", str(path)])
 
 
 def test_bench_bad_lengths_exit_64():

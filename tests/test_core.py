@@ -7,10 +7,10 @@ import pytest
 from lps.core import (
     Span,
     argmax,
-    compute_radii,
     get_left_bound,
     get_right_bound,
     longest_palindrome,
+    python_radii,
     to_mirror_image,
     to_original_span,
 )
@@ -77,7 +77,7 @@ def test_span_helpers():
     ],
 )
 def test_compute_radii(text, expected):
-    radii, _ = compute_radii(text)
+    radii, _ = python_radii(text)
     assert radii == expected
 
 
@@ -98,19 +98,19 @@ def test_compute_radii(text, expected):
 )
 def test_comparison_counts(text, expected):
     # exactly one count per real symbol test
-    _, stats = compute_radii(text)
+    _, stats = python_radii(text)
     assert stats.comparisons == expected
 
 
 def test_radii_table_size():
     for n in range(8):
-        radii, _ = compute_radii("x" * n)
+        radii, _ = python_radii("x" * n)
         assert len(radii) == 2 * n + 1
 
 
 def test_comparison_budget_is_linear():
     for text in ("bananas", "a" * 500, "ab" * 250, "abcabc" * 100):
-        _, stats = compute_radii(text)
+        _, stats = python_radii(text)
         assert stats.comparisons <= 4 * (len(text) + 1)
 
 
@@ -142,7 +142,7 @@ def test_longest_palindrome_empty():
 def test_generic_symbols():
     # the engine only needs equality, not str input
     text = b"bananas"
-    radii, _ = compute_radii(text)
+    radii, _ = python_radii(text)
     assert radii == BANANAS_RADII
     assert longest_palindrome(text).substring(text) == b"anana"
 

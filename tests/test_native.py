@@ -1,0 +1,155 @@
+"""Tests for the compiled kernel (lps.native) and the default engine.
+
+Radii and counts are checked against the Python engine here and in the
+four-way sweeps of test_acceptance.py, test_properties.py and
+test_registry.py. The build and fallback tests run ``python -m lps`` on a
+fresh copy of the package, so each starts with no compiled library.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from array import array
+from pathlib import Path
+
+import pytest
+
+import lps
+from lps import cli, core, native
+from lps.generator import GenSpec, gen_text
+
+PACKAGE = Path(lps.__file__).resolve().parent
+
+
+def test_exact_counts_at_one_million():
+    text = gen_text(GenSpec(10**6, 3, 1))
+    radii, stats = native.compute_radii(text)
+    assert stats.comparisons == 2_036_777
+    expected, _ = core.python_radii(text)
+    assert list(radii) == expected
+    _, stats = native.compute_radii("a" * 10**6)
+    assert stats.comparisons == 999_999
+
+
+def test_memory_does_not_depend_on_content():
+    length = 10**6
+    texts = ["a" * length, "ab" * (length // 2), gen_text(GenSpec(length, 3, 5))]
+    native.load()  # build and load outside the traced calls
+    peaks = []
+    for text in texts:
+        tracemalloc.start()
+        native.compute_radii(text)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    table_and_symbols = 4 * (2 * length + 1) + length  # int32 table, uint8 buffer
+    assert max(peaks) - min(peaks) < 1024
+    assert table_and_symbols <= min(peaks) and max(peaks) < table_and_symbols + 64 * 1024
+
+
+def test_typed_table_argmax_is_leftmost():
+    native.load()
+    assert native.owns(array("i", [0])) and not native.owns([0]) and not native.owns(array("q", [0]))
+    assert core.argmax(array("i", [0, 1, 0, 3, 0, 3, 0, 1, 0])) == 3
+    assert core.argmax(array("i", [0])) == 0
+    table = array("i", [7, 2, 9, 9, 1, 9])
+    assert core.argmax(table) == list(table).index(max(table)) == 2
+    with pytest.raises(ValueError):
+        native.argmax(array("i"))
+
+
+def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
+    assert core.kernel is native
+    for text in ("bananas", "b\xe4n\xe4n\xe4s", b"bananas"):
+        radii, stats = core.compute_radii(text)
+        assert isinstance(radii, array)
+        assert list(radii) == core.python_radii(text)[0]
+        assert stats.comparisons == core.python_radii(text)[1].comparisons
+    radii, stats = core.compute_radii(tuple("bananas"))
+    assert radii == core.python_radii("bananas")[0] and stats.comparisons == 11
+
+
+def test_long_texts_stay_on_the_python_engine(monkeypatch):
+    monkeypatch.setattr(native, "MAX_SYMBOLS", 6)
+    for engine in (native.compute_radii, core.compute_radii):
+        radii, stats = engine("bananas")
+        assert radii == core.python_radii("bananas")[0]  # a list: the Python scan ran
+        assert stats.comparisons == 11
+
+
+@pytest.mark.parametrize("size", [1, cli.RADII_CHUNK - 1, cli.RADII_CHUNK, cli.RADII_CHUNK + 1])
+def test_radii_output_streams_whole_table(size):
+    table = array("i", range(size))  # size 1 is the empty text's table, [0]
+    out = io.BytesIO()
+    cli._write_radii(table, out)
+    assert out.getvalue() == (",".join(map(str, table)) + "\n").encode("ascii")
+
+
+def _fresh_copy(tmp_path: Path) -> Path:
+    shutil.copytree(PACKAGE, tmp_path / "lps", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def _lps(root: Path, *args, path: str, stdin: bytes = b"bananas", popen=False):
+    argv = [sys.executable, "-m", "lps", *args]
+    env = {**os.environ, "PYTHONPATH": str(root), "PATH": path}
+    if popen:
+        return subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+    return subprocess.run(argv, input=stdin, capture_output=True, timeout=120, env=env)
+
+
+def _built(root: Path) -> list[str]:
+    cache = root / "lps" / "__pycache__"
+    return sorted(p.name for p in cache.iterdir() if not p.name.endswith(".pyc")) if cache.exists() else []
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", "failing-compiler", "world-writable-cache"])
+def test_falls_back_with_one_note(tmp_path, failure):
+    root = _fresh_copy(tmp_path / "copy")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    path = str(bin_dir)
+    if failure == "failing-compiler":
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\necho 'cc: simulated failure' >&2\nexit 1\n")
+        cc.chmod(0o755)
+    elif failure == "world-writable-cache":
+        path = os.environ.get("PATH", "")
+        cache = root / "lps" / "__pycache__"
+        cache.mkdir()
+        cache.chmod(0o777)
+    reason = {
+        "no-compiler": b"cc",
+        "failing-compiler": b"simulated failure",
+        "world-writable-cache": b"world-writable",
+    }[failure]
+
+    for args, expected in ((("find", "--span"), b"anana\n1 6 5\n"), (("radii",), b"0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n")):
+        proc = _lps(root, *args, path=path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+        (note,) = proc.stderr.splitlines()
+        assert note.startswith(b"lps: note: ") and reason in note
+
+    explicit = _lps(root, "find", "--impl", "native", path=path)
+    assert explicit.returncode == 2
+    assert explicit.stdout == b""
+    assert explicit.stderr.startswith(b"lps: error: ") and reason in explicit.stderr
+    assert _built(root) == []  # no library and no partial file left behind
+
+
+def test_concurrent_first_runs_both_succeed(tmp_path):
+    root = _fresh_copy(tmp_path)
+    procs = [_lps(root, "find", "--span", path=os.environ.get("PATH", ""), popen=True) for _ in range(2)]
+    results = [proc.communicate(b"bananas", timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+        assert (out, err) == (b"anana\n1 6 5\n", b"")  # no note: both ran the kernel
+    (library,) = _built(root)
+    assert library.startswith(f"_manacher.{sys.implementation.cache_tag}-") and library.endswith(".so")

@@ -1,8 +1,9 @@
-"""Property-based checks tying the three implementations together.
+"""Property-based checks tying the implementations together.
 
 The naive oracle expands every center directly in original index space, so
 it shares no index arithmetic with the engine under test; agreement across
-all three implementations is the main correctness argument.
+all four implementations (naive, augmented, the index-mapped engine and its
+compiled kernel) is the main correctness argument.
 """
 
 from __future__ import annotations
@@ -10,11 +11,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lps import native
 from lps.core import (
     compute_radii,
     get_left_bound,
     get_right_bound,
     longest_palindrome,
+    python_radii,
+    result_from_radii,
     to_mirror_image,
     to_original_span,
 )
@@ -22,20 +26,36 @@ from lps.generator import GenSpec, gen_text
 from lps.reference import augment, augmented_lps, augmented_radii, choose_dummy, naive_lps, naive_radii
 
 texts = st.text(alphabet="ab", max_size=60) | st.text(alphabet="abc", max_size=60)
-wide_texts = texts | st.text(max_size=40) | st.binary(max_size=60)
+# non-ASCII text goes to the kernel as UTF-32, so astral code points and
+# NUL/0xff bytes get alphabets small enough to form long palindromes
+wide_texts = (
+    texts
+    | st.text(max_size=40)
+    | st.text(alphabet="a\x00\xe9\U0001f600", max_size=60)
+    | st.binary(max_size=60)
+    | st.lists(st.sampled_from(b"\x00\xffa"), max_size=60).map(bytes)
+)
 
 
 @given(wide_texts)
 def test_three_way_radii_agreement(text):
     expected = naive_radii(text)
-    assert compute_radii(text)[0] == expected
+    radii, stats = python_radii(text)
+    assert radii == expected
     assert augmented_radii(text)[0] == expected
+    native_radii, native_stats = native.compute_radii(text)
+    assert list(native_radii) == expected
+    assert native_stats.comparisons == stats.comparisons
+    default_radii, default_stats = compute_radii(text)
+    assert list(default_radii) == expected
+    assert default_stats.comparisons == stats.comparisons
 
 
 @given(wide_texts)
 def test_three_way_span_agreement(text):
     span = naive_lps(text).span
     assert longest_palindrome(text).span == span
+    assert result_from_radii(python_radii(text)[0]).span == span
     assert augmented_lps(text).span == span
 
 
@@ -128,12 +148,12 @@ def test_against_substring_scan(text):
 @given(st.integers(0, 2**64 - 1))
 def test_agreement_on_generated_strings(seed):
     text = gen_text(GenSpec(length=seed % 300, alphabet_size=2 + seed % 3, seed=seed))
-    assert compute_radii(text)[0] == naive_radii(text)
+    assert python_radii(text)[0] == naive_radii(text)
 
 
 def test_entrywise_agreement_at_depth():
     # one larger seeded check beyond hypothesis's size comfort zone
     text = gen_text(GenSpec(length=2000, alphabet_size=2, seed=0xC0FFEE))
     expected = naive_radii(text)
-    assert compute_radii(text)[0] == expected
+    assert python_radii(text)[0] == expected
     assert augmented_radii(text)[0] == expected

@@ -91,9 +91,11 @@ def test_choose_dummy_exhausted():
         choose_dummy(bytes(range(256)))
 
 
-def test_choose_dummy_rejects_other_types():
-    with pytest.raises(TypeError):
-        choose_dummy(("a", "b"))
+def test_choose_dummy_other_sequences_get_a_fresh_sentinel():
+    tokens = ("a", "b", None, 0)
+    dummy = choose_dummy(tokens)
+    assert all(dummy != token for token in tokens)
+    assert choose_dummy(tokens) is not dummy
 
 
 def test_augment_str():

@@ -31,19 +31,19 @@ CORPUS = {
 @pytest.mark.parametrize("case", CORPUS)
 def test_every_solver_matches_naive_oracle(name, case):
     text = CORPUS[case]
-    if name == "augmented" and isinstance(text, tuple):
-        # the materialized solver can pick a dummy symbol only for str and bytes
+    if name == "native" and isinstance(text, tuple):
+        # the compiled kernel reads flat str and bytes buffers only
         with pytest.raises(TypeError):
             SOLVERS[name](text)
         return
     radii, stats = SOLVERS[name](text)
     assert isinstance(stats, CompareStats)
-    assert radii == naive_radii(text)
+    assert list(radii) == naive_radii(text)
     assert result_from_radii(radii) == naive_lps(text)
 
 
 def test_registry_names_every_implementation_once():
-    assert tuple(SOLVERS) == IMPLS == ("naive", "augmented", "indexmap")
+    assert tuple(SOLVERS) == IMPLS == ("naive", "augmented", "indexmap", "native")
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for command in ("find", "radii"):
@@ -75,8 +75,14 @@ def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
     assert cli.main(["radii", str(path)]) == 0
     assert calls == {"compute_radii": 1}
 
+    # the default engine may run the Python scan too (no kernel); count it from here on
+    monkeypatch.setattr(lps.core, "python_radii", counting("python_radii", lps.core.python_radii))
+    calls.clear()
+    assert cli.main(["find", "--impl", "indexmap", str(path)]) == 0
+    assert calls == {"python_radii": 1, "argmax": 1}
+
     calls.clear()
     run_bench(BenchSpec(lengths=(20,), alphabet_sizes=(2,), repeats=1, impls=("indexmap",)))
-    assert calls == {"compute_radii": 2}  # warm-up pass plus one trial
+    assert calls == {"python_radii": 2}  # warm-up pass plus one trial
 
-    assert capsys.readouterr().out == "anana\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n"
+    assert capsys.readouterr().out == "anana\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\nanana\n"
