@@ -64,3 +64,29 @@ int64_t lps_argmax(const int32_t *radii, int64_t size)
             best = i;
     return best;
 }
+
+/* Write radii[0..count) to `out` as comma-separated decimals, the text
+   str() gives for each entry, and return the number of bytes written.
+   The caller provides 12 bytes per entry: "-2147483648" plus a comma. */
+int64_t lps_format_radii(const int32_t *radii, int64_t count, char *out)
+{
+    char *end = out;
+    for (int64_t i = 0; i < count; i++) {
+        if (i)
+            *end++ = ',';
+        uint32_t magnitude = (uint32_t)radii[i];
+        if (radii[i] < 0) {
+            *end++ = '-';
+            magnitude = -magnitude;
+        }
+        char digits[10];
+        int used = 0;
+        do {
+            digits[used++] = (char)('0' + magnitude % 10);
+            magnitude /= 10;
+        } while (magnitude);
+        while (used)
+            *end++ = digits[--used];
+    }
+    return end - out;
+}

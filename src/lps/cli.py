@@ -6,8 +6,9 @@ implementations and report CSV or a table).
 
 Input comes from a file path argument or "-" for stdin. Text mode strips
 exactly one trailing line feed (shell pipelines add one); --raw keeps it.
-The global --bytes flag switches the symbol model to raw bytes, in which
-case nothing is stripped.
+A carriage return is an ordinary symbol and is never stripped, so the
+input "aba\\r\\n" is scanned as "aba\\r". The global --bytes flag switches
+the symbol model to raw bytes, in which case nothing is stripped.
 
 find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import os
 import sys
+from array import array
 
 from . import core, native, reference
 from .bench import IMPLS, BenchSpec, default_impls, run_bench, to_csv, to_table
@@ -152,11 +154,21 @@ def _radii(args, text):
 
 def _write_radii(table, out) -> None:
     """Write ``table`` comma separated with a closing newline, formatting
-    RADII_CHUNK entries at a time instead of one string for all of them."""
+    RADII_CHUNK entries at a time instead of one string for all of them.
+
+    The kernel formats the tables it owns into one reused buffer; any other
+    table is formatted by ``str`` per entry."""
+    owned = native.owns(table)
+    if owned:
+        buffer = array("B", [0]) * (native.FORMAT_BYTES * min(RADII_CHUNK, len(table)))
     for start in range(0, len(table), RADII_CHUNK):
+        stop = min(start + RADII_CHUNK, len(table))
         if start:
             out.write(b",")
-        out.write(",".join(map(str, table[start : start + RADII_CHUNK])).encode("ascii"))
+        if owned:
+            out.write(memoryview(buffer)[: native.format_radii(table, start, stop, buffer)])
+        else:
+            out.write(",".join(map(str, table[start:stop])).encode("ascii"))
     out.write(b"\n")
 
 

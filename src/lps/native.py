@@ -13,7 +13,8 @@ cache tag; later runs only load it.
 
 The package plugs this module into :data:`lps.core.kernel`, so
 ``core.compute_radii`` runs the kernel on the texts it :func:`takes` and
-``core.argmax`` scans the tables it :func:`owns`. When no compiler is
+``core.argmax`` scans the tables it :func:`owns`; ``lps radii`` formats
+such tables with :func:`format_radii`. When no compiler is
 found or the build fails, :func:`takes` is false after one note on
 stderr and the default engine stays pure Python, while an explicit
 :func:`compute_radii` call raises :class:`NativeUnavailable`.
@@ -29,10 +30,15 @@ from array import array
 from . import core
 from .core import CompareStats
 
-__all__ = ["MAX_SYMBOLS", "NativeUnavailable", "argmax", "available", "compute_radii", "load", "owns", "takes"]
+__all__ = [
+    "FORMAT_BYTES", "MAX_SYMBOLS", "NativeUnavailable", "argmax", "available",
+    "compute_radii", "format_radii", "load", "owns", "takes",
+]
 
 # 2N+1 centers must index an int32 table; longer texts stay on lps.core.
 MAX_SYMBOLS = 2**30 - 1
+# output bytes format_radii needs per entry: "-2147483648" and a comma
+FORMAT_BYTES = 12
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")
@@ -86,6 +92,8 @@ def _open():
         scan.restype = ctypes.c_int64
     lib.lps_argmax.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     lib.lps_argmax.restype = ctypes.c_int64
+    lib.lps_format_radii.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    lib.lps_format_radii.restype = ctypes.c_int64
     return lib
 
 
@@ -164,3 +172,19 @@ def argmax(radii: array) -> int:
     if not radii:
         raise ValueError("argmax of an empty radii table")
     return load().lps_argmax(*radii.buffer_info())
+
+
+def format_radii(radii: array, start: int, stop: int, out: array) -> int:
+    """Write ``radii[start:stop]`` of a table it :func:`owns` into the
+    writable array ``out`` as comma-separated decimals, the text
+    ``",".join(map(str, ...))`` gives, and return the number of bytes
+    written. ``out`` must hold :data:`FORMAT_BYTES` bytes per entry."""
+    lib = load()
+    if not owns(radii):
+        raise TypeError(f"the kernel formats array('i') tables, got {type(radii).__name__}")
+    if not 0 <= start <= stop <= len(radii):
+        raise ValueError(f"slice {start}:{stop} outside a table of {len(radii)} entries")
+    if len(out) * out.itemsize < FORMAT_BYTES * (stop - start):
+        raise ValueError(f"{len(out) * out.itemsize} bytes cannot hold {stop - start} formatted entries")
+    address = radii.buffer_info()[0] + start * radii.itemsize
+    return lib.lps_format_radii(address, stop - start, out.buffer_info()[0])

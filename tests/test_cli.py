@@ -143,6 +143,49 @@ def test_raw_keeps_trailing_newline():
     assert raw.stdout.endswith(b"0 2 2\n")
 
 
+def test_carriage_return_before_the_stripped_newline_is_a_symbol():
+    # text mode strips exactly one trailing "\n" and keeps "\r": "aba\r" is scanned
+    assert run_cli("find", "--span", stdin=b"aba\r\n").stdout == b"aba\n0 3 3\n"
+    assert run_cli("radii", stdin=b"aba\r\n").stdout == b"0,1,0,3,0,1,0,1,0\n"
+    assert run_cli("find", "--span", "--raw", stdin=b"aba\r\n").stdout == b"aba\n0 3 3\n"
+    assert run_cli("radii", "--raw", stdin=b"aba\r\n").stdout == b"0,1,0,3,0,1,0,1,0,1,0\n"
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        ((), b""),
+        ((), b"a" * 100_000),
+        ((), "x\u00e9\U0001f600\u00e9x\U0001f600".encode()),
+        (("--bytes",), b"\x00\xffa\xff\x00\x00"),
+    ],
+    ids=["empty", "unary-1e5", "astral", "bytes"],
+)
+def test_radii_default_engine_matches_indexmap_byte_for_byte(args, stdin):
+    default = run_cli(*args, "radii", stdin=stdin)
+    python = run_cli(*args, "radii", "--impl", "indexmap", stdin=stdin)
+    assert (default.returncode, default.stderr) == (0, b"")  # no fallback note: the kernel ran
+    assert python.returncode == 0
+    assert default.stdout == python.stdout
+    if not stdin:
+        assert default.stdout == b"0\n"
+
+
+def test_radii_into_a_closed_pipe_exits_0_quietly(tmp_path):
+    path = tmp_path / "unary.txt"
+    path.write_bytes(b"a" * 100_000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lps", "radii", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20) == b"0,1,2,3,4,5,6,7,8,9,"
+    proc.stdout.close()  # the reader goes away while lps radii still has output to write
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_unknown_flag_exits_64():
     proc = run_cli("find", "--frobnicate")
     assert proc.returncode == 64

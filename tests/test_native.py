@@ -81,12 +81,58 @@ def test_long_texts_stay_on_the_python_engine(monkeypatch):
         assert stats.comparisons == 11
 
 
-@pytest.mark.parametrize("size", [1, cli.RADII_CHUNK - 1, cli.RADII_CHUNK, cli.RADII_CHUNK + 1])
-def test_radii_output_streams_whole_table(size):
-    table = array("i", range(size))  # size 1 is the empty text's table, [0]
+TABLE_KINDS = {"kernel": lambda values: array("i", values), "list": list}
+
+
+def _written(table) -> bytes:
     out = io.BytesIO()
     cli._write_radii(table, out)
-    assert out.getvalue() == (",".join(map(str, table)) + "\n").encode("ascii")
+    return out.getvalue()
+
+
+TABLE_SIZES = [1, cli.RADII_CHUNK - 1, cli.RADII_CHUNK, cli.RADII_CHUNK + 1]
+
+
+def _check_streamed(kind, size):
+    native.load()
+    table = TABLE_KINDS[kind](range(size))  # size 1 is the empty text's table, [0]
+    assert native.owns(table) == (kind == "kernel")  # the C formatter or the str join
+    assert _written(table) == (",".join(map(str, table)) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+def test_radii_output_streams_whole_table(size):
+    _check_streamed("kernel", size)
+
+
+@pytest.mark.parametrize("size", TABLE_SIZES)
+def test_radii_output_streams_whole_list(size):
+    _check_streamed("list", size)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_radii_output_matches_str_at_digit_and_sign_edges(kind):
+    native.load()
+    values = [0, 9, 10, 99, 100, 2**31 - 1, -1, -(2**31)]
+    table = TABLE_KINDS[kind](values)
+    assert _written(table) == (",".join(map(str, values)) + "\n").encode()
+
+
+def test_format_radii_checks_slice_and_buffer():
+    native.load()
+    table = array("i", [-(2**31)] * 3)
+    out = array("B", [0]) * (3 * native.FORMAT_BYTES)
+    assert native.format_radii(table, 1, 3, out) == 23
+    assert bytes(out[:23]) == b"-2147483648,-2147483648"
+    assert native.format_radii(table, 3, 3, out) == 0
+    for start, stop in ((2, 1), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError):
+            native.format_radii(table, start, stop, out)
+    with pytest.raises(ValueError):
+        native.format_radii(table, 0, 3, out[:-1])
+    for other in ([0, 1], array("h", [0, 1])):
+        with pytest.raises(TypeError):
+            native.format_radii(other, 0, 2, out)
 
 
 def _fresh_copy(tmp_path: Path) -> Path:
