@@ -1,92 +1,173 @@
-/* Compiled index-mapped Manacher scan, loaded by lps/native.py.
+/* Compiled index-mapped Manacher scan: the extension module lps/native.py
+   builds and loads.
 
-   scan() is the loop of lps.core.python_radii, line for line: it writes
-   the 2n+1 radii of `text` into `radii` and returns the number of real
-   symbol comparisons, the same count the Python engine reports. The two
-   exported scans differ only in the symbol width (bytes or ASCII text,
-   and UTF-32 code points). The caller keeps 2n+1 below 2^31, so every
-   index and radius fits the int32_t table. */
+   The scan is the loop of lps.core.python_radii, line for line. It reads
+   the text where it lies: a str through its PEP 393 array of 1, 2 or 4
+   bytes per code point, bytes and other buffers as uint8. It writes the
+   2n+1 radii into a caller-supplied int32 table and returns the number of
+   real symbol comparisons, the count the Python engine reports, and the
+   leftmost center of the longest palindrome. The caller keeps 2n+1 below
+   2^31, so every index and radius fits the table. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 
-static inline __attribute__((always_inline)) int64_t
-scan(const void *text, int wide, int64_t n, int32_t *radii)
+/* A mirror copy never exceeds the radius it copies, which an earlier
+   center already holds, so only an expansion can raise the best length;
+   testing it with > keeps the leftmost center on ties. */
+#define SCAN(T)                                                                  \
+    static int64_t scan_##T(const T *text, int64_t n, int32_t *radii, int64_t *center) \
+    {                                                                            \
+        int64_t comparisons = 0, ref = 0, right = 0, best = 0, best_len = 0;     \
+        for (int64_t j = 0; j < 2 * n + 1; j++) {                                \
+            int64_t radius;                                                      \
+            if (j <= right) {                                                    \
+                int64_t k = 2 * ref - j;                                         \
+                if (k - radii[k] > 2 * ref - right) {                            \
+                    radii[j] = radii[k];                                         \
+                    continue;                                                    \
+                }                                                                \
+                radius = right - j;                                              \
+            } else {                                                             \
+                radius = j & 1;                                                  \
+            }                                                                    \
+            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;       \
+            while (lo >= 0 && hi < n) {                                          \
+                comparisons++;                                                   \
+                if (text[lo] != text[hi])                                        \
+                    break;                                                       \
+                lo--;                                                            \
+                hi++;                                                            \
+            }                                                                    \
+            radius = hi - lo - 1;                                                \
+            radii[j] = (int32_t)radius;                                          \
+            if (radius > best_len) {                                             \
+                best = j;                                                        \
+                best_len = radius;                                               \
+            }                                                                    \
+            if (j + radius > right) {                                            \
+                ref = j;                                                         \
+                right = j + radius;                                              \
+            }                                                                    \
+        }                                                                        \
+        *center = best;                                                          \
+        return comparisons;                                                      \
+    }
+
+SCAN(uint8_t)
+SCAN(uint16_t)
+SCAN(uint32_t)
+
+/* scan(text, table) -> (comparisons, center): text is a str or a bytes-like
+   object of n symbols, table a writable buffer of at least 2n+1 int32. */
+static PyObject *
+scan(PyObject *self, PyObject *args)
 {
-    const uint8_t *narrow_text = text;
-    const uint32_t *wide_text = text;
-    int64_t comparisons = 0, ref = 0, right = 0;
-    for (int64_t j = 0; j < 2 * n + 1; j++) {
-        int64_t radius;
-        if (j <= right) {
-            int64_t k = 2 * ref - j;
-            if (k - radii[k] > 2 * ref - right) {
-                radii[j] = radii[k];
-                continue;
+    PyObject *text, *table;
+    if (!PyArg_ParseTuple(args, "OO", &text, &table))
+        return NULL;
+    Py_buffer symbols = {0}, out;
+    const void *data;
+    int kind = PyUnicode_1BYTE_KIND;
+    Py_ssize_t n;
+    if (PyUnicode_Check(text)) {
+        if (PyUnicode_READY(text) < 0)
+            return NULL;
+        kind = PyUnicode_KIND(text);
+        data = PyUnicode_DATA(text);
+        n = PyUnicode_GET_LENGTH(text);
+    } else {
+        if (PyObject_GetBuffer(text, &symbols, PyBUF_SIMPLE) < 0)
+            return NULL;
+        data = symbols.buf;
+        n = symbols.len;
+    }
+    if (PyObject_GetBuffer(table, &out, PyBUF_WRITABLE) < 0) {
+        PyBuffer_Release(&symbols);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    if (out.len / 4 < 2 * n + 1) {
+        PyErr_Format(PyExc_ValueError, "a table of %zd bytes cannot hold %zd radii", out.len, 2 * n + 1);
+    } else {
+        int64_t comparisons, center;
+        if (kind == PyUnicode_1BYTE_KIND)
+            comparisons = scan_uint8_t(data, n, out.buf, &center);
+        else if (kind == PyUnicode_2BYTE_KIND)
+            comparisons = scan_uint16_t(data, n, out.buf, &center);
+        else
+            comparisons = scan_uint32_t(data, n, out.buf, &center);
+        result = Py_BuildValue("LL", (long long)comparisons, (long long)center);
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&symbols);
+    return result;
+}
+
+/* format_radii(radii, start, stop, out) -> bytes written: radii[start:stop]
+   of an array('i') as comma-separated decimals, the text str() gives for
+   each entry, into the writable buffer out, 12 bytes per entry:
+   "-2147483648" plus a comma. */
+static PyObject *
+format_radii(PyObject *self, PyObject *args)
+{
+    PyObject *table, *buffer;
+    Py_ssize_t start, stop;
+    if (!PyArg_ParseTuple(args, "OnnO", &table, &start, &stop, &buffer))
+        return NULL;
+    Py_buffer in, out;
+    if (PyObject_GetBuffer(table, &in, PyBUF_FORMAT) < 0)
+        return NULL;
+    const char *format = in.format ? in.format : "B";
+    if (in.itemsize != 4 || strcmp(format, "i") != 0) {
+        PyErr_Format(PyExc_TypeError, "the kernel formats array('i') tables, got format '%s'", format);
+        PyBuffer_Release(&in);
+        return NULL;
+    }
+    if (PyObject_GetBuffer(buffer, &out, PyBUF_WRITABLE) < 0) {
+        PyBuffer_Release(&in);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    Py_ssize_t count = in.len / 4;
+    if (!(0 <= start && start <= stop && stop <= count)) {
+        PyErr_Format(PyExc_ValueError, "slice %zd:%zd outside a table of %zd entries", start, stop, count);
+    } else if (out.len / 12 < stop - start) {
+        PyErr_Format(PyExc_ValueError, "%zd bytes cannot hold %zd formatted entries", out.len, stop - start);
+    } else {
+        const int32_t *radii = (const int32_t *)in.buf;
+        char *end = out.buf;
+        for (Py_ssize_t i = start; i < stop; i++) {
+            if (i > start)
+                *end++ = ',';
+            uint32_t magnitude = (uint32_t)radii[i];
+            if (radii[i] < 0) {
+                *end++ = '-';
+                magnitude = -magnitude;
             }
-            radius = right - j;
-        } else {
-            radius = j & 1;
+            char digits[10];
+            int used = 0;
+            do {
+                digits[used++] = (char)('0' + magnitude % 10);
+                magnitude /= 10;
+            } while (magnitude);
+            while (used)
+                *end++ = digits[--used];
         }
-        int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;
-        while (lo >= 0 && hi < n) {
-            comparisons++;
-            if (wide ? wide_text[lo] != wide_text[hi] : narrow_text[lo] != narrow_text[hi])
-                break;
-            lo--;
-            hi++;
-        }
-        radius = hi - lo - 1;
-        radii[j] = (int32_t)radius;
-        if (j + radius > right) {
-            ref = j;
-            right = j + radius;
-        }
+        result = PyLong_FromSsize_t(end - (char *)out.buf);
     }
-    return comparisons;
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&in);
+    return result;
 }
 
-int64_t lps_radii_u8(const uint8_t *text, int64_t n, int32_t *radii)
-{
-    return scan(text, 0, n, radii);
-}
+static PyMethodDef methods[] = {
+    {"scan", scan, METH_VARARGS, "scan(text, table) -> (comparisons, center)"},
+    {"format_radii", format_radii, METH_VARARGS, "format_radii(radii, start, stop, out) -> bytes written"},
+    {NULL, NULL, 0, NULL},
+};
 
-int64_t lps_radii_u32(const uint32_t *text, int64_t n, int32_t *radii)
-{
-    return scan(text, 1, n, radii);
-}
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "_manacher", .m_size = -1, .m_methods = methods};
 
-/* Index of the maximum of radii[0..size), size >= 1; the leftmost wins ties. */
-int64_t lps_argmax(const int32_t *radii, int64_t size)
-{
-    int64_t best = 0;
-    for (int64_t i = 1; i < size; i++)
-        if (radii[i] > radii[best])
-            best = i;
-    return best;
-}
-
-/* Write radii[0..count) to `out` as comma-separated decimals, the text
-   str() gives for each entry, and return the number of bytes written.
-   The caller provides 12 bytes per entry: "-2147483648" plus a comma. */
-int64_t lps_format_radii(const int32_t *radii, int64_t count, char *out)
-{
-    char *end = out;
-    for (int64_t i = 0; i < count; i++) {
-        if (i)
-            *end++ = ',';
-        uint32_t magnitude = (uint32_t)radii[i];
-        if (radii[i] < 0) {
-            *end++ = '-';
-            magnitude = -magnitude;
-        }
-        char digits[10];
-        int used = 0;
-        do {
-            digits[used++] = (char)('0' + magnitude % 10);
-            magnitude /= 10;
-        } while (magnitude);
-        while (used)
-            *end++ = digits[--used];
-    }
-    return end - out;
-}
+PyMODINIT_FUNC PyInit__manacher(void) { return PyModule_Create(&module); }

@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import os
 import sys
-from array import array
 
 from . import core, native, reference
 from .bench import IMPLS, BenchSpec, default_impls, run_bench, to_csv, to_table
@@ -147,9 +146,10 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
     return text
 
 
-def _radii(args, text):
+def _solve(args, text):
+    """The ``(radii, stats)`` pair of the chosen implementation."""
     solve = reference.SOLVERS[args.impl] if args.impl else core.compute_radii
-    return solve(text)[0]
+    return solve(text)
 
 
 def _write_radii(table, out) -> None:
@@ -160,7 +160,7 @@ def _write_radii(table, out) -> None:
     table is formatted by ``str`` per entry."""
     owned = native.owns(table)
     if owned:
-        buffer = array("B", [0]) * (native.FORMAT_BYTES * min(RADII_CHUNK, len(table)))
+        buffer = bytearray(native.FORMAT_BYTES * min(RADII_CHUNK, len(table)))
     for start in range(0, len(table), RADII_CHUNK):
         stop = min(start + RADII_CHUNK, len(table))
         if start:
@@ -174,7 +174,7 @@ def _write_radii(table, out) -> None:
 
 def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    result = core.result_from_radii(_radii(args, text))
+    result = core.result_from_radii(*_solve(args, text))
     sub = result.substring(text)
     lines = [sub if args.as_bytes else sub.encode("utf-8")]
     if args.span:
@@ -189,7 +189,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    _write_radii(_radii(args, text), sys.stdout.buffer)
+    _write_radii(_solve(args, text)[0], sys.stdout.buffer)
     sys.stdout.buffer.flush()
     return EXIT_OK
 

@@ -1,23 +1,26 @@
-"""The index-mapped scan compiled from ``_manacher.c``, loaded with ctypes.
+"""The index-mapped scan compiled from ``_manacher.c`` as an extension module.
 
-The kernel is :func:`lps.core.python_radii` line for line over a flat
-symbol buffer: ASCII ``str`` and ``bytes`` go in as ``uint8``, any other
-``str`` as UTF-32 code points. It writes an ``int32`` radii table, so its
-memory is 4 bytes per center whatever the text holds, and it returns the
-same comparison count as the Python engine.
+The kernel is :func:`lps.core.python_radii` line for line. It reads a
+``str`` in place, through the 1, 2 or 4 bytes per code point CPython
+stores it in, and ``bytes`` through the buffer protocol, so no copy of the
+symbols is made. It writes an ``int32`` radii table, so its memory is
+4 bytes per center whatever the text holds. It returns the same
+comparison count as the Python engine, and the leftmost center of the
+longest palindrome, which it keeps as it scans.
 
 The repository has no native build step, so the source is compiled on
-first use with the system ``cc`` into this package's own ``__pycache__``
-directory, under a name keyed by the source's CRC-32 and the interpreter's
-cache tag; later runs only load it.
+first use with the system ``cc`` against the interpreter's headers into
+this package's own ``__pycache__`` directory, under a name keyed by the
+source's CRC-32 and the interpreter's extension suffix; later runs only
+load it.
 
 The package plugs this module into :data:`lps.core.kernel`, so
-``core.compute_radii`` runs the kernel on the texts it :func:`takes` and
-``core.argmax`` scans the tables it :func:`owns`; ``lps radii`` formats
-such tables with :func:`format_radii`. When no compiler is
-found or the build fails, :func:`takes` is false after one note on
-stderr and the default engine stays pure Python, while an explicit
-:func:`compute_radii` call raises :class:`NativeUnavailable`.
+``core.compute_radii`` runs the kernel on the texts it :func:`takes`;
+``lps radii`` formats the tables it :func:`owns` with :func:`format_radii`.
+When no compiler or no ``Python.h`` is found or the build fails,
+:func:`takes` is false after one note on stderr and the default engine
+stays pure Python, while an explicit :func:`compute_radii` call raises
+:class:`NativeUnavailable`.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ import os
 import sys
 import zlib
 from array import array
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from . import core
 from .core import CompareStats
 
 __all__ = [
-    "FORMAT_BYTES", "MAX_SYMBOLS", "NativeUnavailable", "argmax", "available",
+    "FORMAT_BYTES", "MAX_SYMBOLS", "NativeUnavailable", "available",
     "compute_radii", "format_radii", "load", "owns", "takes",
 ]
 
@@ -41,9 +45,8 @@ MAX_SYMBOLS = 2**30 - 1
 FORMAT_BYTES = 12
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
-_COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")
 
-_lib = None
+_module = None
 _error = None
 _noted = False
 
@@ -56,14 +59,20 @@ def _build(source: bytes, library: str) -> None:
     """Compile ``source`` to ``library``, atomically: concurrent first runs
     each write their own temporary file and the last rename wins."""
     import subprocess
+    import sysconfig
     import tempfile
 
+    include = sysconfig.get_paths()["include"]
     fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=os.path.dirname(library))
     os.close(fd)
     try:
-        done = subprocess.run([*_COMPILE, "-o", partial], input=source, capture_output=True, timeout=120)
+        # the source goes in on stdin, so the built bytes are the hashed bytes
+        command = ("cc", "-O2", "-shared", "-fPIC", f"-I{include}", "-x", "c", "-", "-o", partial)
+        done = subprocess.run(command, input=source, capture_output=True, timeout=120)
         if done.returncode != 0:
-            detail = done.stderr.decode(errors="replace").strip()
+            # one line, so the fallback note stays one line
+            lines = done.stderr.decode(errors="replace").strip().splitlines() or ["no output"]
+            detail = next((line for line in lines if "error" in line), lines[-1])
             raise NativeUnavailable(f"compiling {_SOURCE} failed: {detail}")
         os.replace(partial, library)
     except (OSError, subprocess.SubprocessError) as exc:
@@ -77,44 +86,38 @@ def _open():
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-    library = os.path.join(cache, f"_manacher.{sys.implementation.cache_tag}-{zlib.crc32(source):08x}.so")
+    name = f"_manacher.{sys.implementation.cache_tag}-{zlib.crc32(source):08x}"
+    library = os.path.join(cache, name + EXTENSION_SUFFIXES[0])
     os.makedirs(cache, exist_ok=True)
     # in a directory anyone can write to, the library could be swapped before we load it
     if os.stat(cache).st_mode & 0o002:
         raise NativeUnavailable(f"{cache} is world-writable; not building or loading the kernel there")
     if not os.path.exists(library):
         _build(source, library)
-    import ctypes
-
-    lib = ctypes.CDLL(library)
-    for scan in (lib.lps_radii_u8, lib.lps_radii_u32):
-        scan.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p)
-        scan.restype = ctypes.c_int64
-    lib.lps_argmax.argtypes = (ctypes.c_void_p, ctypes.c_int64)
-    lib.lps_argmax.restype = ctypes.c_int64
-    lib.lps_format_radii.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-    lib.lps_format_radii.restype = ctypes.c_int64
-    return lib
+    loader = ExtensionFileLoader(f"{__package__}._manacher", library)
+    module = loader.create_module(ModuleSpec(loader.name, loader, origin=library))
+    loader.exec_module(module)
+    return module
 
 
 def load():
-    """The loaded kernel, built first if needed; raises NativeUnavailable.
+    """The loaded kernel module, built first if needed; raises NativeUnavailable.
 
     The outcome is kept for the life of the process, failures included.
     """
-    global _lib, _error
-    if _lib is None and _error is None:
+    global _module, _error
+    if _module is None and _error is None:
         try:
             if array("i").itemsize != 4:
                 raise NativeUnavailable("C int is not 32 bits wide on this platform")
-            _lib = _open()
-        except OSError as exc:  # unreadable source, unwritable cache, dlopen failure
+            _module = _open()
+        except (OSError, ImportError) as exc:  # unreadable source, unwritable cache, failed load
             _error = NativeUnavailable(f"cannot load the compiled kernel: {exc}")
         except NativeUnavailable as exc:
             _error = exc
     if _error is not None:
         raise _error
-    return _lib
+    return _module
 
 
 def available() -> bool:
@@ -137,54 +140,30 @@ def takes(text) -> bool:
 
 
 def compute_radii(text: str | bytes) -> tuple[array, CompareStats]:
-    """Radii and comparison count of :func:`lps.core.python_radii`, from
-    the kernel, as an ``array('i')``. Takes ``str`` and ``bytes`` only;
-    texts over :data:`MAX_SYMBOLS` symbols go to the Python engine."""
+    """Radii, comparison count and best center of :func:`lps.core.python_radii`,
+    from the kernel, with the radii as an ``array('i')``. Takes ``str`` and
+    ``bytes`` only; texts over :data:`MAX_SYMBOLS` symbols go to the Python
+    engine."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
     if len(text) > MAX_SYMBOLS:
         return core.python_radii(text)
-    lib = load()
-    scan = lib.lps_radii_u8
-    if not isinstance(text, str):
-        symbols = bytes(text)
-    elif text.isascii():
-        symbols = text.encode("ascii")
-    else:
-        symbols, scan = text.encode("utf-32-le", "surrogatepass"), lib.lps_radii_u32
     radii = array("i", [0]) * (2 * len(text) + 1)
     stats = CompareStats()
-    stats.comparisons = scan(symbols, len(text), radii.buffer_info()[0])
+    stats.comparisons, stats.center = load().scan(text, radii)
     return radii, stats
 
 
 def owns(radii) -> bool:
-    """Whether ``radii`` is a table the loaded kernel can scan: an ``array('i')``.
-
-    ``max`` plus ``index`` over a 2N+1-entry array boxes every entry and
-    costs far more than the scan that filled it.
-    """
-    return _lib is not None and isinstance(radii, array) and radii.typecode == "i"
+    """Whether ``radii`` is a table the loaded kernel can format: an ``array('i')``."""
+    return _module is not None and isinstance(radii, array) and radii.typecode == "i"
 
 
-def argmax(radii: array) -> int:
-    """Leftmost index of the maximum of a non-empty table it :func:`owns`."""
-    if not radii:
-        raise ValueError("argmax of an empty radii table")
-    return load().lps_argmax(*radii.buffer_info())
-
-
-def format_radii(radii: array, start: int, stop: int, out: array) -> int:
-    """Write ``radii[start:stop]`` of a table it :func:`owns` into the
-    writable array ``out`` as comma-separated decimals, the text
+def format_radii(radii: array, start: int, stop: int, out) -> int:
+    """Write ``radii[start:stop]`` of an ``array('i')`` into the writable
+    buffer ``out`` as comma-separated decimals, the text
     ``",".join(map(str, ...))`` gives, and return the number of bytes
-    written. ``out`` must hold :data:`FORMAT_BYTES` bytes per entry."""
-    lib = load()
-    if not owns(radii):
-        raise TypeError(f"the kernel formats array('i') tables, got {type(radii).__name__}")
-    if not 0 <= start <= stop <= len(radii):
-        raise ValueError(f"slice {start}:{stop} outside a table of {len(radii)} entries")
-    if len(out) * out.itemsize < FORMAT_BYTES * (stop - start):
-        raise ValueError(f"{len(out) * out.itemsize} bytes cannot hold {stop - start} formatted entries")
-    address = radii.buffer_info()[0] + start * radii.itemsize
-    return lib.lps_format_radii(address, stop - start, out.buffer_info()[0])
+    written. ``out`` must hold :data:`FORMAT_BYTES` bytes per entry: a
+    smaller buffer or a slice outside the table raises ``ValueError``, any
+    other table ``TypeError``."""
+    return load().format_radii(radii, start, stop, out)

@@ -189,7 +189,7 @@ def augmented_radii(text: Text, *, alloc_cap: int | None = None) -> tuple[RadiiT
 
 def augmented_lps(text: Text) -> LpsResult:
     """Longest palindromic substring via the augmented solver."""
-    return result_from_radii(augmented_radii(text)[0])
+    return result_from_radii(*augmented_radii(text))
 
 
 def _naive_solver(text: Text, **limits) -> tuple[RadiiTable, CompareStats]:

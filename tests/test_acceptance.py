@@ -38,9 +38,18 @@ SWEEP_COUNT = 10_000
 BANANAS_RADII = [0, 1, 0, 1, 0, 3, 0, 5, 0, 3, 0, 1, 0, 1, 0]
 
 
+# a b^(n-2) c costs the scan the most comparisons known: exactly 3n - 6
+WORST_CASE_LENGTHS = (3, 4, 5, 10, 50, 200)
+
+
+def worst_case(n: int) -> str:
+    return "a" + "b" * (n - 2) + "c"
+
+
 @pytest.fixture(scope="session")
 def sweep():
-    """10,000 random texts, L uniform in [0, 200], A from the benchmark set."""
+    """10,000 random texts, L uniform in [0, 200], A from the benchmark set,
+    then the worst-case family ``a b^(n-2) c``."""
     state = SWEEP_SEED
     texts = []
     for _ in range(SWEEP_COUNT):
@@ -49,7 +58,7 @@ def sweep():
         state, out = rng_next(state)
         alphabet = ALPHABETS[out % len(ALPHABETS)]
         texts.append(gen_text(GenSpec(length, alphabet, state)))
-    return texts
+    return texts + [worst_case(n) for n in WORST_CASE_LENGTHS]
 
 
 @pytest.fixture(scope="session")
@@ -77,11 +86,38 @@ def test_c2_oracle_equivalence(sweep_tables):
         span = naive_lps(text).span
         assert longest_palindrome(text).span == span
         assert lps.core.result_from_radii(radii).span == span
+        assert lps.core.result_from_radii(radii, stats).span == span
         assert augmented_lps(text).span == span
     print(
         f"PASS [C2] oracle equivalence: {len(sweep_tables)} texts, "
         "four implementations entrywise identical, identical spans"
     )
+
+
+def _symbol_models(text: str):
+    """``text`` as str of each PEP 393 width (1, 2 and 4 bytes per symbol),
+    as bytes and as a token tuple; only the last is not for the kernel."""
+    yield text, True
+    yield "".join(chr(0x100 + ord(c)) for c in text), True
+    yield "".join(chr(0x1F600 + ord(c)) for c in text), True
+    yield text.encode("ascii"), True
+    yield tuple(text), False
+
+
+TIES = ["", "abacdfgdcaba", "abba xyyx", "aXa bYb", "ab", "abcabc", "aabbaa bb aabbaa"]
+
+
+def test_scan_center_is_the_leftmost_argmax(sweep):
+    # the engines keep the best center while scanning; it must be the
+    # center a separate leftmost argmax pass over the table picks
+    for text in [*TIES, *sweep]:
+        for symbols, kernel in _symbol_models(text):
+            engines = (python_radii, native.compute_radii) if kernel else (python_radii,)
+            for engine in engines:
+                radii, stats = engine(symbols)
+                assert stats.center == list(radii).index(max(radii)), (engine.__name__, symbols)
+    assert python_radii("")[1].center == native.compute_radii("")[1].center == 0
+    print(f"PASS scan center equals the leftmost argmax on {len(sweep) + len(TIES)} texts, five symbol models")
 
 
 def test_c3_invariant_suite(sweep_tables):

@@ -34,21 +34,32 @@ def test_exact_counts_at_one_million():
     assert list(radii) == expected
     _, stats = native.compute_radii("a" * 10**6)
     assert stats.comparisons == 999_999
+    _, stats = native.compute_radii("a" + "b" * (10**6 - 2) + "c")  # the worst case, 3n - 6
+    assert stats.comparisons == 2_999_994
 
 
 def test_memory_does_not_depend_on_content():
+    # the kernel reads every kind of str and bytes in place: no symbol copy
     length = 10**6
-    texts = ["a" * length, "ab" * (length // 2), gen_text(GenSpec(length, 3, 5))]
+    ternary = gen_text(GenSpec(length, 3, 5))
+    texts = {
+        "ascii": ternary,
+        "latin-1": "\xe9" * length,
+        "bmp": ("\u0101\u0102" * length)[:length],
+        "astral": ternary.translate({ord("a"): "\U0001f600"}),
+        "bytes": b"ab" * (length // 2),
+    }
     native.load()  # build and load outside the traced calls
     peaks = []
-    for text in texts:
+    for text in texts.values():
+        assert len(text) == length
         tracemalloc.start()
         native.compute_radii(text)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    table_and_symbols = 4 * (2 * length + 1) + length  # int32 table, uint8 buffer
+    table = 4 * (2 * length + 1)  # the int32 radii table
     assert max(peaks) - min(peaks) < 1024
-    assert table_and_symbols <= min(peaks) and max(peaks) < table_and_symbols + 64 * 1024
+    assert table <= min(peaks) and max(peaks) < table + 64 * 1024
 
 
 def test_typed_table_argmax_is_leftmost():
@@ -58,8 +69,13 @@ def test_typed_table_argmax_is_leftmost():
     assert core.argmax(array("i", [0])) == 0
     table = array("i", [7, 2, 9, 9, 1, 9])
     assert core.argmax(table) == list(table).index(max(table)) == 2
-    with pytest.raises(ValueError):
-        native.argmax(array("i"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 1000])
+def test_worst_case_family_costs_3n_minus_6(n):
+    text = "a" + "b" * (n - 2) + "c"
+    for engine in (core.python_radii, native.compute_radii):
+        assert engine(text)[1].comparisons == 3 * n - 6
 
 
 def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
@@ -155,7 +171,7 @@ def _built(root: Path) -> list[str]:
     return sorted(p.name for p in cache.iterdir() if not p.name.endswith(".pyc")) if cache.exists() else []
 
 
-@pytest.mark.parametrize("failure", ["no-compiler", "failing-compiler", "world-writable-cache"])
+@pytest.mark.parametrize("failure", ["no-compiler", "failing-compiler", "world-writable-cache", "no-python-h"])
 def test_falls_back_with_one_note(tmp_path, failure):
     root = _fresh_copy(tmp_path / "copy")
     bin_dir = tmp_path / "bin"
@@ -170,10 +186,23 @@ def test_falls_back_with_one_note(tmp_path, failure):
         cache = root / "lps" / "__pycache__"
         cache.mkdir()
         cache.chmod(0o777)
+    elif failure == "no-python-h":
+        # the real compiler, without the interpreter's include directory
+        real_cc = shutil.which("cc")
+        if real_cc is None:
+            pytest.skip("no cc on PATH")
+        cc = bin_dir / "cc"
+        cc.write_text(
+            "#!/bin/sh\n"
+            'for arg do shift; case "$arg" in -I*) ;; *) set -- "$@" "$arg" ;; esac; done\n'
+            f'exec {real_cc} "$@"\n'
+        )
+        cc.chmod(0o755)
     reason = {
         "no-compiler": b"cc",
         "failing-compiler": b"simulated failure",
         "world-writable-cache": b"world-writable",
+        "no-python-h": b"Python.h",
     }[failure]
 
     for args, expected in ((("find", "--span"), b"anana\n1 6 5\n"), (("radii",), b"0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n")):
@@ -199,3 +228,16 @@ def test_concurrent_first_runs_both_succeed(tmp_path):
         assert (out, err) == (b"anana\n1 6 5\n", b"")  # no note: both ran the kernel
     (library,) = _built(root)
     assert library.startswith(f"_manacher.{sys.implementation.cache_tag}-") and library.endswith(".so")
+
+
+def test_find_never_imports_ctypes(tmp_path):
+    root = _fresh_copy(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    argv = [sys.executable, "-X", "importtime", "-m", "lps", "find", "--span"]
+    for run in ("building", "loading"):
+        proc = subprocess.run(argv, input=b"bananas", capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0 and proc.stdout == b"anana\n1 6 5\n", (run, proc.stderr)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
+        assert "lps.native" in imported and "ctypes" not in imported, run
+        assert not any(line.startswith("lps: note") for line in imported), run  # the kernel ran
+    assert len(_built(root)) == 1

@@ -46,9 +46,11 @@ def test_three_way_radii_agreement(text):
     native_radii, native_stats = native.compute_radii(text)
     assert list(native_radii) == expected
     assert native_stats.comparisons == stats.comparisons
+    assert native_stats.center == stats.center == expected.index(max(expected))
     default_radii, default_stats = compute_radii(text)
     assert list(default_radii) == expected
     assert default_stats.comparisons == stats.comparisons
+    assert default_stats.center == stats.center
 
 
 @given(wide_texts)
@@ -56,6 +58,7 @@ def test_three_way_span_agreement(text):
     span = naive_lps(text).span
     assert longest_palindrome(text).span == span
     assert result_from_radii(python_radii(text)[0]).span == span
+    assert result_from_radii(*python_radii(text)).span == span
     assert augmented_lps(text).span == span
 
 

@@ -39,7 +39,7 @@ def test_every_solver_matches_naive_oracle(name, case):
     radii, stats = SOLVERS[name](text)
     assert isinstance(stats, CompareStats)
     assert list(radii) == naive_radii(text)
-    assert result_from_radii(radii) == naive_lps(text)
+    assert result_from_radii(radii) == result_from_radii(radii, stats) == naive_lps(text)
 
 
 def test_registry_names_every_implementation_once():
