@@ -26,7 +26,6 @@ import os
 import sys
 
 from . import core, native, reference
-from .bench import IMPLS, BenchSpec, default_impls, run_bench, to_csv, to_table
 from .generator import ALPHABET_MAX, GenSpec, UsageError, iter_chunks
 
 EXIT_OK = 0
@@ -55,10 +54,10 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 def _impl_list(raw: str) -> tuple[str, ...]:
     names = tuple(raw.split(","))
-    unknown = [name for name in names if name not in IMPLS]
+    unknown = [name for name in names if name not in reference.SOLVERS]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown implementation(s) {','.join(unknown)}; choose from {','.join(IMPLS)}"
+            f"unknown implementation(s) {','.join(unknown)}; choose from {','.join(reference.SOLVERS)}"
         )
     return names
 
@@ -81,7 +80,7 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument(
             "--impl",
-            choices=IMPLS,
+            choices=tuple(reference.SOLVERS),
             help="implementation to run (default: native, or indexmap where it cannot be built)",
         )
         cmd.add_argument(
@@ -117,7 +116,7 @@ def _build_parser() -> _Parser:
     bench.add_argument(
         "--impls",
         type=_impl_list,
-        help=f"comma-separated subset of {','.join(IMPLS)} (default: all that load)",
+        help=f"comma-separated subset of {','.join(reference.SOLVERS)} (default: all that load)",
     )
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument(
@@ -205,6 +204,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here: find and radii do not pay for the harness and its dataclasses
+    from .bench import BenchSpec, default_impls, run_bench, to_csv, to_table
+
     spec = BenchSpec(
         lengths=args.lengths,
         alphabet_sizes=args.alphabets,

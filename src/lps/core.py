@@ -25,8 +25,7 @@ and is owned by a single computation.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TypeAlias
+from typing import NamedTuple, TypeAlias
 
 Text: TypeAlias = Sequence
 RadiiTable: TypeAlias = Sequence[int]
@@ -71,9 +70,11 @@ class CompareStats:
         return f"CompareStats(comparisons={self.comparisons}, center={self.center})"
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open ``[start, end)`` interval in original-string index space."""
+class Span(NamedTuple):
+    """Half-open ``[start, end)`` interval in original-string index space.
+
+    A tuple: ``start, end = span`` unpacks it and ``len(span)`` is 2; the
+    interval's length is :attr:`length`."""
 
     start: int
     end: int
@@ -87,8 +88,7 @@ class Span:
         return text[self.start : self.end]
 
 
-@dataclass(frozen=True)
-class LpsResult:
+class LpsResult(NamedTuple):
     """A longest palindromic substring: where it lies and which center won."""
 
     span: Span

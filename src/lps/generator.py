@@ -13,7 +13,7 @@ step per symbol.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MASK64 = (1 << 64) - 1
 ALPHABET_MAX = 26
@@ -54,23 +54,30 @@ def rng_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """A reproducible random string: length, alphabet size, seed."""
-
+class _GenFields(NamedTuple):
     length: int
     alphabet_size: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise UsageError(f"length must be >= 0, got {self.length}")
-        if not 1 <= self.alphabet_size <= ALPHABET_MAX:
-            raise InvalidAlphabet(
-                f"alphabet size must be in [1, {ALPHABET_MAX}], got {self.alphabet_size}"
-            )
-        if not 0 <= self.seed <= MASK64:
+
+class GenSpec(_GenFields):
+    """A reproducible random string: length, alphabet size, seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, alphabet_size: int, seed: int) -> GenSpec:
+        if length < 0:
+            raise UsageError(f"length must be >= 0, got {length}")
+        if not 1 <= alphabet_size <= ALPHABET_MAX:
+            raise InvalidAlphabet(f"alphabet size must be in [1, {ALPHABET_MAX}], got {alphabet_size}")
+        if not 0 <= seed <= MASK64:
             raise UsageError("seed must fit in 64 unsigned bits")
+        return super().__new__(cls, length, alphabet_size, seed)
+
+    @classmethod
+    def _make(cls, iterable) -> GenSpec:
+        # the tuple helpers (_replace too) build through __new__, so they check
+        return cls(*iterable)
 
 
 def _chunk_symbols(seed: int, start_step: int, count: int, alphabet_size: int) -> str:

@@ -12,7 +12,7 @@ The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
 this package's own ``__pycache__`` directory, under a name keyed by the
 source's CRC-32 and the interpreter's extension suffix; later runs only
-load it.
+load it. A new build deletes the interpreter's earlier ones.
 
 The package plugs this module into :data:`lps.core.kernel`, so
 ``core.compute_radii`` runs the kernel on the texts it :func:`takes`;
@@ -86,14 +86,22 @@ def _open():
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-    name = f"_manacher.{sys.implementation.cache_tag}-{zlib.crc32(source):08x}"
-    library = os.path.join(cache, name + EXTENSION_SUFFIXES[0])
+    prefix = f"_manacher.{sys.implementation.cache_tag}-"
+    library = os.path.join(cache, f"{prefix}{zlib.crc32(source):08x}{EXTENSION_SUFFIXES[0]}")
     os.makedirs(cache, exist_ok=True)
     # in a directory anyone can write to, the library could be swapped before we load it
     if os.stat(cache).st_mode & 0o002:
         raise NativeUnavailable(f"{cache} is world-writable; not building or loading the kernel there")
     if not os.path.exists(library):
         _build(source, library)
+        # earlier builds for this interpreter are stale now; another
+        # process's partial (tmp*.so.tmp) does not carry the prefix
+        for entry in os.listdir(cache):
+            if entry.startswith(prefix) and entry != os.path.basename(library):
+                try:
+                    os.unlink(os.path.join(cache, entry))
+                except OSError:  # a concurrent first run removed it first
+                    pass
     loader = ExtensionFileLoader(f"{__package__}._manacher", library)
     module = loader.create_module(ModuleSpec(loader.name, loader, origin=library))
     loader.exec_module(module)

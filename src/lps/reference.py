@@ -12,7 +12,7 @@ compared for both output and cost.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core, native
 from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
@@ -111,9 +111,11 @@ def choose_dummy(text: Text):
     return object()
 
 
-@dataclass(frozen=True)
-class AugmentedText:
-    """The literal 2N+1 interleave: dummy at even positions, originals at odd."""
+class AugmentedText(NamedTuple):
+    """The literal 2N+1 interleave: dummy at even positions, originals at odd.
+
+    ``len()`` is the symbol count, not the tuple's two fields, so the
+    tuple helpers ``_make`` and ``_replace``, which check it, do not apply."""
 
     symbols: Text
     dummy: object

@@ -10,6 +10,7 @@ from lps.generator import (
     GenSpec,
     InvalidAlphabet,
     MASK64,
+    UsageError,
     gen_text,
     iter_chunks,
     rng_next,
@@ -107,6 +108,19 @@ def test_invalid_length_and_seed():
         GenSpec(length=1, alphabet_size=2, seed=-1)
     with pytest.raises(ValueError):
         GenSpec(length=1, alphabet_size=2, seed=MASK64 + 1)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [((-1, 3, 0), UsageError), ((5, 27, 0), InvalidAlphabet), ((5, 3, 2**64), UsageError)],
+)
+def test_genspec_checks_every_way_it_is_built(fields, error):
+    with pytest.raises(error):
+        GenSpec(*fields)
+    with pytest.raises(error):
+        GenSpec(**dict(zip(GenSpec._fields, fields)))
+    with pytest.raises(error):
+        GenSpec(1, 2, 0)._replace(**dict(zip(GenSpec._fields, fields)))
 
 
 def test_unary_string_is_its_own_palindrome():

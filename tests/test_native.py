@@ -9,6 +9,7 @@ fresh copy of the package, so each starts with no compiled library.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -76,6 +77,17 @@ def test_worst_case_family_costs_3n_minus_6(n):
     text = "a" + "b" * (n - 2) + "c"
     for engine in (core.python_radii, native.compute_radii):
         assert engine(text)[1].comparisons == 3 * n - 6
+
+
+def test_worst_case_is_3n_minus_6_over_every_ternary_string():
+    for n in range(3, 11):
+        worst = 0
+        for symbols in itertools.product("abc", repeat=n):
+            text = "".join(symbols)
+            comparisons = core.python_radii(text)[1].comparisons
+            assert native.compute_radii(text)[1].comparisons == comparisons, text
+            worst = max(worst, comparisons)
+        assert worst == 3 * n - 6, n
 
 
 def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
@@ -230,6 +242,22 @@ def test_concurrent_first_runs_both_succeed(tmp_path):
     assert library.startswith(f"_manacher.{sys.implementation.cache_tag}-") and library.endswith(".so")
 
 
+def test_a_new_build_removes_the_stale_ones(tmp_path):
+    root = _fresh_copy(tmp_path)
+    cache = root / "lps" / "__pycache__"
+    cache.mkdir()
+    tag = sys.implementation.cache_tag
+    stale = [f"_manacher.{tag}-0badc0de.so", f"_manacher.{tag}-deadbeef.{tag}-x86_64-linux-gnu.so"]
+    partial = "tmp1234abcd.so.tmp"  # another process's build in progress
+    for name in (*stale, partial):
+        (cache / name).write_bytes(b"")
+    proc = _lps(root, "find", "--span", path=os.environ.get("PATH", ""))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"anana\n1 6 5\n", b"")
+    library, kept = _built(root)
+    assert kept == partial
+    assert library.startswith(f"_manacher.{tag}-") and library not in stale
+
+
 def test_find_never_imports_ctypes(tmp_path):
     root = _fresh_copy(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(root)}
@@ -239,5 +267,6 @@ def test_find_never_imports_ctypes(tmp_path):
         assert proc.returncode == 0 and proc.stdout == b"anana\n1 6 5\n", (run, proc.stderr)
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
         assert "lps.native" in imported and "ctypes" not in imported, run
+        assert not {"dataclasses", "inspect", "lps.bench", "numpy"} & set(imported), run
         assert not any(line.startswith("lps: note") for line in imported), run  # the kernel ran
     assert len(_built(root)) == 1

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from lps.core import CompareStats, Span, compute_radii, longest_palindrome
+from lps.core import CompareStats, LpsResult, Span, compute_radii, longest_palindrome
+from lps.generator import GenSpec
 from lps.reference import (
     ORACLE_CAP,
     AugmentedText,
@@ -152,7 +153,20 @@ def test_augment_length_and_parity():
         assert all(aug.symbols[i] == "#" for i in range(0, len(aug), 2))
 
 
-def test_augmented_text_is_value():
-    a = AugmentedText(symbols="#a#", dummy="#")
-    b = AugmentedText(symbols="#a#", dummy="#")
+VALUES = {
+    "Span": lambda: Span(1, 6),
+    "LpsResult": lambda: LpsResult(span=Span(1, 6), length=5, center=7),
+    "GenSpec": lambda: GenSpec(length=5, alphabet_size=3, seed=0),
+    "AugmentedText": lambda: AugmentedText(symbols="#a#", dummy="#"),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_records_are_values(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], 0)
+    with pytest.raises(AttributeError):
+        a.extra = 0  # no instance dict either
     assert a == b
