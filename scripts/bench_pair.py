@@ -18,12 +18,15 @@ host falls on both sides.
 
 The output keeps the schema of the earlier BENCH files: ``description``,
 ``parent`` and ``change`` (the resolved commits), ``summary`` and
-``runs``. ``runs`` holds one record per run with the metrics perfbench
-reported (host-scaled medians, their quartiles and ``raw_median``).
-``summary`` has, per ``workload/traceT/metric``, the median and
-quartiles of the run medians on each side (``statistics.quantiles``,
-exclusive method), the number of pairs, and in how many of them the
-change was lower.
+``runs``. ``parent_src`` and ``change_src`` name each commit's ``src``
+tree (``git rev-parse <commit>:src``): a change measured from an
+unmerged commit, say one made with ``git stash create``, ran the merged
+commit's program when the two trees are equal. ``runs`` holds one record
+per run with the metrics perfbench reported (host-scaled medians, their
+quartiles and ``raw_median``). ``summary`` has, per
+``workload/traceT/metric``, the median and quartiles of the run medians
+on each side (``statistics.quantiles``, exclusive method), the number of
+pairs, and in how many of them the change was lower.
 """
 
 from __future__ import annotations
@@ -59,10 +62,9 @@ def workload_seeds(raw: str) -> tuple[str, int, list[int]]:
     return workload, int(trace == "trace1"), seeds(spec)
 
 
-def resolve(revision: str) -> str:
+def rev_parse(name: str) -> str:
     done = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{revision}^{{commit}}"],
-        capture_output=True, text=True, check=True,
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", name], capture_output=True, text=True, check=True,
     )
     return done.stdout.strip()
 
@@ -127,7 +129,8 @@ def main(argv=None) -> int:
     parser.add_argument("workloads", nargs="+", type=workload_seeds, metavar="WORKLOAD[/trace1]=SEEDS")
     args = parser.parse_args(argv)
 
-    sides = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    sides = {"parent": rev_parse(f"{args.parent}^{{commit}}"), "change": rev_parse(f"{args.change}^{{commit}}")}
+    trees = {side: rev_parse(f"{commit}:src") for side, commit in sides.items()}
     runs = []
     pair = 0
     for workload, trace, seed_list in args.workloads:
@@ -150,8 +153,12 @@ def main(argv=None) -> int:
         f"{platform.machine()} {platform.system()}, {len(os.sched_getaffinity(0))} cores, "
         f"Python {platform.python_version()}, {compiler}."
     )
-    result = {"description": description, "parent": sides["parent"], "change": sides["change"],
-              "summary": summarize(runs), "runs": runs}
+    result = {
+        "description": description,
+        "parent": sides["parent"], "parent_src": trees["parent"],
+        "change": sides["change"], "change_src": trees["change"],
+        "summary": summarize(runs), "runs": runs,
+    }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"bench_pair: wrote {args.out}", file=sys.stderr)
     return 0

@@ -9,16 +9,15 @@ Trials run strictly sequentially.
 Implementations are the entries of :data:`lps.reference.SOLVERS`: "naive"
 (quadratic oracle), "augmented" (materialized dummy-interleaved buffer),
 "indexmap" (the virtual augmentation engine) and "native" (the same scan
-compiled, see :mod:`lps.native`). The naive one is
-skipped, not errored, above the oracle cap; an allocation failure in the
-augmented one is recorded as an out_of_memory outcome for that trial
-instead of aborting the run.
+compiled, see :mod:`lps.native`). The naive one is skipped, not errored,
+above the oracle cap; a MemoryError in any of them is recorded as an
+out_of_memory outcome for that trial instead of aborting the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 from . import native, reference
 from .generator import MASK64, GenSpec, UsageError, gen_text
@@ -32,7 +31,6 @@ __all__ = [
     "IMPLS",
     "BenchRecord",
     "BenchSpec",
-    "BenchSummary",
     "default_impls",
     "parse_csv",
     "run_bench",
@@ -48,87 +46,83 @@ def default_impls() -> tuple[str, ...]:
     return tuple(name for name in IMPLS if name != "native" or native.available())
 
 
-@dataclass(frozen=True)
-class BenchSpec:
+class _BenchFields(NamedTuple):
     lengths: tuple[int, ...]
     alphabet_sizes: tuple[int, ...]
-    repeats: int = 3
-    impls: tuple[str, ...] = field(default_factory=default_impls)
-    seed: int = 0
+    repeats: int
+    impls: tuple[str, ...]
+    seed: int
 
-    def __post_init__(self) -> None:
-        if not self.lengths:
+
+class BenchSpec(_BenchFields):
+    """The grid to time: lengths x alphabet sizes, ``repeats`` strings per
+    cell, the implementations (default: :func:`default_impls`) and the base
+    seed. Every value is checked here, before anything runs."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        lengths: tuple[int, ...],
+        alphabet_sizes: tuple[int, ...],
+        repeats: int = 3,
+        impls: tuple[str, ...] | None = None,
+        seed: int = 0,
+    ) -> BenchSpec:
+        if not lengths:
             raise UsageError("need at least one length")
-        if not self.alphabet_sizes:
+        if not alphabet_sizes:
             raise UsageError("need at least one alphabet size")
-        if self.repeats < 1:
-            raise UsageError(f"repeats must be >= 1, got {self.repeats}")
-        if not self.impls:
+        for length in lengths:
+            for alphabet in alphabet_sizes:
+                GenSpec(length, alphabet, seed)  # the generator's range checks
+        if repeats < 1:
+            raise UsageError(f"repeats must be >= 1, got {repeats}")
+        if impls is None:
+            impls = default_impls()
+        if not impls:
             raise UsageError("need at least one implementation")
-        unknown = [name for name in self.impls if name not in IMPLS]
+        unknown = [name for name in impls if name not in IMPLS]
         if unknown:
             raise UsageError(f"unknown implementations: {unknown}; choose from {IMPLS}")
+        return super().__new__(cls, lengths, alphabet_sizes, repeats, impls, seed)
+
+    @classmethod
+    def _make(cls, iterable) -> BenchSpec:
+        # the tuple helpers (_replace too) build through __new__, so they check
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One timed trial. ``comparisons`` is None unless the outcome is ok."""
-
-    impl: str
-    length: int
-    alphabet_size: int
-    repeat: int
-    wall_seconds: float
-    comparisons: int | None
-    outcome: str
-
-
-@dataclass(frozen=True)
-class BenchSummary:
-    """Per (impl, length, alphabet) averages over the ok trials."""
+class BenchRecord(NamedTuple):
+    """One CSV row. A trial has its repeat number, an int ``comparisons``
+    when the outcome is ok and None otherwise. An average has repeat
+    "avg", means over the group's ok trials (None if there are none) and
+    the first failed outcome, or ok."""
 
     impl: str
     length: int
     alphabet_size: int
+    repeat: int | str
     wall_seconds: float | None
     comparisons: float | None
     outcome: str
 
 
-def _run_impl(
-    impl: str,
-    text: str,
-    *,
-    oracle_cap: int,
-    augmented_alloc_cap: int | None,
-) -> tuple[float, int | None, str]:
+def _run_impl(impl: str, text: str, oracle_cap: int) -> tuple[float, int | None, str]:
     """Time one implementation on one string: (seconds, comparisons, outcome)."""
-    if impl == "naive" and len(text) > oracle_cap:
-        return 0.0, None, "skipped"
-    limits = {"naive": {"cap": oracle_cap}, "augmented": {"alloc_cap": augmented_alloc_cap}}
+    limits = {"cap": oracle_cap} if impl == "naive" else {}
     start = perf_counter()
     try:
-        _, stats = reference.SOLVERS[impl](text, **limits.get(impl, {}))
+        _, stats = reference.SOLVERS[impl](text, **limits)
+    except reference.OracleCapExceeded:
+        return 0.0, None, "skipped"
     except MemoryError:
         return perf_counter() - start, None, "out_of_memory"
     return perf_counter() - start, stats.comparisons, "ok"
 
 
-def run_bench(
-    spec: BenchSpec,
-    *,
-    oracle_cap: int = reference.ORACLE_CAP,
-    augmented_alloc_cap: int | None = None,
-) -> list[BenchRecord]:
-    """Run the full grid and return one record per (length, alphabet, impl, repeat).
-
-    ``augmented_alloc_cap`` bounds the augmented implementation's buffer
-    allocation (in symbols); trials over the cap come back as out_of_memory.
-    """
-
-    def trial(impl: str, text: str) -> tuple[float, int | None, str]:
-        return _run_impl(impl, text, oracle_cap=oracle_cap, augmented_alloc_cap=augmented_alloc_cap)
-
+def run_bench(spec: BenchSpec, *, oracle_cap: int = reference.ORACLE_CAP) -> list[BenchRecord]:
+    """Run the full grid and return one record per (length, alphabet, impl, repeat)."""
     records: list[BenchRecord] = []
     for length in spec.lengths:
         for alphabet in spec.alphabet_sizes:
@@ -137,51 +131,38 @@ def run_bench(
                 for repeat in range(spec.repeats)
             ]
             for impl in spec.impls:
-                trial(impl, texts[0])  # warm-up pass, discarded
+                _run_impl(impl, texts[0], oracle_cap)  # warm-up pass, discarded
                 for repeat, text in enumerate(texts):
-                    seconds, comparisons, outcome = trial(impl, text)
-                    records.append(
-                        BenchRecord(
-                            impl=impl,
-                            length=length,
-                            alphabet_size=alphabet,
-                            repeat=repeat,
-                            wall_seconds=seconds,
-                            comparisons=comparisons,
-                            outcome=outcome,
-                        )
-                    )
+                    trial = _run_impl(impl, text, oracle_cap)
+                    records.append(BenchRecord(impl, length, alphabet, repeat, *trial))
     return records
 
 
-def _group_key(record: BenchRecord) -> tuple[str, int, int]:
-    return record.impl, record.length, record.alphabet_size
-
-
-def summarize(records: list[BenchRecord]) -> list[BenchSummary]:
-    """Average each (impl, length, alphabet) group, in first-seen order."""
+def _groups(records: list[BenchRecord]) -> list[list[BenchRecord]]:
+    """The records of each (impl, length, alphabet), in first-seen order."""
     groups: dict[tuple[str, int, int], list[BenchRecord]] = {}
     for record in records:
-        groups.setdefault(_group_key(record), []).append(record)
-    summaries = []
-    for (impl, length, alphabet), group in groups.items():
-        ok = [r for r in group if r.outcome == "ok"]
-        bad = [r.outcome for r in group if r.outcome != "ok"]
-        summaries.append(
-            BenchSummary(
-                impl=impl,
-                length=length,
-                alphabet_size=alphabet,
-                wall_seconds=sum(r.wall_seconds for r in ok) / len(ok) if ok else None,
-                comparisons=sum(r.comparisons for r in ok) / len(ok) if ok else None,
-                outcome="ok" if not bad else bad[0],
-            )
-        )
-    return summaries
+        groups.setdefault(record[:3], []).append(record)
+    return list(groups.values())
 
 
-def _csv_row(parts: list[object]) -> str:
-    return ",".join("" if p is None else repr(p) if isinstance(p, float) else str(p) for p in parts)
+def _average(group: list[BenchRecord]) -> BenchRecord:
+    ok = [r for r in group if r.outcome == "ok"]
+    return group[0]._replace(
+        repeat="avg",
+        wall_seconds=sum(r.wall_seconds for r in ok) / len(ok) if ok else None,
+        comparisons=sum(r.comparisons for r in ok) / len(ok) if ok else None,
+        outcome=next((r.outcome for r in group if r.outcome != "ok"), "ok"),
+    )
+
+
+def summarize(records: list[BenchRecord]) -> list[BenchRecord]:
+    """The average row of each (impl, length, alphabet) group, in first-seen order."""
+    return [_average(group) for group in _groups(records)]
+
+
+def _csv_row(record: BenchRecord) -> str:
+    return ",".join("" if p is None else repr(p) if isinstance(p, float) else str(p) for p in record)
 
 
 def to_csv(records: list[BenchRecord]) -> str:
@@ -190,75 +171,35 @@ def to_csv(records: list[BenchRecord]) -> str:
     Floats are written with repr() so parse_csv round-trips them exactly.
     """
     lines = [CSV_HEADER]
-    for summary in summarize(records):
-        for record in records:
-            if _group_key(record) != (summary.impl, summary.length, summary.alphabet_size):
-                continue
-            lines.append(
-                _csv_row(
-                    [
-                        record.impl,
-                        record.length,
-                        record.alphabet_size,
-                        record.repeat,
-                        record.wall_seconds,
-                        record.comparisons,
-                        record.outcome,
-                    ]
-                )
-            )
-        lines.append(
-            _csv_row(
-                [
-                    summary.impl,
-                    summary.length,
-                    summary.alphabet_size,
-                    "avg",
-                    summary.wall_seconds,
-                    summary.comparisons,
-                    summary.outcome,
-                ]
-            )
-        )
+    for group in _groups(records):
+        lines.extend(_csv_row(record) for record in [*group, _average(group)])
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> tuple[list[BenchRecord], list[BenchSummary]]:
-    """Inverse of to_csv: (trial records, averaged summaries)."""
+def _parse_row(line: str) -> BenchRecord:
+    impl, length, alphabet, repeat, seconds, comparisons, outcome = line.split(",")
+    avg = repeat == "avg"
+    return BenchRecord(
+        impl,
+        int(length),
+        int(alphabet),
+        repeat if avg else int(repeat),
+        float(seconds) if seconds else None,
+        (float if avg else int)(comparisons) if comparisons else None,
+        outcome,
+    )
+
+
+def parse_csv(text: str) -> tuple[list[BenchRecord], list[BenchRecord]]:
+    """Inverse of to_csv: (trial records, average records)."""
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
-    records: list[BenchRecord] = []
-    summaries: list[BenchSummary] = []
-    for line in lines[1:]:
-        impl, length, alphabet, repeat, seconds, comparisons, outcome = line.split(",")
-        if repeat == "avg":
-            summaries.append(
-                BenchSummary(
-                    impl=impl,
-                    length=int(length),
-                    alphabet_size=int(alphabet),
-                    wall_seconds=float(seconds) if seconds else None,
-                    comparisons=float(comparisons) if comparisons else None,
-                    outcome=outcome,
-                )
-            )
-        else:
-            records.append(
-                BenchRecord(
-                    impl=impl,
-                    length=int(length),
-                    alphabet_size=int(alphabet),
-                    repeat=int(repeat),
-                    wall_seconds=float(seconds),
-                    comparisons=int(comparisons) if comparisons else None,
-                    outcome=outcome,
-                )
-            )
-    return records, summaries
+    rows = [_parse_row(line) for line in lines[1:]]
+    return [r for r in rows if r.repeat != "avg"], [r for r in rows if r.repeat == "avg"]
 
 
-def _cell_text(summary: BenchSummary) -> str:
+def _cell_text(summary: BenchRecord) -> str:
     if summary.outcome == "out_of_memory":
         return "OutOfMemory"
     if summary.outcome == "skipped":

@@ -153,9 +153,14 @@ def python_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     center, so a known palindrome ends on boundaries at both sides, and
     expansion walks the original symbols ``text[lo]``, ``text[hi]`` just
     outside it. Boundaries match by definition and are never probed;
-    only real symbol tests are counted. Every one of them either ends a
-    center's expansion or pushes ``right`` outward, which bounds the
-    total at ``4 * (N + 1)``.
+    only real symbol tests are counted. For N >= 2 there are at most
+    ``3 * N - 4`` of them (N <= 1 makes none):
+
+    * successes <= N - 1. Each one moves ``right`` two further, ``right``
+      never passes 2N, and its move to 2 at ``j = 1`` costs no test;
+    * failures <= 2N - 3. A failure ends its center's expansion, so each
+      center fails at most once, and centers 0, 1, 2N - 1 and 2N never
+      probe: no symbol lies beyond them on one side.
 
     The scan also keeps the leftmost center of the longest palindrome, as
     ``stats.center``. A mirror copy never exceeds the radius of the

@@ -128,19 +128,15 @@ class AugmentedText(NamedTuple):
         return self.symbols[1::2]
 
 
-def augment(text: Text, dummy, *, alloc_cap: int | None = None) -> AugmentedText:
+def augment(text: Text, dummy) -> AugmentedText:
     """Materialize the augmented string for ``text``.
 
     ``dummy`` must not occur in ``text``, otherwise results downstream
-    would be spurious. ``alloc_cap`` (a symbol count) makes the buffer
-    allocation fallible, so callers can treat oversized inputs as an
-    out-of-memory condition instead of crashing the process.
+    would be spurious.
     """
     if dummy in text:
         raise ValueError("dummy symbol occurs in the text")
     size = 2 * len(text) + 1
-    if alloc_cap is not None and size > alloc_cap:
-        raise MemoryError(f"augmented buffer of {size} symbols exceeds cap {alloc_cap}")
     if isinstance(text, (bytes, bytearray)):
         buf = bytearray(size)
         buf[0::2] = bytes([dummy]) * (len(text) + 1)
@@ -156,7 +152,7 @@ def augment(text: Text, dummy, *, alloc_cap: int | None = None) -> AugmentedText
     return AugmentedText(symbols=tuple(buf), dummy=dummy)
 
 
-def augmented_radii(text: Text, *, alloc_cap: int | None = None) -> tuple[RadiiTable, CompareStats]:
+def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     """Manacher's scan over the literal augmented string.
 
     Every position is treated uniformly, so dummy-vs-dummy tests count in
@@ -166,7 +162,7 @@ def augmented_radii(text: Text, *, alloc_cap: int | None = None) -> tuple[RadiiT
     returned table matches :func:`lps.core.python_radii` entrywise.
     """
     dummy = choose_dummy(text)
-    symbols = augment(text, dummy, alloc_cap=alloc_cap).symbols
+    symbols = augment(text, dummy).symbols
     size = len(symbols)
     radii = [0] * size
     stats = CompareStats()
@@ -194,20 +190,20 @@ def augmented_lps(text: Text) -> LpsResult:
     return result_from_radii(*augmented_radii(text))
 
 
-def _naive_solver(text: Text, **limits) -> tuple[RadiiTable, CompareStats]:
+def _naive_solver(text: Text, *, cap: int = ORACLE_CAP) -> tuple[RadiiTable, CompareStats]:
     stats = CompareStats()
-    return naive_radii(text, stats=stats, **limits), stats
+    return naive_radii(text, cap=cap, stats=stats), stats
 
 
 # Every implementation the CLI and the bench run, by name, in report order:
-# text -> (radii, stats), plus the solver's own limit keywords (naive: cap,
-# augmented: alloc_cap). Entries look their solver up at call time, so a
-# wrapper installed on e.g. ``core.python_radii`` sees registry calls too.
+# text -> (radii, stats); the naive one also takes its oracle ``cap``.
+# Entries look their solver up at call time, so a wrapper installed on
+# e.g. ``core.python_radii`` or ``augmented_radii`` sees registry calls too.
 # "indexmap" is the Python scan; "native" is the compiled kernel (str and
 # bytes only), which raises NativeUnavailable where it cannot be built.
 SOLVERS: dict[str, Callable[..., tuple[RadiiTable, CompareStats]]] = {
     "naive": _naive_solver,
-    "augmented": lambda text, **limits: augmented_radii(text, **limits),
+    "augmented": lambda text: augmented_radii(text),
     "indexmap": lambda text: core.python_radii(text),
     "native": lambda text: native.compute_radii(text),
 }

@@ -8,6 +8,7 @@ criteria all judge the same corpus.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -160,6 +161,25 @@ def test_c4_comparison_linearity(sweep_tables):
     print(
         "PASS [C4] work linearity: comparisons <= 4(L+1) for the sweep "
         "and L in {1e4, 1e5, 1e6}"
+    )
+
+
+def test_c4_comparisons_at_most_3n_minus_4(sweep):
+    # the bound python_radii's docstring proves, on both engines: the sweep,
+    # then every string over 2, 3 and 4 symbols up to 12, 8 and 7 long
+    small = [
+        "".join(symbols)
+        for alphabet, top in (("ab", 12), ("abc", 8), ("abcd", 7))
+        for n in range(top + 1)
+        for symbols in itertools.product(alphabet, repeat=n)
+    ]
+    for text in [*sweep, *small]:
+        bound = max(3 * len(text) - 4, 0)  # N <= 1 makes no comparison
+        for engine in (python_radii, native.compute_radii):
+            assert engine(text)[1].comparisons <= bound, (engine.__name__, text)
+    print(
+        f"PASS [C4'] sharp work bound: comparisons <= 3L - 4 on both engines "
+        f"for the sweep and {len(small)} exhaustive small texts"
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from lps import native
+from lps import native, reference
 from lps.bench import (
     CSV_HEADER,
     IMPLS,
@@ -100,12 +100,14 @@ def test_parse_csv_rejects_bad_header():
 def test_summarize_averages():
     records = [
         BenchRecord("indexmap", 10, 2, 0, 1.0, 40, "ok"),
+        BenchRecord("augmented", 10, 2, 0, 0.5, 60, "ok"),
         BenchRecord("indexmap", 10, 2, 1, 3.0, 44, "ok"),
+        BenchRecord("augmented", 10, 2, 1, 0.1, None, "out_of_memory"),
     ]
-    (summary,) = summarize(records)
-    assert summary.wall_seconds == 2.0
-    assert summary.comparisons == 42.0
-    assert summary.outcome == "ok"
+    summary, mixed = summarize(records)
+    assert summary == ("indexmap", 10, 2, "avg", 2.0, 42.0, "ok")
+    # a mixed group averages its ok trials only and reports the failure
+    assert mixed == ("augmented", 10, 2, "avg", 0.5, 60.0, "out_of_memory")
 
 
 def test_summarize_all_failed_group():
@@ -135,9 +137,14 @@ def test_oracle_cap_reaches_naive_solver():
     assert record.outcome == "ok"
 
 
-def test_out_of_memory_injection():
+def _out_of_memory(text):
+    raise MemoryError(f"no room for {2 * len(text) + 1} symbols")
+
+
+def test_out_of_memory_injection(monkeypatch):
+    monkeypatch.setattr(reference, "augmented_radii", _out_of_memory)
     spec = BenchSpec(lengths=(100,), alphabet_sizes=(2,), repeats=2, seed=0)
-    records = run_bench(spec, augmented_alloc_cap=150)  # augmented needs 201
+    records = run_bench(spec)
     for record in records:
         if record.impl == "augmented":
             assert record.outcome == "out_of_memory"
@@ -148,9 +155,10 @@ def test_out_of_memory_injection():
     assert len(records) == len(IMPLS) * 2
 
 
-def test_out_of_memory_in_csv_and_table():
+def test_out_of_memory_in_csv_and_table(monkeypatch):
+    monkeypatch.setattr(reference, "augmented_radii", _out_of_memory)
     spec = BenchSpec(lengths=(100,), alphabet_sizes=(2,), repeats=1, seed=0)
-    records = run_bench(spec, augmented_alloc_cap=10, oracle_cap=50)
+    records = run_bench(spec, oracle_cap=50)
     csv_text = to_csv(records)
     assert "out_of_memory" in csv_text
     assert "skipped" in csv_text
@@ -181,6 +189,12 @@ def test_spec_validation():
         BenchSpec(lengths=(10,), alphabet_sizes=(2,), repeats=0)
     with pytest.raises(ValueError):
         BenchSpec(lengths=(10,), alphabet_sizes=(2,), impls=("turbo",))
+    # each length, alphabet size and the seed passes the generator's checks
+    for bad in ({"lengths": (10, -3)}, {"alphabet_sizes": (2, 27)}, {"seed": -1}, {"seed": 1 << 64}):
+        with pytest.raises(ValueError):
+            BenchSpec(**{"lengths": (10,), "alphabet_sizes": (2,), **bad})
+    with pytest.raises(ValueError):
+        SMALL._replace(repeats=0)
 
 
 def test_warmup_excluded_from_records():

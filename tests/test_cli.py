@@ -91,12 +91,22 @@ def test_augmented_without_free_dummy_exits_2():
 
 
 def test_cli_import_does_not_load_numpy():
-    # nor the bench harness and the dataclasses machinery it pulls in
+    # nor the bench harness, dataclasses or inspect
     heavy = "numpy", "dataclasses", "inspect", "lps.bench"
     probe = f"import sys, lps.cli; print([name for name in {heavy!r} if name in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+    # lps bench itself, run in-process, loads numpy (and with it inspect) but
+    # no dataclasses
+    bench_argv = ["bench", "--lengths", "20", "--alphabets", "2", "--repeats", "1", "--out", os.devnull]
+    probe = (
+        f"import sys, lps.cli; assert lps.cli.main({bench_argv!r}) == 0; "
+        "print('dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 def test_missing_file_exits_2():
@@ -311,6 +321,17 @@ def test_engine_value_error_is_not_a_usage_error(monkeypatch, tmp_path):
 def test_bench_bad_lengths_exit_64():
     proc = run_cli("bench", "--lengths", "10,x", "--alphabets", "2")
     assert proc.returncode == 64
+
+
+def test_bench_bad_grid_exits_64_and_keeps_out(tmp_path):
+    # the grid is checked before --out is opened, so the file keeps its bytes
+    out = tmp_path / "report.csv"
+    out.write_bytes(b"earlier report\n")
+    for bad in (["--alphabets", "27"], ["--lengths", "100,-3"], ["--seed", "-1"]):
+        # a repeated option replaces the earlier value
+        proc = run_cli("bench", "--lengths", "100", "--alphabets", "2", *bad, "--out", str(out))
+        assert proc.returncode == 64, bad
+        assert out.read_bytes() == b"earlier report\n", bad
 
 
 def test_bench_bad_impls_exit_64():

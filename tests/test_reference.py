@@ -135,17 +135,6 @@ def test_augment_rejects_multichar_dummy():
         augment("abc", "##")
 
 
-def test_augment_alloc_cap():
-    with pytest.raises(MemoryError):
-        augment("abc", "#", alloc_cap=5)  # needs 7 symbols
-    assert augment("abc", "#", alloc_cap=7).symbols == "#a#b#c#"
-
-
-def test_augmented_radii_alloc_cap():
-    with pytest.raises(MemoryError):
-        augmented_radii("abc", alloc_cap=5)
-
-
 def test_augment_length_and_parity():
     for text in ("", "a", "ab", "bananas"):
         aug = augment(text, "#")
