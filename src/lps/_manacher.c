@@ -12,6 +12,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 /* A mirror copy never exceeds the radius it copies, which an earlier
    center already holds, so only an expansion can raise the best length;
@@ -105,6 +106,58 @@ scan(PyObject *self, PyObject *args)
     return result;
 }
 
+/* "00" to "99": two digits per division. */
+static const char PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* v < 10^4 as exactly four digits, zero-padded. */
+static inline void put4(char *p, uint32_t v)
+{
+    memcpy(p, PAIRS + 2 * (v / 100), 2);
+    memcpy(p + 2, PAIRS + 2 * (v % 100), 2);
+}
+
+/* v < 10^4 without leading zeros; returns the end. The digit count is
+   known before any digit is written, so each lands in its final place. */
+static inline char *put_lead(char *p, uint32_t v)
+{
+    if (v < 10) {
+        *p = (char)('0' + v);
+        return p + 1;
+    }
+    if (v < 100) {
+        memcpy(p, PAIRS + 2 * v, 2);
+        return p + 2;
+    }
+    if (v < 1000) {
+        *p = (char)('0' + v / 100);
+        memcpy(p + 1, PAIRS + 2 * (v % 100), 2);
+        return p + 3;
+    }
+    put4(p, v);
+    return p + 4;
+}
+
+/* v in decimal as 4-digit groups: the leading group without zeros, every
+   later group padded to four digits; returns the end. */
+static inline char *put_decimal(char *p, uint32_t v)
+{
+    if (v < 10000)
+        return put_lead(p, v);
+    if (v < 100000000) {
+        p = put_lead(p, v / 10000);
+        put4(p, v % 10000);
+        return p + 4;
+    }
+    uint32_t low = v % 100000000;
+    p = put_lead(p, v / 100000000);
+    put4(p, low / 10000);
+    put4(p + 4, low % 10000);
+    return p + 8;
+}
+
 /* format_radii(radii, start, stop, out) -> bytes written: radii[start:stop]
    of an array('i') as comma-separated decimals, the text str() gives for
    each entry, into the writable buffer out, 12 bytes per entry:
@@ -138,23 +191,24 @@ format_radii(PyObject *self, PyObject *args)
     } else {
         const int32_t *radii = (const int32_t *)in.buf;
         char *end = out.buf;
+        /* a comma after every entry, the last one dropped below */
         for (Py_ssize_t i = start; i < stop; i++) {
-            if (i > start)
-                *end++ = ',';
             uint32_t magnitude = (uint32_t)radii[i];
+            if (magnitude < 10) {
+                end[0] = (char)('0' + magnitude);
+                end[1] = ',';
+                end += 2;
+                continue;
+            }
             if (radii[i] < 0) {
                 *end++ = '-';
                 magnitude = -magnitude;
             }
-            char digits[10];
-            int used = 0;
-            do {
-                digits[used++] = (char)('0' + magnitude % 10);
-                magnitude /= 10;
-            } while (magnitude);
-            while (used)
-                *end++ = digits[--used];
+            end = put_decimal(end, magnitude);
+            *end++ = ',';
         }
+        if (stop > start)
+            end--;
         result = PyLong_FromSsize_t(end - (char *)out.buf);
     }
     PyBuffer_Release(&out);

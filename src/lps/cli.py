@@ -52,6 +52,16 @@ def _int_list(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
+def _cap(raw: str) -> int:
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return cap
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lps", description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -111,7 +121,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument(
         "--oracle-cap",
-        type=int,
+        type=_cap,
         default=reference.ORACLE_CAP,
         help="skip the naive implementation above this length",
     )

@@ -334,6 +334,20 @@ def test_bench_bad_grid_exits_64_and_keeps_out(tmp_path):
         assert out.read_bytes() == b"earlier report\n", bad
 
 
+def test_bench_negative_oracle_cap_exits_64_and_keeps_out(tmp_path):
+    out = tmp_path / "report.csv"
+    out.write_bytes(b"earlier report\n")
+    proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--oracle-cap=-5", "--out", str(out))
+    assert proc.returncode == 64
+    assert b"--oracle-cap" in proc.stderr
+    assert out.read_bytes() == b"earlier report\n"
+    # a cap of 0 is a cap: the naive implementation is skipped, the run succeeds
+    proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--repeats", "1", "--impls", "naive",
+                   "--oracle-cap", "0")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().splitlines()[1] == "naive,10,2,0,0.0,,skipped"
+
+
 def test_bench_bad_impls_exit_64():
     proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--impls", "turbo")
     assert proc.returncode == 64

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -138,12 +139,38 @@ def test_radii_output_streams_whole_list(size):
     _check_streamed("list", size)
 
 
+# every digit count and the zero-padded 4-digit groups of the C formatter
+_POWER_EDGES = [10**k + d for k in range(1, 10) for d in (-1, 0, 1)]
+_RANDOM_INT32 = random.Random(9).choices(range(-(2**31), 2**31), k=20_000)
+FORMAT_EDGES = (
+    [0, 9, 10, 99, 100, 2**31 - 1, -1, -(2**31)]
+    + _POWER_EDGES
+    + [-v for v in _POWER_EDGES]
+    + [10_000, 20_000_305, 100_000_000, 1_000_000_007]
+    + _RANDOM_INT32
+)
+
+
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_radii_output_matches_str_at_digit_and_sign_edges(kind):
     native.load()
-    values = [0, 9, 10, 99, 100, 2**31 - 1, -1, -(2**31)]
+    values = FORMAT_EDGES
     table = TABLE_KINDS[kind](values)
     assert _written(table) == (",".join(map(str, values)) + "\n").encode()
+
+
+def test_format_radii_stays_inside_its_buffer():
+    # an exact-size view of a larger buffer: a write past 12 bytes per entry
+    # would reach the sentinel bytes behind it
+    native.load()
+    for values in (FORMAT_EDGES, [-(2**31)] * 1000):  # the second fills every byte
+        table = array("i", values)
+        for start, stop in ((0, len(table)), (5, 9), (7, 8), (3, 3)):
+            size = native.FORMAT_BYTES * (stop - start)
+            backing = bytearray(b"\xa5" * (size + 64))
+            written = native.format_radii(table, start, stop, memoryview(backing)[:size])
+            assert backing[:written] == ",".join(map(str, table[start:stop])).encode()
+            assert backing[size:] == b"\xa5" * 64, (start, stop)
 
 
 def test_format_radii_checks_slice_and_buffer():
