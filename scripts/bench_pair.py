@@ -26,7 +26,12 @@ per run with the metrics perfbench reported (host-scaled medians, their
 quartiles and ``raw_median``). ``summary`` has, per
 ``workload/traceT/metric``, the median and quartiles of the run medians
 on each side (``statistics.quantiles``, exclusive method), the number of
-pairs, and in how many of them the change was lower.
+pairs, and in how many of them the change was lower. It also applies the
+rule a claimed gain must meet, for a metric where lower is better (every
+metric perfbench reports): ``parent_spread`` is q3 - q1 of the parent's
+run medians, ``gap`` is the parent median minus the change median, and
+``claim_met`` holds when the change was lower in at least 9 of every 10
+pairs and ``gap > parent_spread``.
 """
 
 from __future__ import annotations
@@ -116,7 +121,10 @@ def summarize(runs: list[dict]) -> dict:
             q1, q3 = quartiles(values)
             entry.update({f"{side}_median": statistics.median(values), f"{side}_q1": q1, f"{side}_q3": q3})
         entry["pairs"] = len(both)
-        entry["change_lower_in_pairs"] = sum(p["change"] < p["parent"] for p in both)
+        entry["change_lower_in_pairs"] = lower = sum(p["change"] < p["parent"] for p in both)
+        entry["parent_spread"] = spread = entry["parent_q3"] - entry["parent_q1"]
+        entry["gap"] = gap = entry["parent_median"] - entry["change_median"]
+        entry["claim_met"] = 10 * lower >= 9 * len(both) and gap > spread
         summary[key] = entry
     return summary
 

@@ -11,6 +11,8 @@ Importing the package plugs the compiled kernel (:mod:`lps.native`) into
 ``str`` and ``bytes`` where it can be built.
 """
 
+from importlib import import_module
+
 from . import core, native
 from .core import (
     CompareStats,
@@ -19,19 +21,37 @@ from .core import (
     compute_radii,
     longest_palindrome,
 )
-from .generator import GenSpec, InvalidAlphabet, UsageError, gen_text
-from .reference import (
-    DummyUnavailable,
-    OracleCapExceeded,
-    augment,
-    augmented_lps,
-    augmented_radii,
-    choose_dummy,
-    naive_lps,
-    naive_radii,
-)
 
 core.kernel = native
+
+# Names from the generator and the reference solvers, which ``lps find``
+# and ``lps radii`` never run: each module is imported on first access
+# to one of its names (PEP 562), not with the package.
+_LAZY = {
+    **dict.fromkeys(("GenSpec", "InvalidAlphabet", "UsageError", "gen_text"), "generator"),
+    **dict.fromkeys(
+        (
+            "DummyUnavailable",
+            "OracleCapExceeded",
+            "augment",
+            "augmented_lps",
+            "augmented_radii",
+            "choose_dummy",
+            "naive_lps",
+            "naive_radii",
+        ),
+        "reference",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

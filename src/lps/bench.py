@@ -123,6 +123,8 @@ def _run_impl(impl: str, text: str, oracle_cap: int) -> tuple[float, int | None,
 
 def run_bench(spec: BenchSpec, *, oracle_cap: int = reference.ORACLE_CAP) -> list[BenchRecord]:
     """Run the full grid and return one record per (length, alphabet, impl, repeat)."""
+    if oracle_cap < 0:
+        raise UsageError(f"oracle cap must be >= 0, got {oracle_cap}")
     records: list[BenchRecord] = []
     for length in spec.lengths:
         for alphabet in spec.alphabet_sizes:

@@ -12,7 +12,10 @@ the symbol model to raw bytes, in which case nothing is stripped.
 
 find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
-after one note on stderr. --impl picks an implementation explicitly.
+after one note on stderr. --impl picks an implementation of
+lps.reference.SOLVERS explicitly. Without it, find and radii import
+neither lps.reference nor lps.generator; the commands and error paths
+that use them import them.
 
 Exit codes: 0 success, 2 input error (including --impl native where the
 kernel cannot be built), 64 usage error.
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
-from . import core, native, reference
-from .generator import ALPHABET_MAX, GenSpec, UsageError, iter_chunks
+from . import core, native
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,6 +65,14 @@ def _cap(raw: str) -> int:
     return cap
 
 
+def _impl(name: str) -> str:
+    from .reference import SOLVERS
+
+    if name not in SOLVERS:
+        raise argparse.ArgumentTypeError(f"unknown implementation {name!r}, expected one of {tuple(SOLVERS)}")
+    return name
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lps", description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -80,8 +91,9 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument(
             "--impl",
-            choices=tuple(reference.SOLVERS),
-            help="implementation to run (default: native, or indexmap where it cannot be built)",
+            type=_impl,
+            help="implementation to run, by name; an unknown name lists them "
+            "(default: native, or indexmap where it cannot be built)",
         )
         cmd.add_argument(
             "--raw",
@@ -100,7 +112,7 @@ def _build_parser() -> _Parser:
         "--alphabet",
         type=int,
         required=True,
-        help=f"alphabet size, 1..{ALPHABET_MAX} (symbols start at 'a')",
+        help="alphabet size, 1..26 (symbols start at 'a')",
     )
     gen.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     gen.add_argument("--newline", action="store_true", help="append a trailing newline")
@@ -116,14 +128,13 @@ def _build_parser() -> _Parser:
     bench.add_argument(
         "--impls",
         type=lambda raw: tuple(raw.split(",")),
-        help=f"comma-separated subset of {','.join(reference.SOLVERS)} (default: all that load)",
+        help="comma-separated implementation names, as for find --impl (default: all that load)",
     )
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument(
         "--oracle-cap",
         type=_cap,
-        default=reference.ORACLE_CAP,
-        help="skip the naive implementation above this length",
+        help="skip the naive implementation above this length (default: lps.reference.ORACLE_CAP)",
     )
     bench.add_argument("--format", choices=("csv", "table"), default="csv")
     bench.add_argument("--out", help="write the report to a file instead of stdout")
@@ -147,8 +158,11 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
 
 def _solve(args, text):
     """The ``(radii, stats)`` pair of the chosen implementation."""
-    solve = reference.SOLVERS[args.impl] if args.impl else core.compute_radii
-    return solve(text)
+    if not args.impl:
+        return core.compute_radii(text)
+    from .reference import SOLVERS
+
+    return SOLVERS[args.impl](text)
 
 
 def _write_radii(table, out) -> None:
@@ -194,6 +208,8 @@ def _cmd_radii(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GenSpec, iter_chunks
+
     spec = GenSpec(length=args.length, alphabet_size=args.alphabet, seed=args.seed)
     for chunk in iter_chunks(spec):
         sys.stdout.write(chunk)
@@ -206,6 +222,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     # imported here: find and radii do not pay for the harness
     from .bench import BenchSpec, run_bench, to_csv, to_table
+    from .reference import ORACLE_CAP
 
     spec = BenchSpec(
         lengths=args.lengths,
@@ -217,7 +234,7 @@ def _cmd_bench(args) -> int:
     # open --out before the grid runs, so an unwritable path fails at once
     sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out:
-        records = run_bench(spec, oracle_cap=args.oracle_cap)
+        records = run_bench(spec, oracle_cap=ORACLE_CAP if args.oracle_cap is None else args.oracle_cap)
         out.write(to_csv(records) if args.format == "csv" else to_table(records))
     return EXIT_OK
 
@@ -234,17 +251,23 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (reference.OracleCapExceeded, reference.DummyUnavailable, native.NativeUnavailable) as exc:
+    except native.NativeUnavailable as exc:
         print(f"lps: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"lps: error: input is not valid UTF-8 ({exc}); try --bytes", file=sys.stderr)
         return EXIT_INPUT
-    except UsageError as exc:
-        # bad parameter values that argparse's type checks can't see
-        # (InvalidAlphabet is one); any other ValueError is a bug and propagates
+    except ValueError as exc:
+        # the reference solvers' input errors, and bad parameter values that
+        # argparse's type checks can't see (InvalidAlphabet is one); any
+        # other ValueError is a bug and propagates
+        from .generator import UsageError
+        from .reference import DummyUnavailable, OracleCapExceeded
+
+        if not isinstance(exc, (OracleCapExceeded, DummyUnavailable, UsageError)):
+            raise
         print(f"lps: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_INPUT
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -254,11 +277,17 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     try:
-        sys.exit(main())
+        code = main()
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); suppress the noise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(EXIT_OK)
+        code = EXIT_OK
+    # Move every object alive now out of the collector's reach, so the
+    # collections of interpreter finalization skip them; atexit handlers,
+    # stream flushes and module teardown still run. main() keeps a normal
+    # collector for in-process callers.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

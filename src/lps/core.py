@@ -207,8 +207,8 @@ def argmax(radii: RadiiTable, stats: CompareStats | None = None) -> int:
     ``stats.center``; for tables without one (the naive and augmented
     solvers) it is ``radii.index(max(radii))``. Leaving out ``stats``
     therefore costs a Python pass over the whole table, which boxes every
-    entry of a kernel ``array('i')``: about 65 ms at 10**6 random symbols
-    against 20-25 ms for the kernel's whole scan (2-core x86_64 VM,
+    entry of a kernel ``array('i')``: about 50 ms at 10**6 random ternary
+    symbols against 13-15 ms for the kernel's whole scan (2-core x86_64 VM,
     CPython 3.11). Pass the engine's ``stats``.
     """
     if stats is not None and stats.center is not None:

@@ -49,6 +49,8 @@ def naive_radii(text: Text, *, cap: int = ORACLE_CAP, stats: CompareStats | None
     indices walking outward in the original string; when ``stats`` is
     given, every symbol comparison is counted into it.
     """
+    if cap < 0:
+        raise ValueError(f"oracle cap must be >= 0, got {cap}")
     n = len(text)
     if n > cap:
         raise OracleCapExceeded(f"text length {n} exceeds oracle cap {cap}")

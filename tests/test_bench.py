@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from lps import native, reference
+from lps import bench, native, reference
 from lps.bench import (
     CSV_HEADER,
     IMPLS,
@@ -18,7 +18,7 @@ from lps.bench import (
     to_table,
 )
 from lps.core import CompareStats, compute_radii
-from lps.generator import GenSpec, gen_text
+from lps.generator import GenSpec, UsageError, gen_text
 from lps.reference import naive_radii
 
 SMALL = BenchSpec(lengths=(1000,), alphabet_sizes=(2,), repeats=3, seed=0)
@@ -127,6 +127,18 @@ def test_naive_skipped_above_cap():
             assert record.comparisons is None
         else:
             assert record.outcome == "ok"
+
+
+def test_negative_oracle_cap_rejected_before_any_cell(monkeypatch):
+    generated = []
+    monkeypatch.setattr(bench, "gen_text", lambda spec: generated.append(spec) or "ab")
+    with pytest.raises(UsageError, match="oracle cap must be >= 0, got -5"):
+        run_bench(SMALL, oracle_cap=-5)
+    assert generated == []
+    # a cap of 0 is a cap: every naive trial is skipped, the rest run
+    records = run_bench(SMALL._replace(impls=("naive", "indexmap")), oracle_cap=0)
+    assert {(r.impl, r.outcome) for r in records} == {("naive", "skipped"), ("indexmap", "ok")}
+    assert len(generated) == SMALL.repeats
 
 
 def test_oracle_cap_reaches_naive_solver():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -91,8 +92,9 @@ def test_augmented_without_free_dummy_exits_2():
 
 
 def test_cli_import_does_not_load_numpy():
-    # nor the bench harness, dataclasses or inspect
-    heavy = "numpy", "dataclasses", "inspect", "lps.bench"
+    # nor the bench harness, dataclasses, inspect, the generator or the
+    # reference solvers
+    heavy = "numpy", "dataclasses", "inspect", "lps.bench", "lps.generator", "lps.reference"
     probe = f"import sys, lps.cli; print([name for name in {heavy!r} if name in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -107,6 +109,44 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False\n"
+
+
+def test_package_names_resolve_on_first_use():
+    # the generator and reference names are not imported with the package,
+    # yet every name of __all__ binds, and an unknown name still fails
+    probe = (
+        "import sys, lps; "
+        "loaded = [m for m in ('lps.generator', 'lps.reference') if m in sys.modules]; "
+        "from lps import *; "
+        "print(loaded, [n for n in lps.__all__ if n not in globals()], "
+        "lps.GenSpec is sys.modules['lps.generator'].GenSpec, "
+        "lps.naive_radii is sys.modules['lps.reference'].naive_radii); "
+        "lps.no_such_name"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
+    assert proc.stdout == b"[] [] True True\n"
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(b"AttributeError: module 'lps' has no attribute 'no_such_name'\n")
+
+
+def test_only_the_entrypoint_freezes_the_heap(tmp_path, monkeypatch, capsys):
+    # the frozen heap is for interpreter exit: in-process callers of main()
+    # keep a collector that sees every object
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+    assert gc.get_freeze_count() == 0
+    for argv in (["find", "--span", str(path)], ["radii", str(path)], ["find", "--impl", "naive", str(path)]):
+        assert cli.main(argv) == 0
+        assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["lps", "find", str(path)])
+    try:
+        with pytest.raises(SystemExit) as caught:
+            cli.entrypoint()
+        assert caught.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "anana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\nanana\nanana\n"
 
 
 def test_missing_file_exits_2():

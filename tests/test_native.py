@@ -288,12 +288,20 @@ def test_a_new_build_removes_the_stale_ones(tmp_path):
 def test_find_never_imports_ctypes(tmp_path):
     root = _fresh_copy(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(root)}
-    argv = [sys.executable, "-X", "importtime", "-m", "lps", "find", "--span"]
-    for run in ("building", "loading"):
-        proc = subprocess.run(argv, input=b"bananas", capture_output=True, timeout=120, env=env)
-        assert proc.returncode == 0 and proc.stdout == b"anana\n1 6 5\n", (run, proc.stderr)
+    # nor what find and radii do not run: the bench harness, the generator,
+    # the reference solvers
+    unused = {"dataclasses", "inspect", "lps.bench", "lps.generator", "lps.reference", "numpy"}
+    argv = [sys.executable, "-X", "importtime", "-m", "lps"]
+    runs = {
+        "building": (["find", "--span"], b"anana\n1 6 5\n"),
+        "loading": (["find", "--span"], b"anana\n1 6 5\n"),
+        "radii": (["radii"], b"0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n"),
+    }
+    for run, (args, out) in runs.items():
+        proc = subprocess.run(argv + args, input=b"bananas", capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0 and proc.stdout == out, (run, proc.stderr)
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
         assert "lps.native" in imported and "ctypes" not in imported, run
-        assert not {"dataclasses", "inspect", "lps.bench", "numpy"} & set(imported), run
+        assert not unused & set(imported), run
         assert not any(line.startswith("lps: note") for line in imported), run  # the kernel ran
     assert len(_built(root)) == 1

@@ -48,6 +48,15 @@ def test_oracle_cap():
     assert naive_radii("ab", cap=2) == [0, 1, 0, 1, 0]
 
 
+def test_negative_oracle_cap_is_rejected():
+    # not an exceeded cap: no text, however short, could meet a negative one
+    for call in (naive_radii, naive_lps):
+        with pytest.raises(ValueError, match="oracle cap must be >= 0, got -5") as caught:
+            call("", cap=-5)
+        assert not isinstance(caught.value, OracleCapExceeded)
+    assert naive_radii("", cap=0) == [0]
+
+
 def test_default_cap_value():
     assert ORACLE_CAP == 100_000
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 from collections import Counter
 
 import pytest
@@ -42,13 +41,17 @@ def test_every_solver_matches_naive_oracle(name, case):
     assert result_from_radii(radii) == result_from_radii(radii, stats) == naive_lps(text)
 
 
-def test_registry_names_every_implementation_once():
+def test_registry_names_every_implementation_once(capsys):
     assert tuple(SOLVERS) == IMPLS == ("naive", "augmented", "indexmap", "native")
+    # --impl takes exactly the registry's names, and an unknown one lists them
     parser = cli._build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for command in ("find", "radii"):
-        (impl,) = [a for a in commands.choices[command]._actions if a.dest == "impl"]
-        assert tuple(impl.choices) == IMPLS
+        for name in SOLVERS:
+            assert parser.parse_args([command, "--impl", name]).impl == name
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args([command, "--impl", "turbo"])
+        assert caught.value.code == cli.EXIT_USAGE
+        assert str(tuple(SOLVERS)) in capsys.readouterr().err
 
 
 def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
