@@ -18,8 +18,9 @@ Index conventions used throughout:
 
 The engine is generic over the symbol type: anything indexable whose
 elements support ``==`` works (``str``, ``bytes``, tuples of tokens).
-All operations are pure; :class:`CompareStats` is the only mutable value
-and is owned by a single computation.
+All operations are pure and every record is an immutable value: each
+solver builds its :class:`CompareStats` once, with its comparison count and
+its leftmost best center.
 """
 
 from __future__ import annotations
@@ -55,19 +56,13 @@ __all__ = [
 kernel = None
 
 
-class CompareStats:
+class CompareStats(NamedTuple):
     """What one computation did: ``comparisons`` counts its real
     symbol-equality tests; ``center`` is the leftmost center of the longest
-    palindrome where the engine found it during the scan, else ``None``."""
+    palindrome, which every solver reports."""
 
-    __slots__ = ("comparisons", "center")
-
-    def __init__(self) -> None:
-        self.comparisons = 0
-        self.center = None
-
-    def __repr__(self) -> str:
-        return f"CompareStats(comparisons={self.comparisons}, center={self.center})"
+    comparisons: int
+    center: int
 
 
 class Span(NamedTuple):
@@ -194,36 +189,23 @@ def python_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
             best, best_len = j, radius
         if j + radius > right:
             ref, right = j, j + radius
-    stats = CompareStats()
-    stats.comparisons = comparisons
-    stats.center = best
-    return radii, stats
+    return radii, CompareStats(comparisons, best)
 
 
-def argmax(radii: RadiiTable, stats: CompareStats | None = None) -> int:
-    """Index of the maximum entry; the leftmost wins ties.
+def argmax(radii: RadiiTable, stats: CompareStats) -> int:
+    """Index of the maximum entry of ``radii``; the leftmost wins ties.
 
-    The index-mapped engines find it during their scan and report it as
-    ``stats.center``; for tables without one (the naive and augmented
-    solvers) it is ``radii.index(max(radii))``. Leaving out ``stats``
-    therefore costs a Python pass over the whole table, which boxes every
-    entry of a kernel ``array('i')``: about 50 ms at 10**6 random ternary
-    symbols against 13-15 ms for the kernel's whole scan (2-core x86_64 VM,
-    CPython 3.11). Pass the engine's ``stats``.
+    Every solver reports it as ``stats.center``, so no pass over the
+    table is made here.
     """
-    if stats is not None and stats.center is not None:
-        return stats.center
-    return radii.index(max(radii))
+    return stats.center
 
 
-def result_from_radii(radii: RadiiTable, stats: CompareStats | None = None) -> LpsResult:
+def result_from_radii(radii: RadiiTable, stats: CompareStats) -> LpsResult:
     """The longest palindrome a solver's ``(radii, stats)`` pair describes.
 
-    The center comes from :func:`argmax`: the engine's own ``stats.center``
-    when it reported one, else a Python pass over all of ``radii``, so
-    callers holding an engine's pair should pass both. Among equally long
-    palindromes the one with the smallest start index is returned, a
-    consequence of the leftmost argmax over centers.
+    Among equally long palindromes the one with the smallest start index
+    is returned, a consequence of the leftmost best center.
     """
     center = argmax(radii, stats)
     length = radii[center]

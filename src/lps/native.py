@@ -31,7 +31,6 @@ import zlib
 from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
-from . import core
 from .core import CompareStats
 
 __all__ = [
@@ -150,16 +149,14 @@ def takes(text) -> bool:
 def compute_radii(text: str | bytes) -> tuple[array, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as an ``array('i')``. Takes ``str`` and
-    ``bytes`` only; texts over :data:`MAX_SYMBOLS` symbols go to the Python
-    engine."""
+    ``bytes`` of at most :data:`MAX_SYMBOLS` symbols; a longer text raises
+    :class:`NativeUnavailable`."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
     if len(text) > MAX_SYMBOLS:
-        return core.python_radii(text)
+        raise NativeUnavailable(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
     radii = array("i", [0]) * (2 * len(text) + 1)
-    stats = CompareStats()
-    stats.comparisons, stats.center = load().scan(text, radii)
-    return radii, stats
+    return radii, CompareStats(*load().scan(text, radii))
 
 
 def owns(radii) -> bool:

@@ -12,7 +12,6 @@ compared for both output and cost.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import NamedTuple
 
 from . import core, native
 from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
@@ -20,7 +19,6 @@ from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
 ORACLE_CAP = 100_000
 
 __all__ = [
-    "AugmentedText",
     "DummyUnavailable",
     "ORACLE_CAP",
     "OracleCapExceeded",
@@ -42,12 +40,12 @@ class DummyUnavailable(ValueError):
     """Every symbol of the alphabet occurs in the text, so no dummy exists."""
 
 
-def naive_radii(text: Text, *, cap: int = ORACLE_CAP, stats: CompareStats | None = None) -> RadiiTable:
-    """Radii table by symmetric expansion around every center.
+def _naive_scan(text: Text, cap: int) -> tuple[list[int], int]:
+    """Radii table by symmetric expansion around every center, and the
+    number of symbol comparisons it made.
 
     Quadratic in the worst case, hence the cap. Works with two plain
-    indices walking outward in the original string; when ``stats`` is
-    given, every symbol comparison is counted into it.
+    indices walking outward in the original string.
     """
     if cap < 0:
         raise ValueError(f"oracle cap must be >= 0, got {cap}")
@@ -55,12 +53,12 @@ def naive_radii(text: Text, *, cap: int = ORACLE_CAP, stats: CompareStats | None
     if n > cap:
         raise OracleCapExceeded(f"text length {n} exceeds oracle cap {cap}")
     radii = [0] * (2 * n + 1)
+    comparisons = 0
     for mid in range(n):
         # character center: odd palindrome, augmented index 2*mid + 1
         lo, hi, length = mid - 1, mid + 1, 1
         while lo >= 0 and hi < n:
-            if stats is not None:
-                stats.comparisons += 1
+            comparisons += 1
             if text[lo] != text[hi]:
                 break
             length += 2
@@ -71,20 +69,31 @@ def naive_radii(text: Text, *, cap: int = ORACLE_CAP, stats: CompareStats | None
         # boundary center: even palindrome, augmented index 2*mid
         lo, hi, length = mid - 1, mid, 0
         while lo >= 0 and hi < n:
-            if stats is not None:
-                stats.comparisons += 1
+            comparisons += 1
             if text[lo] != text[hi]:
                 break
             length += 2
             lo -= 1
             hi += 1
         radii[2 * mid] = length
-    return radii
+    return radii, comparisons
+
+
+def naive_radii(text: Text, *, cap: int = ORACLE_CAP) -> RadiiTable:
+    """The radii table of the naive oracle, without its stats."""
+    return _naive_scan(text, cap)[0]
+
+
+def _naive_solver(text: Text, *, cap: int = ORACLE_CAP) -> tuple[RadiiTable, CompareStats]:
+    """The naive oracle's table, comparison count and leftmost best center;
+    the center costs a pass over the table, which :func:`naive_radii` skips."""
+    radii, comparisons = _naive_scan(text, cap)
+    return radii, CompareStats(comparisons, radii.index(max(radii)))
 
 
 def naive_lps(text: Text, *, cap: int = ORACLE_CAP) -> LpsResult:
     """Longest palindromic substring via the naive oracle, leftmost on ties."""
-    return result_from_radii(naive_radii(text, cap=cap))
+    return result_from_radii(*_naive_solver(text, cap=cap))
 
 
 def choose_dummy(text: Text):
@@ -113,25 +122,10 @@ def choose_dummy(text: Text):
     return object()
 
 
-class AugmentedText(NamedTuple):
-    """The literal 2N+1 interleave: dummy at even positions, originals at odd.
-
-    ``len()`` is the symbol count, not the tuple's two fields, so the
-    tuple helpers ``_make`` and ``_replace``, which check it, do not apply."""
-
-    symbols: Text
-    dummy: object
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def original(self) -> Text:
-        """Strip the dummies back out (round-trip of :func:`augment`)."""
-        return self.symbols[1::2]
-
-
-def augment(text: Text, dummy) -> AugmentedText:
-    """Materialize the augmented string for ``text``.
+def augment(text: Text, dummy) -> Text:
+    """The augmented string for ``text``, 2N+1 symbols: ``dummy`` at the
+    even positions and the symbols of ``text`` at the odd ones, as ``str``
+    or ``bytes`` for those texts and as a tuple for any other sequence.
 
     ``dummy`` must not occur in ``text``, otherwise results downstream
     would be spurious.
@@ -143,15 +137,14 @@ def augment(text: Text, dummy) -> AugmentedText:
         buf = bytearray(size)
         buf[0::2] = bytes([dummy]) * (len(text) + 1)
         buf[1::2] = text
-        return AugmentedText(symbols=bytes(buf), dummy=dummy)
+        return bytes(buf)
     if isinstance(text, str):
         if not isinstance(dummy, str) or len(dummy) != 1:
             raise ValueError("dummy for a str text must be a single character")
-        symbols = dummy + dummy.join(text) + dummy if text else dummy
-        return AugmentedText(symbols=symbols, dummy=dummy)
+        return dummy + dummy.join(text) + dummy if text else dummy
     buf = [dummy] * size
     buf[1::2] = list(text)
-    return AugmentedText(symbols=tuple(buf), dummy=dummy)
+    return tuple(buf)
 
 
 def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
@@ -161,30 +154,34 @@ def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     the stats; the surplus over the core engine's count is exactly the
     overhead that virtual augmentation removes. A palindrome's radius in
     the augmented string equals its length in the original, so the
-    returned table matches :func:`lps.core.python_radii` entrywise.
+    returned table matches :func:`lps.core.python_radii` entrywise, and
+    the scan keeps the leftmost best center the way that engine does.
     """
     dummy = choose_dummy(text)
-    symbols = augment(text, dummy).symbols
+    symbols = augment(text, dummy)
     size = len(symbols)
     radii = [0] * size
-    stats = CompareStats()
+    comparisons = 0
     ref = 0
     right = 0
+    best = best_len = 0
     for i in range(size):
         radius = min(right - i, radii[2 * ref - i]) if i < right else 0
         p, q = i - radius - 1, i + radius + 1
         while p >= 0 and q < size:
-            stats.comparisons += 1
+            comparisons += 1
             if symbols[p] != symbols[q]:
                 break
             radius += 1
             p -= 1
             q += 1
         radii[i] = radius
+        if radius > best_len:
+            best, best_len = i, radius
         if i + radius > right:
             ref = i
             right = i + radius
-    return radii, stats
+    return radii, CompareStats(comparisons, best)
 
 
 def augmented_lps(text: Text) -> LpsResult:
@@ -192,17 +189,13 @@ def augmented_lps(text: Text) -> LpsResult:
     return result_from_radii(*augmented_radii(text))
 
 
-def _naive_solver(text: Text, *, cap: int = ORACLE_CAP) -> tuple[RadiiTable, CompareStats]:
-    stats = CompareStats()
-    return naive_radii(text, cap=cap, stats=stats), stats
-
-
 # Every implementation the CLI and the bench run, by name, in report order:
 # text -> (radii, stats); the naive one also takes its oracle ``cap``.
 # Entries look their solver up at call time, so a wrapper installed on
 # e.g. ``core.python_radii`` or ``augmented_radii`` sees registry calls too.
 # "indexmap" is the Python scan; "native" is the compiled kernel (str and
-# bytes only), which raises NativeUnavailable where it cannot be built.
+# bytes only), which raises NativeUnavailable where it cannot be built
+# or the text is over its MAX_SYMBOLS.
 SOLVERS: dict[str, Callable[..., tuple[RadiiTable, CompareStats]]] = {
     "naive": _naive_solver,
     "augmented": lambda text: augmented_radii(text),

@@ -40,11 +40,22 @@ def test_find_span_leftmost_tie():
     assert proc.stdout == b"aba\n0 3 3\n"
 
 
+# the leftmost palindrome wins a tie whichever solver found it
+FIND_SPANS = {
+    b"bananas": b"anana\n1 6 5\n",
+    b"abba xyyx": b"abba\n0 4 4\n",
+    b"aXa bYb": b"aXa\n0 3 3\n",
+    b"abcabc": b"a\n0 1 1\n",
+    b"abacdfgdcaba": b"aba\n0 3 3\n",
+}
+
+
 @pytest.mark.parametrize("impl", ["naive", "augmented", "indexmap", "native"])
 def test_find_impl_selection(impl):
-    proc = run_cli("find", "--impl", impl, stdin=b"bananas")
-    assert proc.returncode == 0
-    assert proc.stdout == b"anana\n"
+    for text, expected in FIND_SPANS.items():
+        proc = run_cli("find", "--span", "--impl", impl, stdin=text)
+        assert proc.returncode == 0
+        assert proc.stdout == expected, text
 
 
 def test_radii_bananas():

@@ -115,19 +115,11 @@ def test_comparison_budget_is_linear():
         assert stats.comparisons <= 4 * (len(text) + 1)
 
 
-def test_argmax_prefers_first_peak():
-    assert argmax([0, 1, 0, 3, 0, 3, 0, 1, 0]) == 3
-    assert argmax([0]) == 0
-
-
 def test_argmax_takes_the_center_an_engine_reported():
-    stats = CompareStats()
-    assert stats.center is None  # naive and augmented report none
-    assert argmax([0, 1, 0, 3, 0], stats) == 3
-    stats.center = 1  # the scan's answer is used as given, with no pass over the table
-    assert argmax([0, 1, 0, 3, 0], stats) == 1
+    # the scan's answer is used as given, with no pass over the table
+    assert argmax([0, 1, 0, 3, 0], CompareStats(0, 1)) == 1
     radii, stats = python_radii("abacdfgdcaba")
-    assert stats.center == argmax(radii) == 3
+    assert argmax(radii, stats) == stats.center == 3
 
 
 def test_longest_palindrome_bananas():

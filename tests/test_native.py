@@ -64,15 +64,6 @@ def test_memory_does_not_depend_on_content():
     assert table <= min(peaks) and max(peaks) < table + 64 * 1024
 
 
-def test_typed_table_argmax_is_leftmost():
-    native.load()
-    assert native.owns(array("i", [0])) and not native.owns([0]) and not native.owns(array("q", [0]))
-    assert core.argmax(array("i", [0, 1, 0, 3, 0, 3, 0, 1, 0])) == 3
-    assert core.argmax(array("i", [0])) == 0
-    table = array("i", [7, 2, 9, 9, 1, 9])
-    assert core.argmax(table) == list(table).index(max(table)) == 2
-
-
 @pytest.mark.parametrize("n", [3, 4, 10, 1000])
 def test_worst_case_family_costs_3n_minus_6(n):
     text = "a" + "b" * (n - 2) + "c"
@@ -102,12 +93,22 @@ def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
     assert radii == core.python_radii("bananas")[0] and stats.comparisons == 11
 
 
-def test_long_texts_stay_on_the_python_engine(monkeypatch):
+def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(native, "MAX_SYMBOLS", 6)
-    for engine in (native.compute_radii, core.compute_radii):
-        radii, stats = engine("bananas")
-        assert radii == core.python_radii("bananas")[0]  # a list: the Python scan ran
-        assert stats.comparisons == 11
+    # the kernel itself refuses, naming its limit
+    with pytest.raises(native.NativeUnavailable, match="at most 6 symbols, got 7"):
+        native.compute_radii("bananas")
+    # the default engine routes the text to the Python scan
+    radii, stats = core.compute_radii("bananas")
+    assert radii == core.python_radii("bananas")[0] and isinstance(radii, list)
+    assert stats == core.CompareStats(11, 7)
+    # an explicit --impl native does not run another engine in its place
+    path = tmp_path / "long.txt"
+    path.write_text("bananas")
+    assert cli.main(["find", "--impl", "native", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lps: error: the compiled kernel takes at most 6 symbols, got 7\n"
 
 
 TABLE_KINDS = {"kernel": lambda values: array("i", values), "list": list}
@@ -126,6 +127,7 @@ def _check_streamed(kind, size):
     native.load()
     table = TABLE_KINDS[kind](range(size))  # size 1 is the empty text's table, [0]
     assert native.owns(table) == (kind == "kernel")  # the C formatter or the str join
+    assert not native.owns(array("q", table))  # only int32 tables are the kernel's
     assert _written(table) == (",".join(map(str, table)) + "\n").encode("ascii")
 
 

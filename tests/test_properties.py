@@ -57,7 +57,6 @@ def test_three_way_radii_agreement(text):
 def test_three_way_span_agreement(text):
     span = naive_lps(text).span
     assert longest_palindrome(text).span == span
-    assert result_from_radii(python_radii(text)[0]).span == span
     assert result_from_radii(*python_radii(text)).span == span
     assert augmented_lps(text).span == span
 
@@ -129,7 +128,7 @@ def test_augment_round_trip(text):
     dummy = choose_dummy(text) if not isinstance(text, tuple) else None
     aug = augment(text, dummy)
     assert len(aug) == 2 * len(text) + 1
-    assert aug.original() == text
+    assert aug[1::2] == text
 
 
 @given(st.text(alphabet="abc", max_size=16))
