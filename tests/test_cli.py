@@ -102,14 +102,24 @@ def test_augmented_without_free_dummy_exits_2():
     assert b"256 byte values" in proc.stderr
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_does_not_load_numpy(tmp_path):
     # nor the bench harness, dataclasses, inspect, the generator or the
-    # reference solvers
+    # reference solvers; and running find and radii loads no argparse,
+    # gettext or locale beyond what the interpreter had at start-up
     heavy = "numpy", "dataclasses", "inspect", "lps.bench", "lps.generator", "lps.reference"
-    probe = f"import sys, lps.cli; print([name for name in {heavy!r} if name in sys.modules])"
+    parsers = "argparse", "gettext", "locale"
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+    probe = (
+        "import sys; before = set(sys.modules); import lps.cli; "
+        f"print([name for name in {heavy!r} if name in sys.modules], flush=True); "
+        f"assert lps.cli.main(['find', '--span', {str(path)!r}]) == 0; "
+        f"assert lps.cli.main(['radii', {str(path)!r}]) == 0; "
+        f"print([name for name in {heavy + parsers!r} if name in sys.modules and name not in before])"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"[]\n"
+    assert proc.stdout == b"[]\nanana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n[]\n"
     # lps bench itself, run in-process, loads numpy (and with it inspect) but
     # no dataclasses
     bench_argv = ["bench", "--lengths", "20", "--alphabets", "2", "--repeats", "1", "--out", os.devnull]
@@ -407,3 +417,70 @@ def test_bench_bad_impls_exit_64():
 def test_no_command_exits_64():
     proc = run_cli()
     assert proc.returncode == 64
+
+
+# command lines and what they parse to, or EXIT_USAGE: argparse's syntax
+PARSES = [
+    (["find", "--impl", "naive", "in.txt"], {"command": "find", "impl": "naive", "input": "in.txt", "span": False}),
+    (["find", "--impl=naive"], {"impl": "naive", "input": "-"}),
+    (["radii", "--impl", "naive", "--impl=indexmap"], {"impl": "indexmap"}),  # the last one wins
+    (["gen", "--length", "-3", "--alphabet", "2", "--seed", "5", "--seed", "-1"], {"length": -3, "seed": -1}),
+    (["bench", "--len", "1,2", "--alphabets=3", "--f", "table"], {"lengths": (1, 2), "alphabets": (3,), "format": "table"}),
+    (["find", "--sp"], {"span": True}),
+    (["--bytes", "radii", "--ra", "-"], {"as_bytes": True, "raw": True, "input": "-"}),
+    (["find", "--", "-x"], {"input": "-x"}),
+    (["find", "in.txt", "--span"], {"input": "in.txt", "span": True}),
+    (["bench", "--lengths", "1", "--alphabets", "2", "--o", "5"], cli.EXIT_USAGE),  # --oracle-cap or --out
+    (["find", "--span=1"], cli.EXIT_USAGE),
+    (["radii", "--impl"], cli.EXIT_USAGE),
+    (["radii", "--impl", "--raw"], cli.EXIT_USAGE),
+    (["find", "a", "b"], cli.EXIT_USAGE),
+    (["gen", "--length", "3"], cli.EXIT_USAGE),
+    (["gen", "--length", "x", "--alphabet", "2"], cli.EXIT_USAGE),
+    ([], cli.EXIT_USAGE),
+    (["turbo"], cli.EXIT_USAGE),
+    (["find", "--bytes"], cli.EXIT_USAGE),  # a global option goes before the command
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSES, ids=[" ".join(argv) or "-" for argv, _ in PARSES])
+def test_command_line_syntax(argv, expected, capsys):
+    if expected == cli.EXIT_USAGE:
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage: lps") and "\nlps: error: " in out.err
+    else:
+        args = vars(cli._parse(argv))
+        assert {name: args[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["find", "-h"], ["--bytes", "radii", "--help"], ["bench", "--he"]])
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: lps") and out.err == ""
+    command = argv[-2] if len(argv) > 1 else None
+    for option in cli._OPTIONS[command]:
+        assert f"\n  {option}" in out.out
+
+
+BENCH_ARGS = ["bench", "--lengths", "10", "--alphabets", "2", "--repeats", "1", "--impls", "indexmap"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [["find", "--span"], ["radii"], ["gen", "--length", "10", "--alphabet", "2"], BENCH_ARGS,
+     [*BENCH_ARGS, "--out", "/dev/full"]],
+    ids=["find", "radii", "gen", "bench", "bench-out"],
+)
+def test_failed_write_exits_74(args):
+    # a full device is an output error, reported once, not an input error
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lps", *args], input=b"bananas", stdout=full, stderr=subprocess.PIPE, timeout=120
+        )
+    assert proc.returncode == cli.EXIT_OUTPUT
+    assert proc.stderr.startswith(b"lps: error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"No space left on device" in proc.stderr

@@ -45,13 +45,10 @@ def test_every_solver_matches_naive_oracle(name, case):
 def test_registry_names_every_implementation_once(capsys):
     assert tuple(SOLVERS) == IMPLS == ("naive", "augmented", "indexmap", "native")
     # --impl takes exactly the registry's names, and an unknown one lists them
-    parser = cli._build_parser()
     for command in ("find", "radii"):
         for name in SOLVERS:
-            assert parser.parse_args([command, "--impl", name]).impl == name
-        with pytest.raises(SystemExit) as caught:
-            parser.parse_args([command, "--impl", "turbo"])
-        assert caught.value.code == cli.EXIT_USAGE
+            assert cli._parse([command, "--impl", name]).impl == name
+        assert cli.main([command, "--impl", "turbo"]) == cli.EXIT_USAGE
         assert str(tuple(SOLVERS)) in capsys.readouterr().err
 
 
