@@ -77,6 +77,8 @@ def _impl(name: str) -> str:
 
 def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
     if path == "-":
+        if sys.stdin is None:  # descriptor 0 was closed when Python started
+            raise OSError("cannot read the input: standard input is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
@@ -87,6 +89,13 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
     if not raw and text.endswith("\n"):
         text = text[:-1]
     return text
+
+
+def _stdout():
+    """sys.stdout, which is None (a failed write) if descriptor 1 was closed at start-up."""
+    if sys.stdout is None:
+        raise _WriteError("cannot write the output: standard output is closed")
+    return sys.stdout
 
 
 @contextlib.contextmanager
@@ -140,7 +149,7 @@ def _cmd_find(args) -> int:
     # bytes straight to the buffer: the output is UTF-8 whatever the
     # locale's stdout encoding is, like the input
     with _writing():
-        sys.stdout.buffer.write(b"\n".join(lines) + b"\n")
+        _stdout().buffer.write(b"\n".join(lines) + b"\n")
         sys.stdout.buffer.flush()
     return EXIT_OK
 
@@ -149,7 +158,7 @@ def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
     radii = _solve(args, text)[0]
     with _writing():
-        _write_radii(radii, sys.stdout.buffer)
+        _write_radii(radii, _stdout().buffer)
         sys.stdout.buffer.flush()
     return EXIT_OK
 
@@ -159,11 +168,12 @@ def _cmd_gen(args) -> int:
 
     spec = GenSpec(length=args.length, alphabet_size=args.alphabet, seed=args.seed)
     with _writing():
+        out = _stdout()
         for chunk in iter_chunks(spec):
-            sys.stdout.write(chunk)
+            out.write(chunk)
         if args.newline:
-            sys.stdout.write("\n")
-        sys.stdout.flush()
+            out.write("\n")
+        out.flush()
     return EXIT_OK
 
 
@@ -175,7 +185,7 @@ def _cmd_bench(args) -> int:
     spec = BenchSpec(lengths=args.lengths, alphabet_sizes=args.alphabets, repeats=args.repeats,
                      impls=args.impls, seed=args.seed)
     # open --out before the grid runs, so an unwritable path fails at once
-    sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(_stdout())
     with sink as out:
         records = run_bench(spec, oracle_cap=ORACLE_CAP if args.oracle_cap is None else args.oracle_cap)
         with _writing():
@@ -317,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"input is not valid UTF-8 ({exc}); try --bytes", EXIT_INPUT
     except ValueError as exc:
         # the reference solvers' input errors, and bad parameter values that
-        # the option converters can't see (InvalidAlphabet is one); any
+        # the option converters can't see (GenSpec's alphabet range is one); any
         # other ValueError is a bug and propagates
         from .generator import UsageError
         from .reference import DummyUnavailable, OracleCapExceeded
@@ -338,7 +348,7 @@ def entrypoint() -> None:
         code = main()
     except BrokenPipeError:  # downstream closed the pipe (e.g. | head): exit quietly
         code = None
-    if code in (None, EXIT_OUTPUT):
+    if code in (None, EXIT_OUTPUT) and sys.stdout is not None:
         # stdout may hold bytes it cannot write: send them to /dev/null, or
         # the flush at exit fails again with a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -28,7 +28,6 @@ _CHUNK = 1 << 16
 __all__ = [
     "ALPHABET_MAX",
     "GenSpec",
-    "InvalidAlphabet",
     "MASK64",
     "UsageError",
     "gen_text",
@@ -39,10 +38,6 @@ __all__ = [
 
 class UsageError(ValueError):
     """A parameter value outside its allowed range; the CLI exits 64 on it."""
-
-
-class InvalidAlphabet(UsageError):
-    """Alphabet size outside [1, 26]."""
 
 
 def rng_next(state: int) -> tuple[int, int]:
@@ -69,7 +64,7 @@ class GenSpec(_GenFields):
         if length < 0:
             raise UsageError(f"length must be >= 0, got {length}")
         if not 1 <= alphabet_size <= ALPHABET_MAX:
-            raise InvalidAlphabet(f"alphabet size must be in [1, {ALPHABET_MAX}], got {alphabet_size}")
+            raise UsageError(f"alphabet size must be in [1, {ALPHABET_MAX}], got {alphabet_size}")
         if not 0 <= seed <= MASK64:
             raise UsageError("seed must fit in 64 unsigned bits")
         return super().__new__(cls, length, alphabet_size, seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import core, native
-from .core import CompareStats, LpsResult, RadiiTable, Text, result_from_radii
+from .core import CompareStats, RadiiTable, Text
 
 ORACLE_CAP = 100_000
 
@@ -24,10 +24,8 @@ __all__ = [
     "OracleCapExceeded",
     "SOLVERS",
     "augment",
-    "augmented_lps",
     "augmented_radii",
     "choose_dummy",
-    "naive_lps",
     "naive_radii",
 ]
 
@@ -89,11 +87,6 @@ def _naive_solver(text: Text, *, cap: int = ORACLE_CAP) -> tuple[RadiiTable, Com
     the center costs a pass over the table, which :func:`naive_radii` skips."""
     radii, comparisons = _naive_scan(text, cap)
     return radii, CompareStats(comparisons, radii.index(max(radii)))
-
-
-def naive_lps(text: Text, *, cap: int = ORACLE_CAP) -> LpsResult:
-    """Longest palindromic substring via the naive oracle, leftmost on ties."""
-    return result_from_radii(*_naive_solver(text, cap=cap))
 
 
 def choose_dummy(text: Text):
@@ -182,11 +175,6 @@ def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
             ref = i
             right = i + radius
     return radii, CompareStats(comparisons, best)
-
-
-def augmented_lps(text: Text) -> LpsResult:
-    """Longest palindromic substring via the augmented solver."""
-    return result_from_radii(*augmented_radii(text))
 
 
 # Every implementation the CLI and the bench run, by name, in report order:

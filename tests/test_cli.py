@@ -132,22 +132,19 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     assert proc.stdout == b"False\n"
 
 
-def test_package_names_resolve_on_first_use():
-    # the generator and reference names are not imported with the package,
-    # yet every name of __all__ binds, and an unknown name still fails
+def test_package_exports_the_engine_only():
+    # importing the package loads neither the bench harness, the generator
+    # nor the reference solvers, and a star import binds every name of __all__
     probe = (
         "import sys, lps; "
-        "loaded = [m for m in ('lps.generator', 'lps.reference') if m in sys.modules]; "
+        "print([m for m in ('lps.bench', 'lps.generator', 'lps.reference') if m in sys.modules]); "
         "from lps import *; "
-        "print(loaded, [n for n in lps.__all__ if n not in globals()], "
-        "lps.GenSpec is sys.modules['lps.generator'].GenSpec, "
-        "lps.naive_radii is sys.modules['lps.reference'].naive_radii); "
-        "lps.no_such_name"
+        "print(lps.__all__, [n for n in lps.__all__ if n not in globals()])"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
-    assert proc.stdout == b"[] [] True True\n"
-    assert proc.returncode == 1
-    assert proc.stderr.endswith(b"AttributeError: module 'lps' has no attribute 'no_such_name'\n")
+    assert proc.returncode == 0, proc.stderr
+    engine = ["CompareStats", "LpsResult", "Span", "compute_radii", "longest_palindrome"]
+    assert proc.stdout == f"[]\n{engine} []\n".encode()
 
 
 def test_only_the_entrypoint_freezes_the_heap(tmp_path, monkeypatch, capsys):
@@ -466,21 +463,55 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
 
 
 BENCH_ARGS = ["bench", "--lengths", "10", "--alphabets", "2", "--repeats", "1", "--impls", "indexmap"]
+WRITES = {"find": ["find", "--span"], "radii": ["radii"], "gen": ["gen", "--length", "10", "--alphabet", "2"],
+          "bench": BENCH_ARGS}
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def closed(stream: str, *args: str) -> list[str]:
+    """A command running ``lps ARGS`` with descriptor 0 ("<") or 1 (">") closed."""
+    return ["sh", "-c", f'exec "$@" {stream}&-', "sh", sys.executable, "-m", "lps", *args]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["find", "--span"], ["radii"], ["gen", "--length", "10", "--alphabet", "2"], BENCH_ARGS,
-     [*BENCH_ARGS, "--out", "/dev/full"]],
-    ids=["find", "radii", "gen", "bench", "bench-out"],
+    "args, stdout",
+    [*((args, "/dev/full") for args in WRITES.values()), ([*BENCH_ARGS, "--out", "/dev/full"], "/dev/full"),
+     *((args, None) for args in WRITES.values())],
+    ids=[*WRITES, "bench-out", *(f"{name}-closed" for name in WRITES)],
 )
-def test_failed_write_exits_74(args):
-    # a full device is an output error, reported once, not an input error
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "lps", *args], input=b"bananas", stdout=full, stderr=subprocess.PIPE, timeout=120
-        )
+def test_failed_write_exits_74(args, stdout):
+    # a full device or a closed stdout is an output error, reported once,
+    # not an input error or a traceback
+    if stdout is None:
+        proc = subprocess.run(closed(">", *args), input=b"bananas", stderr=subprocess.PIPE, timeout=120)
+        reason = b"standard output is closed"
+    elif not os.path.exists(stdout):
+        pytest.skip(f"needs {stdout}")
+    else:
+        with open(stdout, "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lps", *args], input=b"bananas", stdout=full, stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        reason = b"No space left on device"
     assert proc.returncode == cli.EXIT_OUTPUT
-    assert proc.stderr.startswith(b"lps: error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
-    assert b"No space left on device" in proc.stderr
+    assert proc.stderr.startswith(b"lps: error: cannot write the output: "), proc.stderr
+    assert proc.stderr.count(b"\n") == 1 and reason in proc.stderr
+
+
+def test_bench_out_needs_no_stdout(tmp_path):
+    out = tmp_path / "bench.csv"
+    proc = subprocess.run(closed(">", *BENCH_ARGS, "--out", str(out)), stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    records, _ = parse_csv(out.read_text())
+    assert [record.impl for record in records] == ["indexmap"]
+
+
+def test_closed_stdin_exits_2(tmp_path):
+    # only the input "-" needs stdin: a closed one is an input error
+    proc = subprocess.run(closed("<", "find"), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INPUT, b"")
+    assert proc.stderr == b"lps: error: cannot read the input: standard input is closed\n"
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+    proc = subprocess.run(closed("<", "find", str(path)), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"anana\n", b"")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from lps.core import CompareStats, LpsResult, Span, compute_radii, longest_palindrome
+from lps.core import CompareStats, LpsResult, Span, compute_radii, longest_palindrome, result_from_radii
 from lps.generator import GenSpec
 from lps.reference import (
     ORACLE_CAP,
@@ -12,10 +12,8 @@ from lps.reference import (
     DummyUnavailable,
     OracleCapExceeded,
     augment,
-    augmented_lps,
     augmented_radii,
     choose_dummy,
-    naive_lps,
     naive_radii,
 )
 
@@ -50,7 +48,7 @@ def test_oracle_cap():
 
 def test_negative_oracle_cap_is_rejected():
     # not an exceeded cap: no text, however short, could meet a negative one
-    for call in (naive_radii, naive_lps):
+    for call in (naive_radii, SOLVERS["naive"]):
         with pytest.raises(ValueError, match="oracle cap must be >= 0, got -5") as caught:
             call("", cap=-5)
         assert not isinstance(caught.value, OracleCapExceeded)
@@ -68,14 +66,10 @@ def test_naive_stats_optional():
     assert SOLVERS["naive"]("bananas") == (radii, CompareStats(15, 7))
 
 
-def test_naive_lps_matches_core():
+@pytest.mark.parametrize("name", ["naive", "augmented"])
+def test_reference_result_matches_core(name):
     for text, _ in GOLDENS:
-        assert naive_lps(text).span == longest_palindrome(text).span
-
-
-def test_augmented_lps_matches_core():
-    for text, _ in GOLDENS:
-        assert augmented_lps(text).span == longest_palindrome(text).span
+        assert result_from_radii(*SOLVERS[name](text)).span == longest_palindrome(text).span
 
 
 def test_augmented_counts_dummy_comparisons():
