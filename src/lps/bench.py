@@ -9,9 +9,10 @@ Trials run strictly sequentially.
 Implementations are the entries of :data:`lps.reference.SOLVERS`: "naive"
 (quadratic oracle), "augmented" (materialized dummy-interleaved buffer),
 "indexmap" (the virtual augmentation engine) and "native" (the same scan
-compiled, see :mod:`lps.native`). The naive one is skipped, not errored,
-above the oracle cap; a MemoryError in any of them is recorded as an
-out_of_memory outcome for that trial instead of aborting the run.
+compiled, see :mod:`lps.native`), each called on the text alone. A trial
+that raises :class:`lps.core.Unsupported` (the implementation cannot run
+that text here) is recorded as skipped, a MemoryError as out_of_memory;
+neither aborts the run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from time import perf_counter
 from typing import NamedTuple
 
 from . import native, reference
-from .generator import MASK64, GenSpec, UsageError, gen_text
+from .core import Unsupported, UsageError
+from .generator import MASK64, GenSpec, gen_text
 
 IMPLS = tuple(reference.SOLVERS)
 
@@ -85,6 +87,8 @@ class BenchSpec(_BenchFields):
         unknown = [name for name in impls if name not in IMPLS]
         if unknown:
             raise UsageError(f"unknown implementations: {unknown}; choose from {IMPLS}")
+        if "native" in impls:
+            native.load()  # raises lps.core.Unsupported before a report is opened
         return super().__new__(cls, lengths, alphabet_sizes, repeats, impls, seed)
 
     @classmethod
@@ -108,23 +112,20 @@ class BenchRecord(NamedTuple):
     outcome: str
 
 
-def _run_impl(impl: str, text: str, oracle_cap: int) -> tuple[float, int | None, str]:
+def _run_impl(impl: str, text: str) -> tuple[float, int | None, str]:
     """Time one implementation on one string: (seconds, comparisons, outcome)."""
-    limits = {"cap": oracle_cap} if impl == "naive" else {}
     start = perf_counter()
     try:
-        _, stats = reference.SOLVERS[impl](text, **limits)
-    except reference.OracleCapExceeded:
+        _, stats = reference.SOLVERS[impl](text)
+    except Unsupported:
         return 0.0, None, "skipped"
     except MemoryError:
         return perf_counter() - start, None, "out_of_memory"
     return perf_counter() - start, stats.comparisons, "ok"
 
 
-def run_bench(spec: BenchSpec, *, oracle_cap: int = reference.ORACLE_CAP) -> list[BenchRecord]:
+def run_bench(spec: BenchSpec) -> list[BenchRecord]:
     """Run the full grid and return one record per (length, alphabet, impl, repeat)."""
-    if oracle_cap < 0:
-        raise UsageError(f"oracle cap must be >= 0, got {oracle_cap}")
     records: list[BenchRecord] = []
     for length in spec.lengths:
         for alphabet in spec.alphabet_sizes:
@@ -133,9 +134,9 @@ def run_bench(spec: BenchSpec, *, oracle_cap: int = reference.ORACLE_CAP) -> lis
                 for repeat in range(spec.repeats)
             ]
             for impl in spec.impls:
-                _run_impl(impl, texts[0], oracle_cap)  # warm-up pass, discarded
+                _run_impl(impl, texts[0])  # warm-up pass, discarded
                 for repeat, text in enumerate(texts):
-                    trial = _run_impl(impl, text, oracle_cap)
+                    trial = _run_impl(impl, text)
                     records.append(BenchRecord(impl, length, alphabet, repeat, *trial))
     return records
 

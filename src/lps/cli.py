@@ -14,15 +14,16 @@ find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
 after one note on stderr. --impl picks an implementation of
 lps.reference.SOLVERS explicitly. Without it, find and radii import
-neither lps.reference nor lps.generator; the commands and error paths
-that use them import them.
+neither lps.reference nor lps.generator; the commands that use them
+import them.
 
 Command lines are read with argparse's syntax from one table, _OPTIONS,
 whose help -h prints; importing argparse would cost a short run 5-8 ms.
 
-Exit codes: 0 success, 2 input error (including --impl native where the
-kernel cannot be built, and an --out file that cannot be opened), 64 usage
-error, 74 output error (a failed write; a closed pipe exits 0 quietly).
+Exit codes, stderr closed or not: 0 success, 2 input error (lps.core.Unsupported,
+such as --impl native where the kernel cannot be built, and an --out file
+that cannot be opened), 64 usage error (lps.core.UsageError too), 74 output
+error (a failed write, -h included; a closed pipe exits 0 quietly).
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class _WriteError(Exception):
 
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
-
-
-def _cap(raw: str) -> int:
-    if int(raw) < 0:
-        raise ValueError(f"expected an integer >= 0, got {raw!r}")
-    return int(raw)
 
 
 def _choice(name: str, choices) -> str:
@@ -180,18 +175,24 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     # imported here: find and radii do not pay for the harness
     from .bench import BenchSpec, run_bench, to_csv, to_table
-    from .reference import ORACLE_CAP
 
     spec = BenchSpec(lengths=args.lengths, alphabet_sizes=args.alphabets, repeats=args.repeats,
                      impls=args.impls, seed=args.seed)
     # open --out before the grid runs, so an unwritable path fails at once
     sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(_stdout())
     with sink as out:
-        records = run_bench(spec, oracle_cap=ORACLE_CAP if args.oracle_cap is None else args.oracle_cap)
+        records = run_bench(spec)
         with _writing():
             out.write(to_csv(records) if args.format == "csv" else to_table(records))
             # close a file here, where a failed flush is a failed write
             out.close() if args.out else out.flush()
+    return EXIT_OK
+
+
+def _cmd_help(args) -> int:
+    with _writing():
+        _stdout().write(_usage(args.command, full=True) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -231,7 +232,6 @@ _OPTIONS = {
         "--repeats": ("repeats", int, 3, "trials per cell (default 3)"),
         "--impls": ("impls", lambda raw: tuple(raw.split(",")), None, "comma-separated --impl names (default: all)"),
         "--seed": ("seed", int, 0, "base seed (default 0)"),
-        "--oracle-cap": ("oracle_cap", _cap, None, "skip naive above this length (default: reference.ORACLE_CAP)"),
         "--format": ("format", lambda name: _choice(name, ("csv", "table")), "csv", "csv (default) or table"),
         "--out": ("out", str, None, "write the report to a file instead of stdout"),
     },
@@ -255,9 +255,9 @@ def _option(token: str, command: str | None) -> str | None:
     return None if number or " " in token else ""
 
 
-def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """The values of a command line, read by _OPTIONS; None once -h has
-    printed the help. Raises _UsageError."""
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The values of a command line, read by _OPTIONS; once -h is read,
+    only ``command`` and ``help``. Raises _UsageError."""
     command, given, free, options = None, {}, ["command"], True
     unknown = []  # reported after the last token, so that a later -h still prints the help
     tokens = iter(argv)
@@ -276,8 +276,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if eq:
                 raise _UsageError(f"argument {option}: ignored explicit argument {value!r}", command)
             if option == "--help":
-                print(_usage(command, full=True))
-                return None
+                return SimpleNamespace(command=command, help=True)
         elif not eq:
             value = next(tokens, "--")  # a missing value reads as "--", which is no value
             if value == "--" or _option(value, command) is not None:
@@ -310,36 +309,33 @@ def _usage(command: str | None, full: bool = False) -> str:
     return "\n".join([usage, *rows]) if full else usage
 
 
+def _report(lines: str) -> None:
+    """Print ``lines`` on stderr, unless it is closed or fails: the exit code names the failure."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(lines, file=sys.stderr, flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         message, command = exc.args
-        print(f"{_usage(command)}\nlps: error: {message}", file=sys.stderr)
+        _report(f"{_usage(command)}\nlps: error: {message}")
         return EXIT_USAGE
-    if args is None:  # -h printed the help
-        return EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return (_cmd_help if args.help else _COMMANDS[args.command])(args)
     except _WriteError as exc:
         message, code = exc, EXIT_OUTPUT
     except UnicodeDecodeError as exc:
         message, code = f"input is not valid UTF-8 ({exc}); try --bytes", EXIT_INPUT
-    except ValueError as exc:
-        # the reference solvers' input errors, and bad parameter values that
-        # the option converters can't see (GenSpec's alphabet range is one); any
-        # other ValueError is a bug and propagates
-        from .generator import UsageError
-        from .reference import DummyUnavailable, OracleCapExceeded
-
-        if not isinstance(exc, (OracleCapExceeded, DummyUnavailable, UsageError)):
-            raise
-        message, code = exc, EXIT_USAGE if isinstance(exc, UsageError) else EXIT_INPUT
+    except core.UsageError as exc:  # any other ValueError is a bug and propagates
+        message, code = exc, EXIT_USAGE
     except BrokenPipeError:
         raise
-    except (native.NativeUnavailable, OSError) as exc:
+    except (core.Unsupported, OSError) as exc:
         message, code = exc, EXIT_INPUT
-    print(f"lps: error: {message}", file=sys.stderr)
+    _report(f"lps: error: {message}")
     return code
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "RadiiTable",
     "Span",
     "Text",
+    "Unsupported",
+    "UsageError",
     "argmax",
     "compute_radii",
     "get_left_bound",
@@ -54,6 +56,14 @@ __all__ = [
 # which then runs compute_radii on the texts it takes. Loaded on its own,
 # this module is the pure-Python engine.
 kernel = None
+
+
+class Unsupported(Exception):
+    """A solver cannot run this text here; the message says why."""
+
+
+class UsageError(ValueError):
+    """A parameter value outside its allowed range; the CLI exits 64 on it."""
 
 
 class CompareStats(NamedTuple):

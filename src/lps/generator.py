@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
+from .core import UsageError
+
 MASK64 = (1 << 64) - 1
 ALPHABET_MAX = 26
 
@@ -29,15 +31,10 @@ __all__ = [
     "ALPHABET_MAX",
     "GenSpec",
     "MASK64",
-    "UsageError",
     "gen_text",
     "iter_chunks",
     "rng_next",
 ]
-
-
-class UsageError(ValueError):
-    """A parameter value outside its allowed range; the CLI exits 64 on it."""
 
 
 def rng_next(state: int) -> tuple[int, int]:

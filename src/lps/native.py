@@ -20,7 +20,7 @@ The package plugs this module into :data:`lps.core.kernel`, so
 When no compiler or no ``Python.h`` is found or the build fails,
 :func:`takes` is false after one note on stderr and the default engine
 stays pure Python, while an explicit :func:`compute_radii` call raises
-:class:`NativeUnavailable`.
+:class:`lps.core.Unsupported`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import zlib
 from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
-from .core import CompareStats
+from .core import CompareStats, Unsupported
 
 __all__ = [
-    "FORMAT_BYTES", "MAX_SYMBOLS", "NativeUnavailable", "available",
+    "FORMAT_BYTES", "MAX_SYMBOLS", "available",
     "compute_radii", "format_radii", "load", "owns", "takes",
 ]
 
@@ -48,10 +48,6 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c"
 _module = None
 _error = None
 _noted = False
-
-
-class NativeUnavailable(RuntimeError):
-    """The kernel could not be built or loaded; the message says why."""
 
 
 def _build(source: bytes, library: str) -> None:
@@ -72,10 +68,10 @@ def _build(source: bytes, library: str) -> None:
             # one line, so the fallback note stays one line
             lines = done.stderr.decode(errors="replace").strip().splitlines() or ["no output"]
             detail = next((line for line in lines if "error" in line), lines[-1])
-            raise NativeUnavailable(f"compiling {_SOURCE} failed: {detail}")
+            raise Unsupported(f"compiling {_SOURCE} failed: {detail}")
         os.replace(partial, library)
     except (OSError, subprocess.SubprocessError) as exc:
-        raise NativeUnavailable(f"cannot compile {_SOURCE} with cc: {exc}") from exc
+        raise Unsupported(f"cannot compile {_SOURCE} with cc: {exc}") from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
@@ -90,7 +86,7 @@ def _open():
     os.makedirs(cache, exist_ok=True)
     # in a directory anyone can write to, the library could be swapped before we load it
     if os.stat(cache).st_mode & 0o002:
-        raise NativeUnavailable(f"{cache} is world-writable; not building or loading the kernel there")
+        raise Unsupported(f"{cache} is world-writable; not building or loading the kernel there")
     if not os.path.exists(library):
         _build(source, library)
         # earlier builds for this interpreter are stale now; another
@@ -108,7 +104,7 @@ def _open():
 
 
 def load():
-    """The loaded kernel module, built first if needed; raises NativeUnavailable.
+    """The loaded kernel module, built first if needed; raises lps.core.Unsupported.
 
     The outcome is kept for the life of the process, failures included.
     """
@@ -116,11 +112,11 @@ def load():
     if _module is None and _error is None:
         try:
             if array("i").itemsize != 4:
-                raise NativeUnavailable("C int is not 32 bits wide on this platform")
+                raise Unsupported("C int is not 32 bits wide on this platform")
             _module = _open()
         except (OSError, ImportError) as exc:  # unreadable source, unwritable cache, failed load
-            _error = NativeUnavailable(f"cannot load the compiled kernel: {exc}")
-        except NativeUnavailable as exc:
+            _error = Unsupported(f"cannot load the compiled kernel: {exc}")
+        except Unsupported as exc:
             _error = exc
     if _error is not None:
         raise _error
@@ -132,7 +128,7 @@ def available() -> bool:
     global _noted
     try:
         load()
-    except NativeUnavailable as exc:
+    except Unsupported as exc:
         if not _noted:
             _noted = True
             print(f"lps: note: {exc}; using the pure-Python indexmap engine", file=sys.stderr)
@@ -150,11 +146,11 @@ def compute_radii(text: str | bytes) -> tuple[array, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as an ``array('i')``. Takes ``str`` and
     ``bytes`` of at most :data:`MAX_SYMBOLS` symbols; a longer text raises
-    :class:`NativeUnavailable`."""
+    :class:`lps.core.Unsupported`."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
     if len(text) > MAX_SYMBOLS:
-        raise NativeUnavailable(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
+        raise Unsupported(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
     radii = array("i", [0]) * (2 * len(text) + 1)
     return radii, CompareStats(*load().scan(text, radii))
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import core, native
-from .core import CompareStats, RadiiTable, Text
+from .core import CompareStats, RadiiTable, Text, Unsupported
 
+# the longest text the naive oracle runs, read at each call
 ORACLE_CAP = 100_000
 
 __all__ = [
-    "DummyUnavailable",
     "ORACLE_CAP",
-    "OracleCapExceeded",
     "SOLVERS",
     "augment",
     "augmented_radii",
@@ -30,26 +29,16 @@ __all__ = [
 ]
 
 
-class OracleCapExceeded(ValueError):
-    """Input too long for the O(N^2) oracle; pass a larger ``cap`` to override."""
-
-
-class DummyUnavailable(ValueError):
-    """Every symbol of the alphabet occurs in the text, so no dummy exists."""
-
-
-def _naive_scan(text: Text, cap: int) -> tuple[list[int], int]:
+def _naive_scan(text: Text) -> tuple[list[int], int]:
     """Radii table by symmetric expansion around every center, and the
     number of symbol comparisons it made.
 
-    Quadratic in the worst case, hence the cap. Works with two plain
-    indices walking outward in the original string.
+    Quadratic in the worst case, hence :data:`ORACLE_CAP`. Works with two
+    plain indices walking outward in the original string.
     """
-    if cap < 0:
-        raise ValueError(f"oracle cap must be >= 0, got {cap}")
     n = len(text)
-    if n > cap:
-        raise OracleCapExceeded(f"text length {n} exceeds oracle cap {cap}")
+    if n > ORACLE_CAP:
+        raise Unsupported(f"text length {n} exceeds oracle cap {ORACLE_CAP}")
     radii = [0] * (2 * n + 1)
     comparisons = 0
     for mid in range(n):
@@ -77,15 +66,15 @@ def _naive_scan(text: Text, cap: int) -> tuple[list[int], int]:
     return radii, comparisons
 
 
-def naive_radii(text: Text, *, cap: int = ORACLE_CAP) -> RadiiTable:
+def naive_radii(text: Text) -> RadiiTable:
     """The radii table of the naive oracle, without its stats."""
-    return _naive_scan(text, cap)[0]
+    return _naive_scan(text)[0]
 
 
-def _naive_solver(text: Text, *, cap: int = ORACLE_CAP) -> tuple[RadiiTable, CompareStats]:
+def _naive_solver(text: Text) -> tuple[RadiiTable, CompareStats]:
     """The naive oracle's table, comparison count and leftmost best center;
     the center costs a pass over the table, which :func:`naive_radii` skips."""
-    radii, comparisons = _naive_scan(text, cap)
+    radii, comparisons = _naive_scan(text)
     return radii, CompareStats(comparisons, radii.index(max(radii)))
 
 
@@ -94,24 +83,24 @@ def choose_dummy(text: Text):
 
     Candidates are NUL, then successive code points for ``str``; byte
     value 0, then successive values for ``bytes``. The fixed order makes
-    both the result and the failure deterministic. DummyUnavailable is
-    the string-augmentation failure mode that index mapping does not
-    have. Any other sequence, such as a tuple of tokens, gets a fresh
-    ``object()``, which equals no token.
+    both the result and the failure deterministic. That failure
+    (:class:`lps.core.Unsupported`) is the string-augmentation failure
+    mode index mapping does not have. Any other sequence, such as a tuple
+    of tokens, gets a fresh ``object()``, which equals no token.
     """
     if isinstance(text, (bytes, bytearray)):
         seen = set(text)
         for value in range(256):
             if value not in seen:
                 return value
-        raise DummyUnavailable("all 256 byte values occur in the text")
+        raise Unsupported("all 256 byte values occur in the text")
     if isinstance(text, str):
         seen = set(text)
         for value in range(0x110000):
             ch = chr(value)
             if ch not in seen:
                 return ch
-        raise DummyUnavailable("every Unicode scalar value occurs in the text")
+        raise Unsupported("every Unicode scalar value occurs in the text")
     return object()
 
 
@@ -177,14 +166,15 @@ def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     return radii, CompareStats(comparisons, best)
 
 
-# Every implementation the CLI and the bench run, by name, in report order:
-# text -> (radii, stats); the naive one also takes its oracle ``cap``.
-# Entries look their solver up at call time, so a wrapper installed on
-# e.g. ``core.python_radii`` or ``augmented_radii`` sees registry calls too.
-# "indexmap" is the Python scan; "native" is the compiled kernel (str and
-# bytes only), which raises NativeUnavailable where it cannot be built
-# or the text is over its MAX_SYMBOLS.
-SOLVERS: dict[str, Callable[..., tuple[RadiiTable, CompareStats]]] = {
+# Every implementation the CLI and the bench run, by name, in report order.
+# Each takes only the text and returns (radii, stats), or raises
+# core.Unsupported for a text it cannot run here: naive above ORACLE_CAP,
+# augmented without a free dummy, native where it cannot be built or over
+# its MAX_SYMBOLS. Entries look their solver up at call time, so a wrapper
+# installed on e.g. ``core.python_radii`` or ``augmented_radii`` sees
+# registry calls too. "indexmap" is the Python scan; "native" is the
+# compiled kernel (str and bytes only).
+SOLVERS: dict[str, Callable[[Text], tuple[RadiiTable, CompareStats]]] = {
     "naive": _naive_solver,
     "augmented": lambda text: augmented_radii(text),
     "indexmap": lambda text: core.python_radii(text),

@@ -17,8 +17,8 @@ from lps.bench import (
     to_csv,
     to_table,
 )
-from lps.core import compute_radii
-from lps.generator import GenSpec, UsageError, gen_text
+from lps.core import Unsupported, compute_radii
+from lps.generator import GenSpec, gen_text
 from lps.reference import SOLVERS
 
 SMALL = BenchSpec(lengths=(1000,), alphabet_sizes=(2,), repeats=3, seed=0)
@@ -117,9 +117,10 @@ def test_summarize_all_failed_group():
     assert summary.outcome == "out_of_memory"
 
 
-def test_naive_skipped_above_cap():
+def test_naive_skipped_above_cap(monkeypatch):
+    monkeypatch.setattr(reference, "ORACLE_CAP", 100)
     spec = BenchSpec(lengths=(50, 200), alphabet_sizes=(2,), repeats=2, seed=1)
-    records = run_bench(spec, oracle_cap=100)
+    records = run_bench(spec)
     for record in records:
         if record.impl == "naive" and record.length == 200:
             assert record.outcome == "skipped"
@@ -128,24 +129,28 @@ def test_naive_skipped_above_cap():
             assert record.outcome == "ok"
 
 
-def test_negative_oracle_cap_rejected_before_any_cell(monkeypatch):
-    generated = []
-    monkeypatch.setattr(bench, "gen_text", lambda spec: generated.append(spec) or "ab")
-    with pytest.raises(UsageError, match="oracle cap must be >= 0, got -5"):
-        run_bench(SMALL, oracle_cap=-5)
-    assert generated == []
-    # a cap of 0 is a cap: every naive trial is skipped, the rest run
-    records = run_bench(SMALL._replace(impls=("naive", "indexmap")), oracle_cap=0)
-    assert {(r.impl, r.outcome) for r in records} == {("naive", "skipped"), ("indexmap", "ok")}
-    assert len(generated) == SMALL.repeats
-
-
-def test_oracle_cap_reaches_naive_solver():
-    # 100,001 symbols is over the naive solver's own default cap, so only a
-    # cap passed through by the bench lets the trial run
-    spec = BenchSpec(lengths=(100_001,), alphabet_sizes=(26,), repeats=1, impls=("naive",))
-    (record,) = run_bench(spec, oracle_cap=200_000)
-    assert record.outcome == "ok"
+def test_unsupported_texts_are_skipped(monkeypatch):
+    # every entry takes the text alone and raises Unsupported on one it
+    # cannot run here; the bench records each such trial as skipped
+    every_byte = bytes(range(256))
+    monkeypatch.setattr(reference, "ORACLE_CAP", 255)
+    monkeypatch.setattr(native, "MAX_SYMBOLS", 255)
+    reasons = {
+        "naive": "^text length 256 exceeds oracle cap 255$",
+        "augmented": "^all 256 byte values occur in the text$",
+        "native": "^the compiled kernel takes at most 255 symbols, got 256$",
+    }
+    for name, reason in reasons.items():
+        with pytest.raises(Unsupported, match=reason):
+            SOLVERS[name](every_byte)
+    monkeypatch.setattr(bench, "gen_text", lambda spec: every_byte)
+    records = run_bench(BenchSpec(lengths=(256,), alphabet_sizes=(2,), repeats=2, impls=IMPLS))
+    assert len(records) == 2 * len(IMPLS)
+    comparisons = SOLVERS["indexmap"](every_byte)[1].comparisons
+    for record in records:
+        expected = ("ok", comparisons) if record.impl == "indexmap" else ("skipped", None)
+        assert (record.outcome, record.comparisons) == expected, record
+    assert "naive,256,2,0,0.0,,skipped" in to_csv(records).splitlines()
 
 
 def _out_of_memory(text):
@@ -168,8 +173,9 @@ def test_out_of_memory_injection(monkeypatch):
 
 def test_out_of_memory_in_csv_and_table(monkeypatch):
     monkeypatch.setattr(reference, "augmented_radii", _out_of_memory)
+    monkeypatch.setattr(reference, "ORACLE_CAP", 50)
     spec = BenchSpec(lengths=(100,), alphabet_sizes=(2,), repeats=1, seed=0)
-    records = run_bench(spec, oracle_cap=50)
+    records = run_bench(spec)
     csv_text = to_csv(records)
     assert "out_of_memory" in csv_text
     assert "skipped" in csv_text

@@ -392,20 +392,6 @@ def test_bench_bad_grid_exits_64_and_keeps_out(tmp_path):
         assert out.read_bytes() == b"earlier report\n", bad
 
 
-def test_bench_negative_oracle_cap_exits_64_and_keeps_out(tmp_path):
-    out = tmp_path / "report.csv"
-    out.write_bytes(b"earlier report\n")
-    proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--oracle-cap=-5", "--out", str(out))
-    assert proc.returncode == 64
-    assert b"--oracle-cap" in proc.stderr
-    assert out.read_bytes() == b"earlier report\n"
-    # a cap of 0 is a cap: the naive implementation is skipped, the run succeeds
-    proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--repeats", "1", "--impls", "naive",
-                   "--oracle-cap", "0")
-    assert proc.returncode == 0
-    assert proc.stdout.decode().splitlines()[1] == "naive,10,2,0,0.0,,skipped"
-
-
 def test_bench_bad_impls_exit_64():
     proc = run_cli("bench", "--lengths", "10", "--alphabets", "2", "--impls", "turbo")
     assert proc.returncode == 64
@@ -416,7 +402,7 @@ def test_no_command_exits_64():
     assert proc.returncode == 64
 
 
-# command lines and what they parse to, or EXIT_USAGE: argparse's syntax
+# command lines and what they parse to, or EXIT_USAGE or the error message: argparse's syntax
 PARSES = [
     (["find", "--impl", "naive", "in.txt"], {"command": "find", "impl": "naive", "input": "in.txt", "span": False}),
     (["find", "--impl=naive"], {"impl": "naive", "input": "-"}),
@@ -427,7 +413,9 @@ PARSES = [
     (["--bytes", "radii", "--ra", "-"], {"as_bytes": True, "raw": True, "input": "-"}),
     (["find", "--", "-x"], {"input": "-x"}),
     (["find", "in.txt", "--span"], {"input": "in.txt", "span": True}),
-    (["bench", "--lengths", "1", "--alphabets", "2", "--o", "5"], cli.EXIT_USAGE),  # --oracle-cap or --out
+    (["bench", "--lengths", "1", "--alphabets", "2", "--o", "5"], {"out": "5"}),
+    (["bench", "--lengths", "1", "--alphabets", "2", "--oracle-cap", "5"], "unrecognized arguments: --oracle-cap 5"),
+    (["--", "find"], "ambiguous option: -- could match --help, --bytes"),
     (["find", "--span=1"], cli.EXIT_USAGE),
     (["radii", "--impl"], cli.EXIT_USAGE),
     (["radii", "--impl", "--raw"], cli.EXIT_USAGE),
@@ -442,11 +430,12 @@ PARSES = [
 
 @pytest.mark.parametrize("argv, expected", PARSES, ids=[" ".join(argv) or "-" for argv, _ in PARSES])
 def test_command_line_syntax(argv, expected, capsys):
-    if expected == cli.EXIT_USAGE:
+    if not isinstance(expected, dict):
         assert cli.main(argv) == cli.EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("usage: lps") and "\nlps: error: " in out.err
+        assert expected == cli.EXIT_USAGE or out.err.endswith(f"\nlps: error: {expected}\n")
     else:
         args = vars(cli._parse(argv))
         assert {name: args[name] for name in expected} == expected
@@ -464,11 +453,11 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
 
 BENCH_ARGS = ["bench", "--lengths", "10", "--alphabets", "2", "--repeats", "1", "--impls", "indexmap"]
 WRITES = {"find": ["find", "--span"], "radii": ["radii"], "gen": ["gen", "--length", "10", "--alphabet", "2"],
-          "bench": BENCH_ARGS}
+          "bench": BENCH_ARGS, "help": ["find", "-h"]}
 
 
 def closed(stream: str, *args: str) -> list[str]:
-    """A command running ``lps ARGS`` with descriptor 0 ("<") or 1 (">") closed."""
+    """A command running ``lps ARGS`` with descriptor 0 ("<"), 1 (">") or 2 ("2>") closed."""
     return ["sh", "-c", f'exec "$@" {stream}&-', "sh", sys.executable, "-m", "lps", *args]
 
 
@@ -496,6 +485,26 @@ def test_failed_write_exits_74(args, stdout):
     assert proc.returncode == cli.EXIT_OUTPUT
     assert proc.stderr.startswith(b"lps: error: cannot write the output: "), proc.stderr
     assert proc.stderr.count(b"\n") == 1 and reason in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["find", "/no/such/file"], cli.EXIT_INPUT), (["find", "--bogus"], cli.EXIT_USAGE),
+     (["find", "input.txt"], cli.EXIT_OUTPUT)],
+    ids=["input", "usage", "output"],
+)
+def test_closed_stderr_keeps_the_exit_code(args, code, tmp_path):
+    # the error line is dropped: not written to stdout, not a traceback
+    (tmp_path / "input.txt").write_text("bananas")
+    if code != cli.EXIT_OUTPUT:
+        proc = subprocess.run(closed("2>", *args), stdout=subprocess.PIPE, cwd=tmp_path, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+    elif not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(closed("2>", *args), stdout=full, cwd=tmp_path, timeout=120)
+        assert proc.returncode == code
 
 
 def test_bench_out_needs_no_stdout(tmp_path):

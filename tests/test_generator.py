@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from lps.core import longest_palindrome
+from lps.core import UsageError, longest_palindrome
 from lps.generator import (
     ALPHABET_MAX,
     GenSpec,
     MASK64,
-    UsageError,
     gen_text,
     iter_chunks,
     rng_next,

@@ -96,7 +96,7 @@ def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
 def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(native, "MAX_SYMBOLS", 6)
     # the kernel itself refuses, naming its limit
-    with pytest.raises(native.NativeUnavailable, match="at most 6 symbols, got 7"):
+    with pytest.raises(core.Unsupported, match="at most 6 symbols, got 7"):
         native.compute_radii("bananas")
     # the default engine routes the text to the Python scan
     radii, stats = core.compute_radii("bananas")
@@ -257,6 +257,15 @@ def test_falls_back_with_one_note(tmp_path, failure):
     assert explicit.returncode == 2
     assert explicit.stdout == b""
     assert explicit.stderr.startswith(b"lps: error: ") and reason in explicit.stderr
+    if failure == "no-compiler":
+        # a bench that names the kernel fails before its --out file is opened
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"earlier report\n")
+        bench = _lps(root, "bench", "--lengths", "10", "--alphabets", "2", "--impls", "native", "--out", str(out),
+                     path=path)
+        assert bench.returncode == 2
+        assert bench.stderr.startswith(b"lps: error: ") and reason in bench.stderr
+        assert out.read_bytes() == b"earlier report\n"
     assert _built(root) == []  # no library and no partial file left behind
 
 

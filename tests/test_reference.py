@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from lps.core import CompareStats, LpsResult, Span, compute_radii, longest_palindrome, result_from_radii
+from lps import reference
+from lps.core import CompareStats, LpsResult, Span, Unsupported, compute_radii, longest_palindrome, result_from_radii
 from lps.generator import GenSpec
 from lps.reference import (
     ORACLE_CAP,
     SOLVERS,
-    DummyUnavailable,
-    OracleCapExceeded,
     augment,
     augmented_radii,
     choose_dummy,
@@ -39,20 +38,14 @@ def test_augmented_radii(text, expected):
     assert radii == expected
 
 
-def test_oracle_cap():
-    with pytest.raises(OracleCapExceeded):
-        naive_radii("ab" * 40, cap=50)
+def test_oracle_cap(monkeypatch):
+    # the cap is read at each call
+    monkeypatch.setattr(reference, "ORACLE_CAP", 50)
+    with pytest.raises(Unsupported, match="^text length 80 exceeds oracle cap 50$"):
+        naive_radii("ab" * 40)
     # the cap is inclusive
-    assert naive_radii("ab", cap=2) == [0, 1, 0, 1, 0]
-
-
-def test_negative_oracle_cap_is_rejected():
-    # not an exceeded cap: no text, however short, could meet a negative one
-    for call in (naive_radii, SOLVERS["naive"]):
-        with pytest.raises(ValueError, match="oracle cap must be >= 0, got -5") as caught:
-            call("", cap=-5)
-        assert not isinstance(caught.value, OracleCapExceeded)
-    assert naive_radii("", cap=0) == [0]
+    monkeypatch.setattr(reference, "ORACLE_CAP", 2)
+    assert naive_radii("ab") == [0, 1, 0, 1, 0]
 
 
 def test_default_cap_value():
@@ -92,7 +85,7 @@ def test_choose_dummy_bytes():
 
 
 def test_choose_dummy_exhausted():
-    with pytest.raises(DummyUnavailable):
+    with pytest.raises(Unsupported):
         choose_dummy(bytes(range(256)))
 
 
