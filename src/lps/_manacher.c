@@ -1,108 +1,159 @@
 /* Compiled index-mapped Manacher scan: the extension module lps/native.py
    builds and loads.
 
-   The scan is the loop of lps.core.python_radii, line for line. It reads
-   the text where it lies: a str through its PEP 393 array of 1, 2 or 4
-   bytes per code point, bytes and other buffers as uint8. It writes the
-   2n+1 radii into a caller-supplied int32 table and returns the number of
-   real symbol comparisons, the count the Python engine reports, and the
-   leftmost center of the longest palindrome. The caller keeps 2n+1 below
-   2^31, so every index and radius fits the table. */
+   The scan is the loop of lps.core.python_radii, line for line, run over
+   a range of centers [start, stop) from a ScanState that carries it from
+   one range to the next; a whole scan is one range. It reads the text
+   where it lies: a str through its PEP 393 array of 1, 2 or 4 bytes per
+   code point, bytes and other buffers as uint8. It writes the 2n+1 radii
+   into an int32 table and reports the number of real symbol comparisons,
+   the count the Python engine reports, and the leftmost center of the
+   longest palindrome. The caller keeps 2n+1 below 2^31, so every index
+   and radius fits the table.
+
+   scan fills a caller's table. write_radii is lps radii's path: it
+   allocates the table itself, unzeroed, and formats and writes each
+   chunk of it as soon as the scan has passed that chunk. On a table
+   longer than one chunk the scan runs on one POSIX thread of its own,
+   which never holds the GIL, while the calling thread formats and writes
+   behind it. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
+/* Output bytes per formatted entry: "-2147483648" and a comma. */
+#define FORMAT_BYTES 12
+
+/* Where a scan stands between two ranges: the reference center and the
+   right edge of its palindrome, the best center and its radius, and the
+   comparisons made so far. */
+typedef struct {
+    int64_t ref, right, best, best_len, comparisons;
+} ScanState;
+
+/* right = -1: no palindrome is known yet, so center 0 expands (over no
+   symbols) instead of reading its own entry as a mirror. Every entry is
+   then written before it is read, and the table needs no zero fill. */
+static const ScanState SCAN_START = {.right = -1};
+
 /* A mirror copy never exceeds the radius it copies, which an earlier
    center already holds, so only an expansion can raise the best length;
-   testing it with > keeps the leftmost center on ties. */
-#define SCAN(T)                                                                  \
-    static int64_t scan_##T(const T *text, int64_t n, int32_t *radii, int64_t *center) \
-    {                                                                            \
-        int64_t comparisons = 0, ref = 0, right = 0, best = 0, best_len = 0;     \
-        for (int64_t j = 0; j < 2 * n + 1; j++) {                                \
-            int64_t radius;                                                      \
-            if (j <= right) {                                                    \
-                int64_t k = 2 * ref - j;                                         \
-                if (k - radii[k] > 2 * ref - right) {                            \
-                    radii[j] = radii[k];                                         \
-                    continue;                                                    \
-                }                                                                \
-                radius = right - j;                                              \
-            } else {                                                             \
-                radius = j & 1;                                                  \
-            }                                                                    \
-            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;       \
-            while (lo >= 0 && hi < n) {                                          \
-                comparisons++;                                                   \
-                if (text[lo] != text[hi])                                        \
-                    break;                                                       \
-                lo--;                                                            \
-                hi++;                                                            \
-            }                                                                    \
-            radius = hi - lo - 1;                                                \
-            radii[j] = (int32_t)radius;                                          \
-            if (radius > best_len) {                                             \
-                best = j;                                                        \
-                best_len = radius;                                               \
-            }                                                                    \
-            if (j + radius > right) {                                            \
-                ref = j;                                                         \
-                right = j + radius;                                              \
-            }                                                                    \
-        }                                                                        \
-        *center = best;                                                          \
-        return comparisons;                                                      \
+   testing it with > keeps the leftmost center on ties. The loop is inlined
+   into each caller: one shared out-of-line copy scanned unary text 5-10%
+   slower, in how the compiler laid out its branches, than a loop compiled
+   where its start and its state are known. */
+#define SCAN(T)                                                                                       \
+    static inline __attribute__((always_inline)) void                                                 \
+    scan_##T(const T *text, int64_t n, int32_t *radii, ScanState *state, int64_t start, int64_t stop) \
+    {                                                                                                 \
+        int64_t comparisons = state->comparisons, ref = state->ref, right = state->right;             \
+        int64_t best = state->best, best_len = state->best_len;                                       \
+        for (int64_t j = start; j < stop; j++) {                                                      \
+            int64_t radius;                                                                           \
+            if (j <= right) {                                                                         \
+                int64_t k = 2 * ref - j;                                                              \
+                if (k - radii[k] > 2 * ref - right) {                                                 \
+                    radii[j] = radii[k];                                                              \
+                    continue;                                                                         \
+                }                                                                                     \
+                radius = right - j;                                                                   \
+            } else {                                                                                  \
+                radius = j & 1;                                                                       \
+            }                                                                                         \
+            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                             \
+            while (lo >= 0 && hi < n) {                                                               \
+                comparisons++;                                                                        \
+                if (text[lo] != text[hi])                                                             \
+                    break;                                                                            \
+                lo--;                                                                                 \
+                hi++;                                                                                 \
+            }                                                                                         \
+            radius = hi - lo - 1;                                                                     \
+            radii[j] = (int32_t)radius;                                                               \
+            if (radius > best_len) {                                                                  \
+                best = j;                                                                             \
+                best_len = radius;                                                                    \
+            }                                                                                         \
+            if (j + radius > right) {                                                                 \
+                ref = j;                                                                              \
+                right = j + radius;                                                                   \
+            }                                                                                         \
+        }                                                                                             \
+        *state = (ScanState){ref, right, best, best_len, comparisons};                                \
     }
 
 SCAN(uint8_t)
 SCAN(uint16_t)
 SCAN(uint32_t)
 
+/* The symbols of a str or a bytes-like object, read where they lie. */
+typedef struct {
+    Py_buffer buffer; /* held for a bytes-like text; empty for a str */
+    const void *data;
+    int kind;
+    Py_ssize_t n;
+} Text;
+
+static int
+text_open(PyObject *object, Text *text)
+{
+    *text = (Text){.kind = PyUnicode_1BYTE_KIND};
+    if (PyUnicode_Check(object)) {
+        if (PyUnicode_READY(object) < 0)
+            return -1;
+        text->kind = PyUnicode_KIND(object);
+        text->data = PyUnicode_DATA(object);
+        text->n = PyUnicode_GET_LENGTH(object);
+        return 0;
+    }
+    if (PyObject_GetBuffer(object, &text->buffer, PyBUF_SIMPLE) < 0)
+        return -1;
+    text->data = text->buffer.buf;
+    text->n = text->buffer.len;
+    return 0;
+}
+
+/* Centers [start, stop) of text into radii, carrying state. */
+static inline __attribute__((always_inline)) void
+scan_range(const Text *text, int32_t *radii, ScanState *state, int64_t start, int64_t stop)
+{
+    if (text->kind == PyUnicode_1BYTE_KIND)
+        scan_uint8_t(text->data, text->n, radii, state, start, stop);
+    else if (text->kind == PyUnicode_2BYTE_KIND)
+        scan_uint16_t(text->data, text->n, radii, state, start, stop);
+    else
+        scan_uint32_t(text->data, text->n, radii, state, start, stop);
+}
+
 /* scan(text, table) -> (comparisons, center): text is a str or a bytes-like
    object of n symbols, table a writable buffer of at least 2n+1 int32. */
 static PyObject *
 scan(PyObject *self, PyObject *args)
 {
-    PyObject *text, *table;
-    if (!PyArg_ParseTuple(args, "OO", &text, &table))
+    PyObject *object, *table;
+    if (!PyArg_ParseTuple(args, "OO", &object, &table))
         return NULL;
-    Py_buffer symbols = {0}, out;
-    const void *data;
-    int kind = PyUnicode_1BYTE_KIND;
-    Py_ssize_t n;
-    if (PyUnicode_Check(text)) {
-        if (PyUnicode_READY(text) < 0)
-            return NULL;
-        kind = PyUnicode_KIND(text);
-        data = PyUnicode_DATA(text);
-        n = PyUnicode_GET_LENGTH(text);
-    } else {
-        if (PyObject_GetBuffer(text, &symbols, PyBUF_SIMPLE) < 0)
-            return NULL;
-        data = symbols.buf;
-        n = symbols.len;
-    }
+    Text text;
+    Py_buffer out;
+    if (text_open(object, &text) < 0)
+        return NULL;
     if (PyObject_GetBuffer(table, &out, PyBUF_WRITABLE) < 0) {
-        PyBuffer_Release(&symbols);
+        PyBuffer_Release(&text.buffer);
         return NULL;
     }
     PyObject *result = NULL;
-    if (out.len / 4 < 2 * n + 1) {
-        PyErr_Format(PyExc_ValueError, "a table of %zd bytes cannot hold %zd radii", out.len, 2 * n + 1);
+    if (out.len / 4 < 2 * text.n + 1) {
+        PyErr_Format(PyExc_ValueError, "a table of %zd bytes cannot hold %zd radii", out.len, 2 * text.n + 1);
     } else {
-        int64_t comparisons, center;
-        if (kind == PyUnicode_1BYTE_KIND)
-            comparisons = scan_uint8_t(data, n, out.buf, &center);
-        else if (kind == PyUnicode_2BYTE_KIND)
-            comparisons = scan_uint16_t(data, n, out.buf, &center);
-        else
-            comparisons = scan_uint32_t(data, n, out.buf, &center);
-        result = Py_BuildValue("LL", (long long)comparisons, (long long)center);
+        ScanState state = SCAN_START;
+        scan_range(&text, out.buf, &state, 0, 2 * text.n + 1);
+        result = Py_BuildValue("LL", (long long)state.comparisons, (long long)state.best);
     }
     PyBuffer_Release(&out);
-    PyBuffer_Release(&symbols);
+    PyBuffer_Release(&text.buffer);
     return result;
 }
 
@@ -158,10 +209,32 @@ static inline char *put_decimal(char *p, uint32_t v)
     return p + 8;
 }
 
+/* radii[start:stop] as decimals, each followed by a comma, into out, which
+   holds FORMAT_BYTES per entry; returns the end. */
+static char *
+format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
+{
+    for (Py_ssize_t i = start; i < stop; i++) {
+        uint32_t magnitude = (uint32_t)radii[i];
+        if (magnitude < 10) {
+            end[0] = (char)('0' + magnitude);
+            end[1] = ',';
+            end += 2;
+            continue;
+        }
+        if (radii[i] < 0) {
+            *end++ = '-';
+            magnitude = -magnitude;
+        }
+        end = put_decimal(end, magnitude);
+        *end++ = ',';
+    }
+    return end;
+}
+
 /* format_radii(radii, start, stop, out) -> bytes written: radii[start:stop]
    of an array('i') as comma-separated decimals, the text str() gives for
-   each entry, into the writable buffer out, 12 bytes per entry:
-   "-2147483648" plus a comma. */
+   each entry, into the writable buffer out, FORMAT_BYTES per entry. */
 static PyObject *
 format_radii(PyObject *self, PyObject *args)
 {
@@ -186,29 +259,12 @@ format_radii(PyObject *self, PyObject *args)
     Py_ssize_t count = in.len / 4;
     if (!(0 <= start && start <= stop && stop <= count)) {
         PyErr_Format(PyExc_ValueError, "slice %zd:%zd outside a table of %zd entries", start, stop, count);
-    } else if (out.len / 12 < stop - start) {
+    } else if (out.len / FORMAT_BYTES < stop - start) {
         PyErr_Format(PyExc_ValueError, "%zd bytes cannot hold %zd formatted entries", out.len, stop - start);
     } else {
-        const int32_t *radii = (const int32_t *)in.buf;
-        char *end = out.buf;
-        /* a comma after every entry, the last one dropped below */
-        for (Py_ssize_t i = start; i < stop; i++) {
-            uint32_t magnitude = (uint32_t)radii[i];
-            if (magnitude < 10) {
-                end[0] = (char)('0' + magnitude);
-                end[1] = ',';
-                end += 2;
-                continue;
-            }
-            if (radii[i] < 0) {
-                *end++ = '-';
-                magnitude = -magnitude;
-            }
-            end = put_decimal(end, magnitude);
-            *end++ = ',';
-        }
+        char *end = format_range(in.buf, start, stop, out.buf);
         if (stop > start)
-            end--;
+            end--; /* the last comma */
         result = PyLong_FromSsize_t(end - (char *)out.buf);
     }
     PyBuffer_Release(&out);
@@ -216,9 +272,123 @@ format_radii(PyObject *self, PyObject *args)
     return result;
 }
 
+/* What the scanner thread and the writing thread share. The scanner
+   publishes under lock how far the table is final; the writer sets quit
+   when it stops early, and the scanner stops after its current chunk. */
+typedef struct {
+    Text text;
+    int32_t *radii;
+    int64_t size, chunk;
+    ScanState state;
+    pthread_mutex_t lock;
+    pthread_cond_t moved;
+    int64_t done; /* radii[0:done] are final */
+    int quit;
+} Pipeline;
+
+static void *
+scanner(void *arg)
+{
+    Pipeline *p = arg;
+    int quit = 0;
+    for (int64_t start = 0; start < p->size && !quit; start += p->chunk) {
+        int64_t stop = start + p->chunk < p->size ? start + p->chunk : p->size;
+        scan_range(&p->text, p->radii, &p->state, start, stop);
+        pthread_mutex_lock(&p->lock);
+        p->done = stop;
+        quit = p->quit;
+        pthread_cond_signal(&p->moved);
+        pthread_mutex_unlock(&p->lock);
+    }
+    return NULL;
+}
+
+/* Scan p's table and pass each chunk of it, formatted into buffer, to
+   write; -1 with an exception set if write or a signal handler raised. */
+static int
+write_chunks(Pipeline *p, PyObject *write, PyObject *buffer)
+{
+    PyObject *view = PyMemoryView_FromObject(buffer);
+    if (view == NULL)
+        return -1;
+    pthread_t thread;
+    /* a table of one chunk is scanned inline, as is any table if no thread starts */
+    int threaded = p->size > p->chunk && pthread_create(&thread, NULL, scanner, p) == 0;
+    int failed = 0;
+    for (int64_t start = 0; start < p->size && !failed; start += p->chunk) {
+        int64_t stop = start + p->chunk < p->size ? start + p->chunk : p->size;
+        if (threaded) {
+            Py_BEGIN_ALLOW_THREADS
+            pthread_mutex_lock(&p->lock);
+            while (p->done < stop)
+                pthread_cond_wait(&p->moved, &p->lock);
+            pthread_mutex_unlock(&p->lock);
+            Py_END_ALLOW_THREADS
+        } else {
+            scan_range(&p->text, p->radii, &p->state, start, stop);
+        }
+        if (PyErr_CheckSignals() < 0) {
+            failed = 1;
+            break;
+        }
+        char *base = PyByteArray_AS_STRING(buffer);
+        char *end = format_range(p->radii, start, stop, base);
+        if (stop == p->size)
+            end[-1] = '\n'; /* in place of the last comma */
+        PyObject *slice = PySequence_GetSlice(view, 0, end - base);
+        PyObject *written = slice ? PyObject_CallOneArg(write, slice) : NULL;
+        failed = written == NULL;
+        Py_XDECREF(written);
+        Py_XDECREF(slice);
+    }
+    if (threaded) {
+        pthread_mutex_lock(&p->lock);
+        p->quit = failed;
+        pthread_mutex_unlock(&p->lock);
+        Py_BEGIN_ALLOW_THREADS
+        pthread_join(thread, NULL);
+        Py_END_ALLOW_THREADS
+    }
+    Py_DECREF(view);
+    return failed ? -1 : 0;
+}
+
+/* write_radii(text, write, chunk) -> (comparisons, center): scan text as
+   scan does and call write with each chunk entries of the table formatted
+   as format_radii formats them, a comma between chunks and a newline at
+   the end, as a memoryview of one reused bytearray. If write raises, the
+   scan stops and the exception propagates. Memory: the 4(2n+1)-byte table
+   and FORMAT_BYTES per chunk entry. */
+static PyObject *
+write_radii(PyObject *self, PyObject *args)
+{
+    PyObject *object, *write;
+    Py_ssize_t chunk;
+    if (!PyArg_ParseTuple(args, "OOn", &object, &write, &chunk))
+        return NULL;
+    if (chunk < 1)
+        return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
+    Pipeline p = {.state = SCAN_START, .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
+    if (text_open(object, &p.text) < 0)
+        return NULL;
+    p.size = 2 * p.text.n + 1;
+    p.chunk = chunk < p.size ? chunk : p.size;
+    /* unzeroed: the page faults of a fresh table land in the scan */
+    p.radii = PyMem_RawMalloc(4 * p.size);
+    PyObject *buffer = p.radii ? PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * p.chunk) : PyErr_NoMemory();
+    PyObject *result = NULL;
+    if (buffer != NULL && write_chunks(&p, write, buffer) == 0)
+        result = Py_BuildValue("LL", (long long)p.state.comparisons, (long long)p.state.best);
+    Py_XDECREF(buffer);
+    PyMem_RawFree(p.radii);
+    PyBuffer_Release(&p.text.buffer);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS, "scan(text, table) -> (comparisons, center)"},
     {"format_radii", format_radii, METH_VARARGS, "format_radii(radii, start, stop, out) -> bytes written"},
+    {"write_radii", write_radii, METH_VARARGS, "write_radii(text, write, chunk) -> (comparisons, center)"},
     {NULL, NULL, 0, NULL},
 };
 

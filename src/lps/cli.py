@@ -12,7 +12,9 @@ the symbol model to raw bytes, in which case nothing is stripped.
 
 find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
-after one note on stderr. --impl picks an implementation of
+after one note on stderr. radii runs the kernel through
+lps.native.write_radii, which writes the table while it scans it, and
+writes any other engine's table with str. --impl picks an implementation of
 lps.reference.SOLVERS explicitly. Without it, find and radii import
 neither lps.reference nor lps.generator; the commands that use them
 import them.
@@ -114,22 +116,13 @@ def _solve(args, text):
 
 
 def _write_radii(table, out) -> None:
-    """Write ``table`` comma separated with a closing newline, formatting
-    RADII_CHUNK entries at a time instead of one string for all of them.
-
-    The kernel formats the tables it owns into one reused buffer; any other
-    table is formatted by ``str`` per entry."""
-    owned = native.owns(table)
-    if owned:
-        buffer = bytearray(native.FORMAT_BYTES * min(RADII_CHUNK, len(table)))
+    """Write a Python engine's ``table`` comma separated with a closing
+    newline, formatting RADII_CHUNK entries at a time with ``str`` instead
+    of one string for all of them."""
     for start in range(0, len(table), RADII_CHUNK):
-        stop = min(start + RADII_CHUNK, len(table))
         if start:
             out.write(b",")
-        if owned:
-            out.write(memoryview(buffer)[: native.format_radii(table, start, stop, buffer)])
-        else:
-            out.write(",".join(map(str, table[start:stop])).encode("ascii"))
+        out.write(",".join(map(str, table[start : start + RADII_CHUNK])).encode("ascii"))
     out.write(b"\n")
 
 
@@ -151,10 +144,16 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    radii = _solve(args, text)[0]
+    # the kernel scans while it writes; any other engine's table is solved first
+    kernel = args.impl == "native" if args.impl else native.takes(text)
+    table = None if kernel else _solve(args, text)[0]
     with _writing():
-        _write_radii(radii, _stdout().buffer)
-        sys.stdout.buffer.flush()
+        out = _stdout().buffer
+        if kernel:
+            native.write_radii(text, out.write, RADII_CHUNK)
+        else:
+            _write_radii(table, out)
+        out.flush()
     return EXIT_OK
 
 
@@ -309,19 +308,12 @@ def _usage(command: str | None, full: bool = False) -> str:
     return "\n".join([usage, *rows]) if full else usage
 
 
-def _report(lines: str) -> None:
-    """Print ``lines`` on stderr, unless it is closed or fails: the exit code names the failure."""
-    if sys.stderr is not None:
-        with contextlib.suppress(OSError):
-            print(lines, file=sys.stderr, flush=True)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         message, command = exc.args
-        _report(f"{_usage(command)}\nlps: error: {message}")
+        native.report(f"{_usage(command)}\nlps: error: {message}")
         return EXIT_USAGE
     try:
         return (_cmd_help if args.help else _COMMANDS[args.command])(args)
@@ -335,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (core.Unsupported, OSError) as exc:
         message, code = exc, EXIT_INPUT
-    _report(f"lps: error: {message}")
+    native.report(f"lps: error: {message}")
     return code
 
 

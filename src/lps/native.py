@@ -15,12 +15,13 @@ source's CRC-32 and the interpreter's extension suffix; later runs only
 load it. A new build deletes the interpreter's earlier ones.
 
 The package plugs this module into :data:`lps.core.kernel`, so
-``core.compute_radii`` runs the kernel on the texts it :func:`takes`;
-``lps radii`` formats the tables it :func:`owns` with :func:`format_radii`.
-When no compiler or no ``Python.h`` is found or the build fails,
+``core.compute_radii`` runs the kernel on the texts it :func:`takes`.
+``lps radii`` runs :func:`write_radii` on them instead, which formats and
+writes the table chunk by chunk while a second thread is still scanning
+it. When no compiler or no ``Python.h`` is found or the build fails,
 :func:`takes` is false after one note on stderr and the default engine
-stays pure Python, while an explicit :func:`compute_radii` call raises
-:class:`lps.core.Unsupported`.
+stays pure Python, while an explicit :func:`compute_radii` or
+:func:`write_radii` call raises :class:`lps.core.Unsupported`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .core import CompareStats, Unsupported
 
 __all__ = [
     "FORMAT_BYTES", "MAX_SYMBOLS", "available",
-    "compute_radii", "format_radii", "load", "owns", "takes",
+    "compute_radii", "format_radii", "load", "report", "takes", "write_radii",
 ]
 
 # 2N+1 centers must index an int32 table; longer texts stay on lps.core.
@@ -62,7 +63,7 @@ def _build(source: bytes, library: str) -> None:
     os.close(fd)
     try:
         # the source goes in on stdin, so the built bytes are the hashed bytes
-        command = ("cc", "-O2", "-shared", "-fPIC", f"-I{include}", "-x", "c", "-", "-o", partial)
+        command = ("cc", "-O2", "-shared", "-fPIC", "-pthread", f"-I{include}", "-x", "c", "-", "-o", partial)
         done = subprocess.run(command, input=source, capture_output=True, timeout=120)
         if done.returncode != 0:
             # one line, so the fallback note stays one line
@@ -123,6 +124,17 @@ def load():
     return _module
 
 
+def report(lines: str) -> None:
+    """Print ``lines`` on stderr, unless it is closed or fails: neither a
+    note nor an error line may reach stdout or raise. ``lps`` prints its
+    own error lines here too; its exit code names the failure."""
+    if sys.stderr is not None:
+        try:
+            print(lines, file=sys.stderr, flush=True)
+        except OSError:
+            pass
+
+
 def available() -> bool:
     """Whether the kernel loads. The first failure writes one note on stderr."""
     global _noted
@@ -131,7 +143,7 @@ def available() -> bool:
     except Unsupported as exc:
         if not _noted:
             _noted = True
-            print(f"lps: note: {exc}; using the pure-Python indexmap engine", file=sys.stderr)
+            report(f"lps: note: {exc}; using the pure-Python indexmap engine")
         return False
     return True
 
@@ -142,22 +154,37 @@ def takes(text) -> bool:
     return isinstance(text, (str, bytes, bytearray)) and len(text) <= MAX_SYMBOLS and available()
 
 
+def _kernel(text):
+    """The loaded module, if it takes ``text``; raises lps.core.Unsupported."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
+    if len(text) > MAX_SYMBOLS:
+        raise Unsupported(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
+    return load()
+
+
 def compute_radii(text: str | bytes) -> tuple[array, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as an ``array('i')``. Takes ``str`` and
     ``bytes`` of at most :data:`MAX_SYMBOLS` symbols; a longer text raises
     :class:`lps.core.Unsupported`."""
-    if not isinstance(text, (str, bytes, bytearray)):
-        raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
-    if len(text) > MAX_SYMBOLS:
-        raise Unsupported(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
+    kernel = _kernel(text)
     radii = array("i", [0]) * (2 * len(text) + 1)
-    return radii, CompareStats(*load().scan(text, radii))
+    return radii, CompareStats(*kernel.scan(text, radii))
 
 
-def owns(radii) -> bool:
-    """Whether ``radii`` is a table the loaded kernel can format: an ``array('i')``."""
-    return _module is not None and isinstance(radii, array) and radii.typecode == "i"
+def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
+    """Scan ``text`` as :func:`compute_radii` does and pass its table to
+    ``write`` as the ASCII bytes of ``",".join(map(str, radii)) + "\\n"``,
+    one memoryview per ``chunk`` entries, and return the stats.
+
+    The table is never a Python object: the kernel allocates it, and on a
+    table of more than ``chunk`` entries scans it on a thread of its own,
+    while this thread formats and writes each chunk the scan has passed.
+    Memory is the 4-byte table and :data:`FORMAT_BYTES` per chunk entry.
+    An exception from ``write`` stops the scan and propagates. Takes the
+    texts :func:`compute_radii` takes."""
+    return CompareStats(*_kernel(text).write_radii(text, write, chunk))
 
 
 def format_radii(radii: array, start: int, stop: int, out) -> int:

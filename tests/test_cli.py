@@ -105,21 +105,28 @@ def test_augmented_without_free_dummy_exits_2():
 def test_cli_import_does_not_load_numpy(tmp_path):
     # nor the bench harness, dataclasses, inspect, the generator or the
     # reference solvers; and running find and radii loads no argparse,
-    # gettext or locale beyond what the interpreter had at start-up
+    # gettext or locale, nor (radii on a table of several chunks, scanned
+    # on a thread of the kernel's own) threading or queue, beyond what the
+    # interpreter had at start-up
     heavy = "numpy", "dataclasses", "inspect", "lps.bench", "lps.generator", "lps.reference"
-    parsers = "argparse", "gettext", "locale"
+    unused = "argparse", "gettext", "locale", "threading", "queue"
     path = tmp_path / "input.txt"
     path.write_text("bananas")
+    unary = tmp_path / "unary.txt"
+    unary.write_text("a" * cli.RADII_CHUNK)  # 2 * RADII_CHUNK + 1 entries: three chunks
     probe = (
         "import sys; before = set(sys.modules); import lps.cli; "
         f"print([name for name in {heavy!r} if name in sys.modules], flush=True); "
         f"assert lps.cli.main(['find', '--span', {str(path)!r}]) == 0; "
         f"assert lps.cli.main(['radii', {str(path)!r}]) == 0; "
-        f"print([name for name in {heavy + parsers!r} if name in sys.modules and name not in before])"
+        f"assert lps.cli.main(['radii', {str(unary)!r}]) == 0; "
+        f"print([name for name in {heavy + unused!r} if name in sys.modules and name not in before])"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"[]\nanana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n[]\n"
+    n = cli.RADII_CHUNK
+    radii = ",".join(str(min(j, 2 * n - j)) for j in range(2 * n + 1)).encode()
+    assert proc.stdout == b"[]\nanana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n" + radii + b"\n[]\n"
     # lps bench itself, run in-process, loads numpy (and with it inspect) but
     # no dataclasses
     bench_argv = ["bench", "--lengths", "20", "--alphabets", "2", "--repeats", "1", "--out", os.devnull]

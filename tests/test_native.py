@@ -8,11 +8,13 @@ fresh copy of the package, so each starts with no compiled library.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import itertools
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -52,16 +54,18 @@ def test_memory_does_not_depend_on_content():
         "bytes": b"ab" * (length // 2),
     }
     native.load()  # build and load outside the traced calls
-    peaks = []
-    for text in texts.values():
-        assert len(text) == length
-        tracemalloc.start()
-        native.compute_radii(text)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
     table = 4 * (2 * length + 1)  # the int32 radii table
-    assert max(peaks) - min(peaks) < 1024
-    assert table <= min(peaks) and max(peaks) < table + 64 * 1024
+    buffer = native.FORMAT_BYTES * cli.RADII_CHUNK  # write_radii's output buffer
+    for run, extra in ((native.compute_radii, 0), (lambda text: native.write_radii(text, len, cli.RADII_CHUNK), buffer)):
+        peaks = []
+        for text in texts.values():
+            assert len(text) == length
+            tracemalloc.start()
+            run(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert max(peaks) - min(peaks) < 1024
+        assert table + extra <= min(peaks) and max(peaks) < table + extra + 64 * 1024
 
 
 @pytest.mark.parametrize("n", [3, 4, 10, 1000])
@@ -111,34 +115,39 @@ def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
     assert captured.err == "lps: error: the compiled kernel takes at most 6 symbols, got 7\n"
 
 
-TABLE_KINDS = {"kernel": lambda values: array("i", values), "list": list}
-
-
 def _written(table) -> bytes:
     out = io.BytesIO()
     cli._write_radii(table, out)
     return out.getvalue()
 
 
+def _kernel_written(text, chunk=cli.RADII_CHUNK) -> tuple[bytes, core.CompareStats]:
+    out = io.BytesIO()
+    stats = native.write_radii(text, out.write, chunk)
+    return out.getvalue(), stats
+
+
+def _joined(values) -> bytes:
+    return (",".join(map(str, values)) + "\n").encode("ascii")
+
+
 TABLE_SIZES = [1, cli.RADII_CHUNK - 1, cli.RADII_CHUNK, cli.RADII_CHUNK + 1]
-
-
-def _check_streamed(kind, size):
-    native.load()
-    table = TABLE_KINDS[kind](range(size))  # size 1 is the empty text's table, [0]
-    assert native.owns(table) == (kind == "kernel")  # the C formatter or the str join
-    assert not native.owns(array("q", table))  # only int32 tables are the kernel's
-    assert _written(table) == (",".join(map(str, table)) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
 def test_radii_output_streams_whole_table(size):
-    _check_streamed("kernel", size)
+    # a scan's table has 2n+1 entries, an odd count, so the even size is
+    # reached as a table of size - 1 against a chunk one entry shorter
+    n = (size - 1) // 2
+    text = "a" * n  # size 1 is the empty text's table, [0]
+    chunk = cli.RADII_CHUNK - (size - (2 * n + 1))
+    assert _kernel_written(text, chunk) == (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
 def test_radii_output_streams_whole_list(size):
-    _check_streamed("list", size)
+    table = list(range(size))
+    assert _written(table) == _joined(table)
 
 
 # every digit count and the zero-padded 4-digit groups of the C formatter
@@ -153,12 +162,109 @@ FORMAT_EDGES = (
 )
 
 
-@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("kind", ["kernel", "list"])
 def test_radii_output_matches_str_at_digit_and_sign_edges(kind):
-    native.load()
-    values = FORMAT_EDGES
-    table = TABLE_KINDS[kind](values)
-    assert _written(table) == (",".join(map(str, values)) + "\n").encode()
+    if kind == "list":
+        assert _written(FORMAT_EDGES) == _joined(FORMAT_EDGES)
+        return
+    # a scan writes no negative radius and none past 2n: unary text reaches
+    # every radius up to n, so every digit count up to 7 and each group
+    # edge below 10^7; the format_radii tests below reach the rest
+    text = "a" * (10**6 + 1)
+    radii, stats = native.compute_radii(text)
+    assert _kernel_written(text) == (_joined(radii), stats)
+
+
+WRITE_TEXTS = {
+    "ascii": lambda n: gen_text(GenSpec(n, 3, n)),
+    "latin-1": lambda n: gen_text(GenSpec(n, 2, n)).translate({ord("a"): "\xe9"}),
+    "bmp": lambda n: gen_text(GenSpec(n, 3, n)).translate({ord("a"): "\u0101"}),
+    "astral": lambda n: gen_text(GenSpec(n, 3, n)).translate({ord("a"): "\U0001f600"}),
+    "bytes": lambda n: gen_text(GenSpec(n, 4, n)).encode(),
+    "unary": lambda n: "a" * n,
+}
+# the table sizes 2n+1 around one and two chunks; the empty text's is 1
+WRITE_LENGTHS = [0, cli.RADII_CHUNK // 2 - 1, cli.RADII_CHUNK // 2, cli.RADII_CHUNK]
+
+
+def _garbage(size: int) -> None:
+    """Leave ``size`` bytes of 0xff where malloc hands out its next block of
+    that size; twice, because glibc serves the first large block from a
+    fresh zeroed mapping and only raises its mmap threshold when it is freed."""
+    libc = ctypes.CDLL(None)
+    libc.malloc.restype = ctypes.c_void_p
+    libc.malloc.argtypes = [ctypes.c_size_t]
+    libc.free.argtypes = [ctypes.c_void_p]
+    for _ in range(2):
+        block = libc.malloc(size)
+        ctypes.memset(block, 0xFF, size)
+        libc.free(block)
+
+
+@pytest.mark.parametrize("n", WRITE_LENGTHS)
+@pytest.mark.parametrize("kind", WRITE_TEXTS)
+def test_write_radii_matches_the_python_engine(kind, n):
+    # the kernel's table is not zero-filled: an entry read before the scan
+    # writes it (center 0 as its own mirror) would read the garbage
+    text = WRITE_TEXTS[kind](n)
+    assert len(text) == n
+    expected = (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
+    _garbage(4 * (2 * n + 1))
+    assert _kernel_written(text) == expected
+
+
+def _threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_write_radii_runs_at_most_one_scanner_thread():
+    before = _threads()
+    for n, extra in ((cli.RADII_CHUNK // 2 - 1, 0), (10**6, 1)):  # one chunk, then many
+        seen = []
+        native.write_radii("a" * n, lambda chunk: seen.append(_threads()), cli.RADII_CHUNK)
+        assert max(seen) <= before + extra, n
+        assert _threads() == before  # joined
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_write_radii_propagates_an_exception_from_write():
+    calls = []
+
+    def write(chunk):
+        calls.append(bytes(chunk))
+        if len(calls) == 2:
+            raise _Stop
+
+    text = "a" * 10**6  # 31 chunks: the scanner is still running at the second
+    with pytest.raises(_Stop):
+        native.write_radii(text, write, cli.RADII_CHUNK)
+    assert len(calls) == 2
+    # the scanner was joined and the table freed: the next run is whole
+    radii, stats = native.compute_radii(text)
+    assert _kernel_written(text) == (_joined(radii), stats)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_write_radii_stops_on_a_signal():
+    # list.append is C, so no Python code runs between chunks: only the
+    # kernel's own signal check can raise the handler's exception mid-table
+    def alarm(signum, frame):
+        raise _Stop
+
+    chunks = []
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.002)
+        with pytest.raises(_Stop):
+            native.write_radii("a" * 10**6, chunks.append, 16)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(chunks) < (2 * 10**6 + 1) // 16
 
 
 def test_format_radii_stays_inside_its_buffer():
@@ -252,6 +358,13 @@ def test_falls_back_with_one_note(tmp_path, failure):
         assert proc.stdout == expected
         (note,) = proc.stderr.splitlines()
         assert note.startswith(b"lps: note: ") and reason in note
+
+    if failure == "no-compiler":
+        # with stderr closed the note is dropped, not written to stdout
+        argv = [shutil.which("sh"), "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "lps", "find"]
+        env = {**os.environ, "PYTHONPATH": str(root), "PATH": path}
+        proc = subprocess.run(argv, input=b"bananas", stdout=subprocess.PIPE, timeout=120, env=env)
+        assert (proc.returncode, proc.stdout) == (0, b"anana\n")
 
     explicit = _lps(root, "find", "--impl", "native", path=path)
     assert explicit.returncode == 2
