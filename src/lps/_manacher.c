@@ -11,12 +11,12 @@
    longest palindrome. The caller keeps 2n+1 below 2^31, so every index
    and radius fits the table.
 
-   scan fills a caller's table. write_radii is lps radii's path: it
-   allocates the table itself, unzeroed, and formats and writes each
-   chunk of it as soon as the scan has passed that chunk. On a table
-   longer than one chunk the scan runs on one POSIX thread of its own,
-   which never holds the GIL, while the calling thread formats and writes
-   behind it. */
+   Both entry points allocate the table themselves, unzeroed: scan
+   returns it whole, and write_radii, lps radii's path, formats and
+   writes each chunk of it as soon as the scan has passed that chunk. On
+   a table longer than one chunk write_radii scans on one POSIX thread
+   of its own, which never holds the GIL, while the calling thread
+   formats and writes behind it. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -24,8 +24,9 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Output bytes per formatted entry: "-2147483648" and a comma. */
-#define FORMAT_BYTES 12
+/* Output bytes per formatted entry: "1073741823", the largest radius a
+   table of 2n+1 < 2^31 entries holds, and a comma. */
+#define FORMAT_BYTES 11
 
 /* Where a scan stands between two ranges: the reference center and the
    right edge of its palindrome, the best center and its radius, and the
@@ -128,31 +129,24 @@ scan_range(const Text *text, int32_t *radii, ScanState *state, int64_t start, in
         scan_uint32_t(text->data, text->n, radii, state, start, stop);
 }
 
-/* scan(text, table) -> (comparisons, center): text is a str or a bytes-like
-   object of n symbols, table a writable buffer of at least 2n+1 int32. */
+/* scan(text) -> (table, comparisons, center): text is a str or a
+   bytes-like object of n symbols, table a new bytearray of its 2n+1 radii
+   as int32, not zero-filled: SCAN_START writes every entry before it
+   reads it. */
 static PyObject *
-scan(PyObject *self, PyObject *args)
+scan(PyObject *Py_UNUSED(self), PyObject *object)
 {
-    PyObject *object, *table;
-    if (!PyArg_ParseTuple(args, "OO", &object, &table))
-        return NULL;
     Text text;
-    Py_buffer out;
     if (text_open(object, &text) < 0)
         return NULL;
-    if (PyObject_GetBuffer(table, &out, PyBUF_WRITABLE) < 0) {
-        PyBuffer_Release(&text.buffer);
-        return NULL;
-    }
+    int64_t size = 2 * text.n + 1;
+    PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
     PyObject *result = NULL;
-    if (out.len / 4 < 2 * text.n + 1) {
-        PyErr_Format(PyExc_ValueError, "a table of %zd bytes cannot hold %zd radii", out.len, 2 * text.n + 1);
-    } else {
+    if (table != NULL) {
         ScanState state = SCAN_START;
-        scan_range(&text, out.buf, &state, 0, 2 * text.n + 1);
-        result = Py_BuildValue("LL", (long long)state.comparisons, (long long)state.best);
+        scan_range(&text, (int32_t *)PyByteArray_AS_STRING(table), &state, 0, size);
+        result = Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best);
     }
-    PyBuffer_Release(&out);
     PyBuffer_Release(&text.buffer);
     return result;
 }
@@ -197,79 +191,29 @@ static inline char *put_decimal(char *p, uint32_t v)
 {
     if (v < 10000)
         return put_lead(p, v);
-    if (v < 100000000) {
-        p = put_lead(p, v / 10000);
-        put4(p, v % 10000);
-        return p + 4;
-    }
-    uint32_t low = v % 100000000;
-    p = put_lead(p, v / 100000000);
-    put4(p, low / 10000);
-    put4(p + 4, low % 10000);
-    return p + 8;
+    p = put_decimal(p, v / 10000);
+    put4(p, v % 10000);
+    return p + 4;
 }
 
-/* radii[start:stop] as decimals, each followed by a comma, into out, which
-   holds FORMAT_BYTES per entry; returns the end. */
+/* radii[start:stop], none of them negative, as decimals, each followed
+   by a comma, into out, which holds FORMAT_BYTES per entry; returns the
+   end. */
 static char *
 format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
 {
     for (Py_ssize_t i = start; i < stop; i++) {
-        uint32_t magnitude = (uint32_t)radii[i];
-        if (magnitude < 10) {
-            end[0] = (char)('0' + magnitude);
+        uint32_t radius = (uint32_t)radii[i];
+        if (radius < 10) {
+            end[0] = (char)('0' + radius);
             end[1] = ',';
             end += 2;
             continue;
         }
-        if (radii[i] < 0) {
-            *end++ = '-';
-            magnitude = -magnitude;
-        }
-        end = put_decimal(end, magnitude);
+        end = put_decimal(end, radius);
         *end++ = ',';
     }
     return end;
-}
-
-/* format_radii(radii, start, stop, out) -> bytes written: radii[start:stop]
-   of an array('i') as comma-separated decimals, the text str() gives for
-   each entry, into the writable buffer out, FORMAT_BYTES per entry. */
-static PyObject *
-format_radii(PyObject *self, PyObject *args)
-{
-    PyObject *table, *buffer;
-    Py_ssize_t start, stop;
-    if (!PyArg_ParseTuple(args, "OnnO", &table, &start, &stop, &buffer))
-        return NULL;
-    Py_buffer in, out;
-    if (PyObject_GetBuffer(table, &in, PyBUF_FORMAT) < 0)
-        return NULL;
-    const char *format = in.format ? in.format : "B";
-    if (in.itemsize != 4 || strcmp(format, "i") != 0) {
-        PyErr_Format(PyExc_TypeError, "the kernel formats array('i') tables, got format '%s'", format);
-        PyBuffer_Release(&in);
-        return NULL;
-    }
-    if (PyObject_GetBuffer(buffer, &out, PyBUF_WRITABLE) < 0) {
-        PyBuffer_Release(&in);
-        return NULL;
-    }
-    PyObject *result = NULL;
-    Py_ssize_t count = in.len / 4;
-    if (!(0 <= start && start <= stop && stop <= count)) {
-        PyErr_Format(PyExc_ValueError, "slice %zd:%zd outside a table of %zd entries", start, stop, count);
-    } else if (out.len / FORMAT_BYTES < stop - start) {
-        PyErr_Format(PyExc_ValueError, "%zd bytes cannot hold %zd formatted entries", out.len, stop - start);
-    } else {
-        char *end = format_range(in.buf, start, stop, out.buf);
-        if (stop > start)
-            end--; /* the last comma */
-        result = PyLong_FromSsize_t(end - (char *)out.buf);
-    }
-    PyBuffer_Release(&out);
-    PyBuffer_Release(&in);
-    return result;
 }
 
 /* What the scanner thread and the writing thread share. The scanner
@@ -354,13 +298,13 @@ write_chunks(Pipeline *p, PyObject *write, PyObject *buffer)
 }
 
 /* write_radii(text, write, chunk) -> (comparisons, center): scan text as
-   scan does and call write with each chunk entries of the table formatted
-   as format_radii formats them, a comma between chunks and a newline at
-   the end, as a memoryview of one reused bytearray. If write raises, the
-   scan stops and the exception propagates. Memory: the 4(2n+1)-byte table
-   and FORMAT_BYTES per chunk entry. */
+   scan does and call write with each chunk entries of the table as the
+   decimals str() gives, comma separated, a comma between chunks and a
+   newline at the end, as a memoryview of one reused bytearray. If write
+   raises, the scan stops and the exception propagates. Memory: the
+   4(2n+1)-byte table and FORMAT_BYTES per chunk entry. */
 static PyObject *
-write_radii(PyObject *self, PyObject *args)
+write_radii(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *object, *write;
     Py_ssize_t chunk;
@@ -386,8 +330,7 @@ write_radii(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"scan", scan, METH_VARARGS, "scan(text, table) -> (comparisons, center)"},
-    {"format_radii", format_radii, METH_VARARGS, "format_radii(radii, start, stop, out) -> bytes written"},
+    {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
     {"write_radii", write_radii, METH_VARARGS, "write_radii(text, write, chunk) -> (comparisons, center)"},
     {NULL, NULL, 0, NULL},
 };

@@ -131,9 +131,10 @@ def to_original_span(center: int, radius: int) -> Span:
 def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     """Palindrome lengths for all 2N+1 centers: the default engine.
 
-    ``str`` and ``bytes`` run on the compiled kernel where it loads (an
-    ``array('i')`` table), anything else on :func:`python_radii` (a
-    ``list``). Both give the same radii, comparison count and center.
+    ``str`` and ``bytes`` run on the compiled kernel where it loads (a
+    memoryview of format ``i`` over the int32 table the kernel allocates),
+    anything else on :func:`python_radii` (a ``list``). Both give the same
+    radii, comparison count and center.
     """
     if kernel is not None and kernel.takes(text):
         return kernel.compute_radii(text)

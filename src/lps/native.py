@@ -3,10 +3,12 @@
 The kernel is :func:`lps.core.python_radii` line for line. It reads a
 ``str`` in place, through the 1, 2 or 4 bytes per code point CPython
 stores it in, and ``bytes`` through the buffer protocol, so no copy of the
-symbols is made. It writes an ``int32`` radii table, so its memory is
-4 bytes per center whatever the text holds. It returns the same
-comparison count as the Python engine, and the leftmost center of the
-longest palindrome, which it keeps as it scans.
+symbols is made. It allocates its own ``int32`` radii table, with no zero
+fill, so its memory is 4 bytes per center whatever the text holds. It
+returns the same comparison count as the Python engine, and the leftmost
+center of the longest palindrome, which it keeps as it scans. It has two
+entry points: ``scan``, behind :func:`compute_radii`, returns the whole
+table, and ``write_radii``, behind :func:`write_radii`, writes it.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -36,13 +38,13 @@ from .core import CompareStats, Unsupported
 
 __all__ = [
     "FORMAT_BYTES", "MAX_SYMBOLS", "available",
-    "compute_radii", "format_radii", "load", "report", "takes", "write_radii",
+    "compute_radii", "load", "report", "takes", "write_radii",
 ]
 
 # 2N+1 centers must index an int32 table; longer texts stay on lps.core.
 MAX_SYMBOLS = 2**30 - 1
-# output bytes format_radii needs per entry: "-2147483648" and a comma
-FORMAT_BYTES = 12
+# output bytes write_radii needs per entry: "1073741823" and a comma
+FORMAT_BYTES = 11
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 
@@ -163,14 +165,14 @@ def _kernel(text):
     return load()
 
 
-def compute_radii(text: str | bytes) -> tuple[array, CompareStats]:
+def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
-    from the kernel, with the radii as an ``array('i')``. Takes ``str`` and
-    ``bytes`` of at most :data:`MAX_SYMBOLS` symbols; a longer text raises
+    from the kernel, with the radii as a memoryview of format ``i`` over
+    the table the kernel allocated. Takes ``str`` and ``bytes`` of at most
+    :data:`MAX_SYMBOLS` symbols; a longer text raises
     :class:`lps.core.Unsupported`."""
-    kernel = _kernel(text)
-    radii = array("i", [0]) * (2 * len(text) + 1)
-    return radii, CompareStats(*kernel.scan(text, radii))
+    table, comparisons, center = _kernel(text).scan(text)
+    return memoryview(table).cast("i"), CompareStats(comparisons, center)
 
 
 def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
@@ -186,12 +188,3 @@ def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
     texts :func:`compute_radii` takes."""
     return CompareStats(*_kernel(text).write_radii(text, write, chunk))
 
-
-def format_radii(radii: array, start: int, stop: int, out) -> int:
-    """Write ``radii[start:stop]`` of an ``array('i')`` into the writable
-    buffer ``out`` as comma-separated decimals, the text
-    ``",".join(map(str, ...))`` gives, and return the number of bytes
-    written. ``out`` must hold :data:`FORMAT_BYTES` bytes per entry: a
-    smaller buffer or a slice outside the table raises ``ValueError``, any
-    other table ``TypeError``."""
-    return load().format_radii(radii, start, stop, out)

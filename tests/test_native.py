@@ -17,8 +17,8 @@ import shutil
 import signal
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
-from array import array
 from pathlib import Path
 
 import pytest
@@ -90,7 +90,7 @@ def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
     assert core.kernel is native
     for text in ("bananas", "b\xe4n\xe4n\xe4s", b"bananas"):
         radii, stats = core.compute_radii(text)
-        assert isinstance(radii, array)
+        assert isinstance(radii, memoryview) and (radii.format, radii.itemsize) == ("i", 4)
         assert list(radii) == core.python_radii(text)[0]
         assert stats.comparisons == core.python_radii(text)[1].comparisons
     radii, stats = core.compute_radii(tuple("bananas"))
@@ -150,7 +150,7 @@ def test_radii_output_streams_whole_list(size):
     assert _written(table) == _joined(table)
 
 
-# every digit count and the zero-padded 4-digit groups of the C formatter
+# every digit count and sign, for the str join of the other engines' tables
 _POWER_EDGES = [10**k + d for k in range(1, 10) for d in (-1, 0, 1)]
 _RANDOM_INT32 = random.Random(9).choices(range(-(2**31), 2**31), k=20_000)
 FORMAT_EDGES = (
@@ -163,15 +163,19 @@ FORMAT_EDGES = (
 
 
 @pytest.mark.parametrize("kind", ["kernel", "list"])
-def test_radii_output_matches_str_at_digit_and_sign_edges(kind):
+def test_radii_output_matches_str_at_digit_edges(kind):
     if kind == "list":
         assert _written(FORMAT_EDGES) == _joined(FORMAT_EDGES)
         return
-    # a scan writes no negative radius and none past 2n: unary text reaches
-    # every radius up to n, so every digit count up to 7 and each group
-    # edge below 10^7; the format_radii tests below reach the rest
+    # a scan writes no negative radius and none past n. Unary text of
+    # 10^6 + 1 symbols writes every radius 0..10^6 + 1: each digit count
+    # up to 7, a leading group of 1 to 4 digits alone (0..9999) and of 1 to
+    # 3 digits before a padded group (10^4..10^6 + 1), and the group edges
+    # 9999, 10^4, 10^4 + 1. That is every line of the formatter: a value
+    # of three groups only recurses once more.
     text = "a" * (10**6 + 1)
     radii, stats = native.compute_radii(text)
+    assert set(radii) == set(range(len(text) + 1))
     assert _kernel_written(text) == (_joined(radii), stats)
 
 
@@ -199,6 +203,17 @@ def _garbage(size: int) -> None:
         block = libc.malloc(size)
         ctypes.memset(block, 0xFF, size)
         libc.free(block)
+
+
+@pytest.mark.parametrize("n", WRITE_LENGTHS)
+@pytest.mark.parametrize("kind", WRITE_TEXTS)
+def test_scan_matches_the_python_engine(kind, n):
+    # scan's table is not zero-filled either
+    text = WRITE_TEXTS[kind](n)
+    expected, stats = core.python_radii(text)
+    _garbage(4 * (2 * n + 1))
+    radii, native_stats = native.compute_radii(text)
+    assert (list(radii), native_stats) == (expected, stats)
 
 
 @pytest.mark.parametrize("n", WRITE_LENGTHS)
@@ -267,35 +282,14 @@ def test_write_radii_stops_on_a_signal():
     assert len(chunks) < (2 * 10**6 + 1) // 16
 
 
-def test_format_radii_stays_inside_its_buffer():
-    # an exact-size view of a larger buffer: a write past 12 bytes per entry
-    # would reach the sentinel bytes behind it
-    native.load()
-    for values in (FORMAT_EDGES, [-(2**31)] * 1000):  # the second fills every byte
-        table = array("i", values)
-        for start, stop in ((0, len(table)), (5, 9), (7, 8), (3, 3)):
-            size = native.FORMAT_BYTES * (stop - start)
-            backing = bytearray(b"\xa5" * (size + 64))
-            written = native.format_radii(table, start, stop, memoryview(backing)[:size])
-            assert backing[:written] == ",".join(map(str, table[start:stop])).encode()
-            assert backing[size:] == b"\xa5" * 64, (start, stop)
-
-
-def test_format_radii_checks_slice_and_buffer():
-    native.load()
-    table = array("i", [-(2**31)] * 3)
-    out = array("B", [0]) * (3 * native.FORMAT_BYTES)
-    assert native.format_radii(table, 1, 3, out) == 23
-    assert bytes(out[:23]) == b"-2147483648,-2147483648"
-    assert native.format_radii(table, 3, 3, out) == 0
-    for start, stop in ((2, 1), (-1, 2), (0, 4)):
-        with pytest.raises(ValueError):
-            native.format_radii(table, start, stop, out)
-    with pytest.raises(ValueError):
-        native.format_radii(table, 0, 3, out[:-1])
-    for other in ([0, 1], array("h", [0, 1])):
-        with pytest.raises(TypeError):
-            native.format_radii(other, 0, 2, out)
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_kernel_compiles_without_warnings():
+    # the build itself passes no -W flags: a warning from another compiler
+    # must not move anyone onto the Python engine
+    include = sysconfig.get_paths()["include"]
+    command = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(PACKAGE / "_manacher.c")]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _fresh_copy(tmp_path: Path) -> Path:
