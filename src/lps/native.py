@@ -8,7 +8,10 @@ fill, so its memory is 4 bytes per center whatever the text holds. It
 returns the same comparison count as the Python engine, and the leftmost
 center of the longest palindrome, which it keeps as it scans. It has two
 entry points: ``scan``, behind :func:`compute_radii`, returns the whole
-table, and ``write_radii``, behind :func:`write_radii`, writes it.
+table, and ``write_radii``, behind :func:`write_radii`, writes it. Each
+runs at most one thread besides the calling one: ``scan`` splits a table
+of at least ``SPLIT_SIZE`` (2^17) entries between two threads, and
+``write_radii`` scans on one while the caller writes.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -170,7 +173,15 @@ def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     from the kernel, with the radii as a memoryview of format ``i`` over
     the table the kernel allocated. Takes ``str`` and ``bytes`` of at most
     :data:`MAX_SYMBOLS` symbols; a longer text raises
-    :class:`lps.core.Unsupported`."""
+    :class:`lps.core.Unsupported`.
+
+    On a table of at least ``SPLIT_SIZE`` (2^17) entries, with two
+    differing symbols next to each other near the middle of the text, one
+    helper thread scans the second half from the middle on while this
+    thread scans the first half; this thread then joins the helper and
+    picks up its scan where the two agree. The helper is the only extra
+    thread, and it has ended when this call returns. The GIL is held
+    throughout."""
     table, comparisons, center = _kernel(text).scan(text)
     return memoryview(table).cast("i"), CompareStats(comparisons, center)
 

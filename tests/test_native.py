@@ -86,6 +86,13 @@ def test_worst_case_is_3n_minus_6_over_every_ternary_string():
         assert worst == 3 * n - 6, n
 
 
+def test_worst_case_is_2n_minus_3_over_every_binary_string():
+    for n in range(2, 17):
+        worst = max(native.compute_radii(bytes(symbols))[1].comparisons for symbols in itertools.product(b"ab", repeat=n))
+        assert worst == 2 * n - 3, n
+        assert native.compute_radii("a" * (n - 1) + "b")[1].comparisons == 2 * n - 3
+
+
 def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
     assert core.kernel is native
     for text in ("bananas", "b\xe4n\xe4n\xe4s", b"bananas"):
@@ -216,6 +223,79 @@ def test_scan_matches_the_python_engine(kind, n):
     assert (list(radii), native_stats) == (expected, stats)
 
 
+def _random(alphabet: int):
+    return lambda n: gen_text(GenSpec(n, alphabet, n))
+
+
+def _crossing(shift: int):
+    """Random text with a palindrome of n/4 symbols centered n/shift right
+    of the middle (left for a negative shift), so it crosses the split point."""
+
+    def crossing(n: int) -> str:
+        text, center, half = gen_text(GenSpec(n, 3, n)), n // 2 + n // shift, n // 8
+        left = text[center - half : center]
+        return text[: center - half] + left + left[::-1] + text[center + half :]
+
+    return crossing
+
+
+def _twins(n: int) -> str:
+    """Random text with two equally long palindromes, one in each half,
+    each fenced by d and e so neither extends further."""
+    text, half = gen_text(GenSpec(n, 3, n)), n // 16
+    twin = "d" + text[:half] + text[:half][::-1] + "e"
+    for start in (n // 4, 3 * n // 4):
+        text = text[:start] + twin + text[start + len(twin) :]
+    return text
+
+
+def _fibonacci(n: int) -> str:
+    shorter, word = "a", "ab"
+    while len(word) < n:
+        shorter, word = word, word + shorter
+    return word[:n]
+
+
+SPLIT_TEXTS = {
+    "random-2": _random(2),
+    "random-3": _random(3),
+    "random-4": _random(4),
+    "crossing-left": _crossing(-16),  # the sequential scan's reference until past its end
+    "crossing-right": _crossing(16),  # the scans agree up to its center, where the helper stops at its floor
+    "twins": _twins,  # the left one is the leftmost longest
+    "period-2": lambda n: ("ab" * n)[:n],  # the helper never resynchronizes
+    "fibonacci": _fibonacci,
+    "thue-morse": lambda n: "".join("ab"[i.bit_count() & 1] for i in range(n)),
+    "unary": lambda n: "a" * n,  # no split point: no helper
+    "a-b-c": lambda n: "a" + "b" * (n - 2) + "c",  # no split point either
+}
+# radii, counts and centers do not depend on which symbols stand for a, b, ...
+ENCODINGS = {
+    "ascii": str,
+    "latin-1": lambda text: text.translate({ord("a"): "\xe9"}),
+    "bmp": lambda text: text.translate({ord("a"): "\u0101"}),
+    "astral": lambda text: text.translate({ord("a"): "\U0001f600"}),
+    "bytes": str.encode,
+}
+
+
+@pytest.mark.parametrize("length", ["below", "above", "1e5"])
+@pytest.mark.parametrize("family", SPLIT_TEXTS)
+def test_split_scan_matches_the_python_engine(family, length):
+    # tables of SPLIT_SIZE entries and more are scanned on two threads
+    split = native.load().SPLIT_SIZE
+    n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
+    assert (2 * n + 1 < split) == (length == "below")
+    text = SPLIT_TEXTS[family](n)
+    assert len(text) == n
+    expected, stats = core.python_radii(text)
+    for encoding, encode in ENCODINGS.items():
+        _garbage(4 * (2 * n + 1))
+        radii, native_stats = native.compute_radii(encode(text))
+        assert native_stats == stats, encoding
+        assert list(radii) == expected, encoding
+
+
 @pytest.mark.parametrize("n", WRITE_LENGTHS)
 @pytest.mark.parametrize("kind", WRITE_TEXTS)
 def test_write_radii_matches_the_python_engine(kind, n):
@@ -240,6 +320,18 @@ def test_write_radii_runs_at_most_one_scanner_thread():
         native.write_radii("a" * n, lambda chunk: seen.append(_threads()), cli.RADII_CHUNK)
         assert max(seen) <= before + extra, n
         assert _threads() == before  # joined
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_scan_joins_its_helper_thread():
+    # scan holds the GIL from start to end, so no Python code runs while its
+    # helper does: all that can be seen from here is that it was joined
+    # and nothing is left running
+    before = _threads()
+    split = native.load().SPLIT_SIZE
+    for n in (split // 2 - 1, split // 2, 10**6):  # below and above the split size
+        native.compute_radii(gen_text(GenSpec(n, 3, n)))
+        assert _threads() == before, n
 
 
 class _Stop(Exception):
@@ -290,6 +382,50 @@ def test_kernel_compiles_without_warnings():
     command = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(PACKAGE / "_manacher.c")]
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _libtsan() -> str | None:
+    """ThreadSanitizer's runtime library for cc, if there is one."""
+    if shutil.which("cc") is None:
+        return None
+    path = subprocess.run(["cc", "-print-file-name=libtsan.so"], capture_output=True, text=True).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+# Loads the kernel built at argv[1], scans each text file named after it
+# and writes unary text with write_radii, printing (comparisons, center).
+_TSAN_CHILD = """
+import sys
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
+loader = ExtensionFileLoader("_manacher", sys.argv[1])
+kernel = loader.create_module(ModuleSpec(loader.name, loader, origin=sys.argv[1]))
+loader.exec_module(kernel)
+for path in sys.argv[2:]:
+    with open(path, encoding="ascii") as fh:
+        print(kernel.scan(fh.read())[1:])
+print(kernel.write_radii("a" * 10**6, len, 65536))
+"""
+
+
+@pytest.mark.skipif(_libtsan() is None, reason="needs cc and libtsan")
+def test_kernel_has_no_data_race(tmp_path):
+    # the interpreter is not instrumented, so the runtime comes in by LD_PRELOAD
+    include = sysconfig.get_paths()["include"]
+    library = tmp_path / "_manacher_tsan.so"
+    command = ["cc", "-O1", "-g", "-fsanitize=thread", "-shared", "-fPIC", "-pthread", f"-I{include}"]
+    built = subprocess.run([*command, str(PACKAGE / "_manacher.c"), "-o", str(library)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    n = 10**6
+    texts = {"random": gen_text(GenSpec(n, 3, 1)), "crossing": _crossing(16)(n), "period-2": "ab" * (n // 2)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    env = dict(os.environ, LD_PRELOAD=_libtsan(), TSAN_OPTIONS="halt_on_error=1")
+    child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
+    done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
+    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values()]
+    expected.append(tuple(native.write_radii("a" * n, len, 65536)))
+    assert done.stdout.splitlines() == [str(stats) for stats in expected]
 
 
 def _fresh_copy(tmp_path: Path) -> Path:
