@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Interleaved in-process timings of two builds of the compiled kernel.
+
+Run from the repository root:
+
+    python3 scripts/kernel_pair.py HEAD~1 --rounds 101
+
+The script builds ``git show REV:src/lps/_manacher.c`` (the parent) and
+the working tree's ``src/lps/_manacher.c`` (the change) with
+``lps.native._build`` into a temporary directory and loads both into this
+process. Each round times ``scan`` and ``write_radii`` of both builds on
+random-1e6 (1e6 random ternary symbols) and unary-1e6 (1e6 copies of one
+symbol). ``write_radii`` writes to a file in the temporary directory,
+65,536 entries per chunk, as ``lps radii`` does. Within a round the side
+that runs first alternates, so a drift of the host falls on both sides.
+
+For each call it prints the minimum, first quartile and median of each
+side in ms (``statistics.quantiles``, exclusive method), and in how many
+rounds each side was lower. Perfbench runs whole processes and scales by
+the host's speed; this compares the two kernels with everything else
+held equal, which shows differences of a few percent that perfbench's
+spread hides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from lps import cli, native  # noqa: E402
+from lps.generator import GenSpec, gen_text  # noqa: E402
+
+KERNEL = "src/lps/_manacher.c"
+TEXTS = {"random-1e6": lambda: gen_text(GenSpec(10**6, 3, 1)), "unary-1e6": lambda: "a" * 10**6}
+
+
+def load(source: bytes, directory: str, side: str):
+    """``source`` built into ``directory`` and loaded as ``side._manacher``."""
+    library = os.path.join(directory, f"{side}{EXTENSION_SUFFIXES[0]}")
+    native._build(source, library)
+    loader = ExtensionFileLoader(f"{side}._manacher", library)
+    module = loader.create_module(ModuleSpec(loader.name, loader, origin=library))
+    loader.exec_module(module)
+    return module
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the parent revision whose kernel is compared with the working tree's")
+    parser.add_argument("--rounds", type=int, default=101)
+    args = parser.parse_args(argv)
+    parent = subprocess.run(["git", "show", f"{args.rev}:{KERNEL}"], cwd=ROOT, capture_output=True, check=True).stdout
+    change = (ROOT / KERNEL).read_bytes()
+    texts = {name: make() for name, make in TEXTS.items()}
+    with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
+        kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
+
+        def run(kernel, call: str, text) -> float:
+            out.seek(0)
+            out.truncate()
+            start = time.perf_counter()
+            if call == "scan":
+                kernel.scan(text)
+            else:
+                kernel.write_radii(text, out.write, cli.RADII_CHUNK)
+            return time.perf_counter() - start
+
+        calls = [(name, call) for name in texts for call in ("scan", "write_radii")]
+        times = {(name, call, side): [] for name, call in calls for side in kernels}
+        for round_ in range(args.rounds):
+            order = list(kernels) if round_ % 2 == 0 else list(kernels)[::-1]
+            for name, call in calls:
+                for side in order:
+                    times[name, call, side].append(run(kernels[side], call, texts[name]))
+
+    print(f"{args.rounds} rounds, parent {args.rev}, change the working tree; ms")
+    for name, call in calls:
+        parent_times, change_times = times[name, call, "parent"], times[name, call, "change"]
+        lower = {
+            "parent": sum(p < c for p, c in zip(parent_times, change_times)),
+            "change": sum(c < p for p, c in zip(parent_times, change_times)),
+        }
+        for side, values in (("parent", parent_times), ("change", change_times)):
+            q1, median, _ = statistics.quantiles(values, n=4)
+            print(
+                f"{name:<11} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
+                f"  median {1e3 * median:7.2f}  lower in {lower[side]}/{args.rounds}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

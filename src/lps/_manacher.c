@@ -12,26 +12,27 @@
    and radius fits the table.
 
    Both entry points allocate the table themselves, unzeroed, and each
-   runs at most one POSIX thread besides the calling one. scan returns
-   the table whole. On a table of at least SPLIT_SIZE entries with two
-   differing symbols near its middle, a helper thread scans the second
-   half while the calling thread scans the first, which then joins the
-   helper and resynchronizes to its scan (split_scan); the radii, counts
-   and centers are the sequential scan's. write_radii, lps radii's path,
-   formats and writes each chunk of the table as soon as the scan has
-   passed that chunk: on a table longer than one chunk it scans on a
-   thread of its own, which never holds the GIL, while the calling
-   thread formats and writes behind it. */
+   runs at most one POSIX thread besides the calling one, the helper. On
+   a table of at least SPLIT_SIZE entries with two differing symbols near
+   its middle, the helper scans the second half while the calling thread
+   scans the first, which then joins the helper and resynchronizes to its
+   scan (split_scan); the radii, counts and centers are the sequential
+   scan's. scan returns the table whole. write_radii, lps radii's path,
+   formats and writes the table chunk by chunk. A table longer than one
+   chunk that split_scan would scan on one thread is scanned by the
+   helper from center 0 instead, while the calling thread formats and
+   writes behind it with the GIL released; every other table is scanned
+   by split_scan first. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <pthread.h>
-#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
 /* Output bytes per formatted entry: "1073741823", the largest radius a
-   table of 2n+1 < 2^31 entries holds, and a comma. */
+   table of 2n+1 < 2^31 entries holds, and a comma. The module exports
+   the value. */
 #define FORMAT_BYTES 11
 
 /* Where a scan stands between two ranges: the reference center and the
@@ -56,7 +57,9 @@ static const ScanState SCAN_START = {.right = -1};
    folds away from every loop compiled for floor 0. The loop is inlined
    into each caller: one shared out-of-line copy scanned unary text 5-10%
    slower, in how the compiler laid out its branches, than a loop compiled
-   where its start and its state are known. */
+   where its start and its state are known. The expansion tests hi < n
+   first: in the other order GCC 12 laid out split_scan's one-thread scan
+   of unary text about 5% slower. */
 #define SCAN(T)                                                                                       \
     static inline __attribute__((always_inline)) void                                                 \
     scan_##T(const T *text, int64_t n, int64_t floor, int32_t *radii, ScanState *state, int64_t start, \
@@ -77,7 +80,7 @@ static const ScanState SCAN_START = {.right = -1};
                 radius = j & 1;                                                                       \
             }                                                                                         \
             int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                             \
-            while (lo >= floor && hi < n) {                                                           \
+            while (hi < n && lo >= floor) {                                                           \
                 comparisons++;                                                                        \
                 if (text[lo] != text[hi])                                                             \
                     break;                                                                            \
@@ -153,16 +156,20 @@ scan_range(const Text *text, int64_t floor, int32_t *radii, ScanState *state, in
 /* The helper's range is cut into STEPS steps of equal length. */
 #define STEPS 64
 
-/* What split_scan's caller and its helper share. The helper scans centers
-   [m, size) from the floor m/2 and records its state at the start of each
-   step in marks; it stops at a step start once quit is set, after which
+/* What the helper and the thread that started it share. The helper
+   scans centers [m, size) from the floor m/2. At the start of each step
+   i it takes lock, records its state in marks[i], sets done = i, reads
+   quit and signals moved; it stops there once quit is set. Under lock,
+   then, the centers before step_start(done) are final in its scan, and
    marks[0..done] hold. */
 typedef struct {
     const Text *text;
     int32_t *radii;
     int64_t m, size, done;
+    int quit;
+    pthread_mutex_t lock;
+    pthread_cond_t moved;
     ScanState marks[STEPS + 1];
-    atomic_int quit;
 } Split;
 
 /* The first center of step i of the helper's range; step STEPS is size. */
@@ -177,17 +184,32 @@ helper(void *arg)
 {
     Split *s = arg;
     /* right = m - 1: center m expands, stops at the floor at once (a
-       touch) and writes 0, its true radius since its neighbours differ */
+       touch) and writes 0, its true radius since its neighbours differ.
+       At m = 0 this is SCAN_START with floor 0: the whole sequential
+       scan, whose end state is marks[STEPS]. */
     ScanState state = {.ref = s->m, .right = s->m - 1, .best = s->m, .touch = s->m};
-    int64_t i = 0;
-    for (;; i++) {
+    for (int64_t i = 0;; i++) {
+        pthread_mutex_lock(&s->lock);
         s->marks[i] = state;
-        if (i == STEPS || atomic_load_explicit(&s->quit, memory_order_relaxed))
-            break;
+        s->done = i;
+        int quit = s->quit;
+        pthread_cond_signal(&s->moved);
+        pthread_mutex_unlock(&s->lock);
+        if (i == STEPS || quit)
+            return NULL;
         scan_range(s->text, s->m / 2, s->radii, &state, step_start(s, i), step_start(s, i + 1));
     }
-    s->done = i;
-    return NULL;
+}
+
+/* Make the helper stop at its next step start, if it has not finished,
+   and join it. */
+static void
+join_helper(Split *s, pthread_t thread)
+{
+    pthread_mutex_lock(&s->lock);
+    s->quit = 1;
+    pthread_mutex_unlock(&s->lock);
+    pthread_join(thread, NULL);
 }
 
 /* The even center at which split_scan splits a table of size entries: the
@@ -241,15 +263,15 @@ split_point(const Text *text, int64_t size)
 static void
 split_scan(const Text *text, int32_t *radii, ScanState *state, int64_t size)
 {
-    Split s = {.text = text, .radii = radii, .m = split_point(text, size), .size = size};
+    Split s = {.text = text, .radii = radii, .m = split_point(text, size), .size = size,
+               .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
     pthread_t thread;
     if (s.m == 0 || pthread_create(&thread, NULL, helper, &s) != 0) {
         scan_range(text, 0, radii, state, 0, size);
         return;
     }
     scan_range(text, 0, radii, state, 0, s.m);
-    atomic_store(&s.quit, 1);
-    pthread_join(thread, NULL);
+    join_helper(&s, thread);
     const ScanState *end = &s.marks[s.done];
     int64_t i = 0;
     for (; i < s.done; i++) {
@@ -358,68 +380,42 @@ format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
     return end;
 }
 
-/* What the scanner thread and the writing thread share. The scanner
-   publishes under lock how far the table is final; the writer sets quit
-   when it stops early, and the scanner stops after its current chunk. */
-typedef struct {
-    Text text;
-    int32_t *radii;
-    int64_t size, chunk;
-    ScanState state;
-    pthread_mutex_t lock;
-    pthread_cond_t moved;
-    int64_t done; /* radii[0:done] are final */
-    int quit;
-} Pipeline;
-
-static void *
-scanner(void *arg)
-{
-    Pipeline *p = arg;
-    int quit = 0;
-    for (int64_t start = 0; start < p->size && !quit; start += p->chunk) {
-        int64_t stop = start + p->chunk < p->size ? start + p->chunk : p->size;
-        scan_range(&p->text, 0, p->radii, &p->state, start, stop);
-        pthread_mutex_lock(&p->lock);
-        p->done = stop;
-        quit = p->quit;
-        pthread_cond_signal(&p->moved);
-        pthread_mutex_unlock(&p->lock);
-    }
-    return NULL;
-}
-
-/* Scan p's table and pass each chunk of it, formatted into buffer, to
-   write; -1 with an exception set if write or a signal handler raised. */
+/* Scan s's table into state and pass each chunk of it, formatted into
+   buffer, to write; -1 with an exception set if write or a signal
+   handler raised. A table longer than one chunk that split_scan would
+   scan on one thread, below SPLIT_SIZE or with no split point, is
+   scanned by the helper from center 0 while this thread formats each
+   chunk the helper has passed. Any other table is scanned by split_scan
+   first, on two threads where the text splits, and then formatted. */
 static int
-write_chunks(Pipeline *p, PyObject *write, PyObject *buffer)
+write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write, PyObject *buffer)
 {
     PyObject *view = PyMemoryView_FromObject(buffer);
     if (view == NULL)
         return -1;
     pthread_t thread;
-    /* a table of one chunk is scanned inline, as is any table if no thread starts */
-    int threaded = p->size > p->chunk && pthread_create(&thread, NULL, scanner, p) == 0;
+    int behind = s->size > chunk && split_point(s->text, s->size) == 0 &&
+                 pthread_create(&thread, NULL, helper, s) == 0;
+    if (!behind)
+        split_scan(s->text, s->radii, state, s->size);
     int failed = 0;
-    for (int64_t start = 0; start < p->size && !failed; start += p->chunk) {
-        int64_t stop = start + p->chunk < p->size ? start + p->chunk : p->size;
-        if (threaded) {
+    for (int64_t start = 0; start < s->size && !failed; start += chunk) {
+        int64_t stop = start + chunk < s->size ? start + chunk : s->size;
+        if (behind) {
             Py_BEGIN_ALLOW_THREADS
-            pthread_mutex_lock(&p->lock);
-            while (p->done < stop)
-                pthread_cond_wait(&p->moved, &p->lock);
-            pthread_mutex_unlock(&p->lock);
+            pthread_mutex_lock(&s->lock);
+            while (step_start(s, s->done) < stop)
+                pthread_cond_wait(&s->moved, &s->lock);
+            pthread_mutex_unlock(&s->lock);
             Py_END_ALLOW_THREADS
-        } else {
-            scan_range(&p->text, 0, p->radii, &p->state, start, stop);
         }
         if (PyErr_CheckSignals() < 0) {
             failed = 1;
             break;
         }
         char *base = PyByteArray_AS_STRING(buffer);
-        char *end = format_range(p->radii, start, stop, base);
-        if (stop == p->size)
+        char *end = format_range(s->radii, start, stop, base);
+        if (stop == s->size)
             end[-1] = '\n'; /* in place of the last comma */
         PyObject *slice = PySequence_GetSlice(view, 0, end - base);
         PyObject *written = slice ? PyObject_CallOneArg(write, slice) : NULL;
@@ -427,13 +423,11 @@ write_chunks(Pipeline *p, PyObject *write, PyObject *buffer)
         Py_XDECREF(written);
         Py_XDECREF(slice);
     }
-    if (threaded) {
-        pthread_mutex_lock(&p->lock);
-        p->quit = failed;
-        pthread_mutex_unlock(&p->lock);
+    if (behind) {
         Py_BEGIN_ALLOW_THREADS
-        pthread_join(thread, NULL);
+        join_helper(s, thread);
         Py_END_ALLOW_THREADS
+        *state = s->marks[s->done];
     }
     Py_DECREF(view);
     return failed ? -1 : 0;
@@ -443,7 +437,8 @@ write_chunks(Pipeline *p, PyObject *write, PyObject *buffer)
    scan does and call write with each chunk entries of the table as the
    decimals str() gives, comma separated, a comma between chunks and a
    newline at the end, as a memoryview of one reused bytearray. If write
-   raises, the scan stops and the exception propagates. Memory: the
+   or a signal handler raises, a helper still scanning stops at its next
+   step start and is joined before the exception propagates. Memory: the
    4(2n+1)-byte table and FORMAT_BYTES per chunk entry. */
 static PyObject *
 write_radii(PyObject *Py_UNUSED(self), PyObject *args)
@@ -454,20 +449,22 @@ write_radii(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     if (chunk < 1)
         return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
-    Pipeline p = {.state = SCAN_START, .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
-    if (text_open(object, &p.text) < 0)
+    Text text;
+    if (text_open(object, &text) < 0)
         return NULL;
-    p.size = 2 * p.text.n + 1;
-    p.chunk = chunk < p.size ? chunk : p.size;
+    int64_t size = 2 * text.n + 1;
+    chunk = chunk < size ? chunk : size;
     /* unzeroed: the page faults of a fresh table land in the scan */
-    p.radii = PyMem_RawMalloc(4 * p.size);
-    PyObject *buffer = p.radii ? PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * p.chunk) : PyErr_NoMemory();
+    Split s = {.text = &text, .radii = PyMem_RawMalloc(4 * size), .size = size,
+               .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
+    PyObject *buffer = s.radii ? PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk) : PyErr_NoMemory();
     PyObject *result = NULL;
-    if (buffer != NULL && write_chunks(&p, write, buffer) == 0)
-        result = Py_BuildValue("LL", (long long)p.state.comparisons, (long long)p.state.best);
+    ScanState state = SCAN_START;
+    if (buffer != NULL && write_chunks(&s, &state, chunk, write, buffer) == 0)
+        result = Py_BuildValue("LL", (long long)state.comparisons, (long long)state.best);
     Py_XDECREF(buffer);
-    PyMem_RawFree(p.radii);
-    PyBuffer_Release(&p.text.buffer);
+    PyMem_RawFree(s.radii);
+    PyBuffer_Release(&text.buffer);
     return result;
 }
 
@@ -483,7 +480,8 @@ PyMODINIT_FUNC
 PyInit__manacher(void)
 {
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddIntConstant(m, "SPLIT_SIZE", SPLIT_SIZE) < 0)
+    if (m != NULL && (PyModule_AddIntConstant(m, "SPLIT_SIZE", SPLIT_SIZE) < 0 ||
+                      PyModule_AddIntConstant(m, "FORMAT_BYTES", FORMAT_BYTES) < 0))
         Py_CLEAR(m);
     return m;
 }

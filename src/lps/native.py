@@ -9,9 +9,11 @@ returns the same comparison count as the Python engine, and the leftmost
 center of the longest palindrome, which it keeps as it scans. It has two
 entry points: ``scan``, behind :func:`compute_radii`, returns the whole
 table, and ``write_radii``, behind :func:`write_radii`, writes it. Each
-runs at most one thread besides the calling one: ``scan`` splits a table
-of at least ``SPLIT_SIZE`` (2^17) entries between two threads, and
-``write_radii`` scans on one while the caller writes.
+runs at most one thread besides the calling one, the helper. Both split
+a table of at least ``SPLIT_SIZE`` (2^17) entries between the helper and
+the calling thread where the text allows; ``write_radii`` has the helper
+scan any other table longer than one chunk from the start while the
+calling thread writes behind it.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -22,11 +24,11 @@ load it. A new build deletes the interpreter's earlier ones.
 The package plugs this module into :data:`lps.core.kernel`, so
 ``core.compute_radii`` runs the kernel on the texts it :func:`takes`.
 ``lps radii`` runs :func:`write_radii` on them instead, which formats and
-writes the table chunk by chunk while a second thread is still scanning
-it. When no compiler or no ``Python.h`` is found or the build fails,
-:func:`takes` is false after one note on stderr and the default engine
-stays pure Python, while an explicit :func:`compute_radii` or
-:func:`write_radii` call raises :class:`lps.core.Unsupported`.
+writes the table chunk by chunk. When no compiler or no ``Python.h`` is
+found or the build fails, :func:`takes` is false after one note on
+stderr and the default engine stays pure Python, while an explicit
+:func:`compute_radii` or :func:`write_radii` call raises
+:class:`lps.core.Unsupported`.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleS
 
 from .core import CompareStats, Unsupported
 
-__all__ = [
-    "FORMAT_BYTES", "MAX_SYMBOLS", "available",
-    "compute_radii", "load", "report", "takes", "write_radii",
-]
+__all__ = ["MAX_SYMBOLS", "available", "compute_radii", "load", "report", "takes", "write_radii"]
 
 # 2N+1 centers must index an int32 table; longer texts stay on lps.core.
 MAX_SYMBOLS = 2**30 - 1
-# output bytes write_radii needs per entry: "1073741823" and a comma
-FORMAT_BYTES = 11
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 
@@ -191,11 +188,14 @@ def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
     ``write`` as the ASCII bytes of ``",".join(map(str, radii)) + "\\n"``,
     one memoryview per ``chunk`` entries, and return the stats.
 
-    The table is never a Python object: the kernel allocates it, and on a
-    table of more than ``chunk`` entries scans it on a thread of its own,
-    while this thread formats and writes each chunk the scan has passed.
-    Memory is the 4-byte table and :data:`FORMAT_BYTES` per chunk entry.
-    An exception from ``write`` stops the scan and propagates. Takes the
-    texts :func:`compute_radii` takes."""
+    The table is never a Python object: the kernel allocates it. A table
+    :func:`compute_radii` splits is scanned the same way, on two threads,
+    and then written. Any other table of more than ``chunk`` entries is
+    scanned from the start by the helper thread, while this thread, with
+    the GIL released, waits for each chunk the helper has passed, formats
+    and writes it. Memory is the 4-byte table and the module's
+    ``FORMAT_BYTES`` (11) per chunk entry. An exception from ``write``
+    stops the helper and propagates. Takes the texts :func:`compute_radii`
+    takes."""
     return CompareStats(*_kernel(text).write_radii(text, write, chunk))
 

@@ -55,7 +55,7 @@ def test_memory_does_not_depend_on_content():
     }
     native.load()  # build and load outside the traced calls
     table = 4 * (2 * length + 1)  # the int32 radii table
-    buffer = native.FORMAT_BYTES * cli.RADII_CHUNK  # write_radii's output buffer
+    buffer = native.load().FORMAT_BYTES * cli.RADII_CHUNK  # write_radii's output buffer
     for run, extra in ((native.compute_radii, 0), (lambda text: native.write_radii(text, len, cli.RADII_CHUNK), buffer)):
         peaks = []
         for text in texts.values():
@@ -282,10 +282,13 @@ ENCODINGS = {
 @pytest.mark.parametrize("length", ["below", "above", "1e5"])
 @pytest.mark.parametrize("family", SPLIT_TEXTS)
 def test_split_scan_matches_the_python_engine(family, length):
-    # tables of SPLIT_SIZE entries and more are scanned on two threads
+    # tables of SPLIT_SIZE entries and more are scanned on two threads;
+    # write_radii formats them after the split scan, and any other table
+    # of more than one chunk behind a helper that scans it from center 0
     split = native.load().SPLIT_SIZE
     n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
     assert (2 * n + 1 < split) == (length == "below")
+    assert 2 * n + 1 > cli.RADII_CHUNK
     text = SPLIT_TEXTS[family](n)
     assert len(text) == n
     expected, stats = core.python_radii(text)
@@ -294,6 +297,8 @@ def test_split_scan_matches_the_python_engine(family, length):
         radii, native_stats = native.compute_radii(encode(text))
         assert native_stats == stats, encoding
         assert list(radii) == expected, encoding
+        _garbage(4 * (2 * n + 1))
+        assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
 
 
 @pytest.mark.parametrize("n", WRITE_LENGTHS)
@@ -313,13 +318,18 @@ def _threads() -> int:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
-def test_write_radii_runs_at_most_one_scanner_thread():
+def test_write_radii_runs_at_most_one_helper_thread():
     before = _threads()
-    for n, extra in ((cli.RADII_CHUNK // 2 - 1, 0), (10**6, 1)):  # one chunk, then many
+    rows = {
+        "one chunk": ("a" * (cli.RADII_CHUNK // 2 - 1), 0),
+        "unary-1e6": ("a" * 10**6, 1),  # no split point: the helper scans ahead of the writes
+        "random-1e6": (gen_text(GenSpec(10**6, 3, 1)), 0),  # split, scanned and joined before the first write
+    }
+    for name, (text, extra) in rows.items():
         seen = []
-        native.write_radii("a" * n, lambda chunk: seen.append(_threads()), cli.RADII_CHUNK)
-        assert max(seen) <= before + extra, n
-        assert _threads() == before  # joined
+        native.write_radii(text, lambda chunk: seen.append(_threads()), cli.RADII_CHUNK)
+        assert max(seen) <= before + extra, name
+        assert _threads() == before, name  # joined
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
@@ -339,20 +349,24 @@ class _Stop(Exception):
 
 
 def test_write_radii_propagates_an_exception_from_write():
-    calls = []
+    rows = {
+        "unary-1e6": "a" * 10**6,  # 31 chunks: the helper is still scanning at the second
+        "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: scanned before the first write
+    }
+    for name, text in rows.items():
+        calls = []
 
-    def write(chunk):
-        calls.append(bytes(chunk))
-        if len(calls) == 2:
-            raise _Stop
+        def write(chunk):
+            calls.append(bytes(chunk))
+            if len(calls) == 2:
+                raise _Stop
 
-    text = "a" * 10**6  # 31 chunks: the scanner is still running at the second
-    with pytest.raises(_Stop):
-        native.write_radii(text, write, cli.RADII_CHUNK)
-    assert len(calls) == 2
-    # the scanner was joined and the table freed: the next run is whole
-    radii, stats = native.compute_radii(text)
-    assert _kernel_written(text) == (_joined(radii), stats)
+        with pytest.raises(_Stop):
+            native.write_radii(text, write, cli.RADII_CHUNK)
+        assert len(calls) == 2, name
+        # the helper was joined and the table freed: the next run is whole
+        radii, stats = native.compute_radii(text)
+        assert _kernel_written(text) == (_joined(radii), stats), name
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
@@ -392,8 +406,9 @@ def _libtsan() -> str | None:
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], scans each text file named after it
-# and writes unary text with write_radii, printing (comparisons, center).
+# Loads the kernel built at argv[1], and runs scan and write_radii on each
+# text file named after it and write_radii on unary text, printing
+# (comparisons, center).
 _TSAN_CHILD = """
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -402,7 +417,9 @@ kernel = loader.create_module(ModuleSpec(loader.name, loader, origin=sys.argv[1]
 loader.exec_module(kernel)
 for path in sys.argv[2:]:
     with open(path, encoding="ascii") as fh:
-        print(kernel.scan(fh.read())[1:])
+        text = fh.read()
+    print(kernel.scan(text)[1:])
+    print(kernel.write_radii(text, len, 65536))
 print(kernel.write_radii("a" * 10**6, len, 65536))
 """
 
@@ -423,7 +440,7 @@ def test_kernel_has_no_data_race(tmp_path):
     child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
     done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
-    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values()]
+    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values() for _ in ("scan", "write_radii")]
     expected.append(tuple(native.write_radii("a" * n, len, 65536)))
     assert done.stdout.splitlines() == [str(stats) for stats in expected]
 
