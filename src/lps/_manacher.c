@@ -485,3 +485,4 @@ PyInit__manacher(void)
         Py_CLEAR(m);
     return m;
 }
+_Static_assert(sizeof(int) == sizeof(int32_t), "lps.native reads the int32 table as C int (format \"i\")");

@@ -11,8 +11,9 @@ Implementations are the entries of :data:`lps.reference.SOLVERS`: "naive"
 "indexmap" (the virtual augmentation engine) and "native" (the same scan
 compiled, see :mod:`lps.native`), each called on the text alone. A trial
 that raises :class:`lps.core.Unsupported` (the implementation cannot run
-that text here) is recorded as skipped, a MemoryError as out_of_memory;
-neither aborts the run.
+that text here, "native" included where the kernel cannot be built) is
+recorded as skipped, a MemoryError as out_of_memory; neither aborts the
+run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import NamedTuple
 
-from . import native, reference
+from . import reference
 from .core import Unsupported, UsageError
 from .generator import MASK64, GenSpec, gen_text
 
@@ -33,19 +34,12 @@ __all__ = [
     "IMPLS",
     "BenchRecord",
     "BenchSpec",
-    "default_impls",
     "parse_csv",
     "run_bench",
     "summarize",
     "to_csv",
     "to_table",
 ]
-
-
-def default_impls() -> tuple[str, ...]:
-    """Every implementation but "native" where the kernel cannot be built
-    (which says so once on stderr)."""
-    return tuple(name for name in IMPLS if name != "native" or native.available())
 
 
 class _BenchFields(NamedTuple):
@@ -58,8 +52,9 @@ class _BenchFields(NamedTuple):
 
 class BenchSpec(_BenchFields):
     """The grid to time: lengths x alphabet sizes, ``repeats`` strings per
-    cell, the implementations (default: :func:`default_impls`) and the base
-    seed. Every value is checked here, before anything runs."""
+    cell, the implementations (default: all of :data:`IMPLS`) and the base
+    seed. Every value is checked here, before anything runs; nothing is
+    loaded or built."""
 
     __slots__ = ()
 
@@ -81,14 +76,12 @@ class BenchSpec(_BenchFields):
         if repeats < 1:
             raise UsageError(f"repeats must be >= 1, got {repeats}")
         if impls is None:
-            impls = default_impls()
+            impls = IMPLS
         if not impls:
             raise UsageError("need at least one implementation")
         unknown = [name for name in impls if name not in IMPLS]
         if unknown:
             raise UsageError(f"unknown implementations: {unknown}; choose from {IMPLS}")
-        if "native" in impls:
-            native.load()  # raises lps.core.Unsupported before a report is opened
         return super().__new__(cls, lengths, alphabet_sizes, repeats, impls, seed)
 
     @classmethod

@@ -177,6 +177,8 @@ def _cmd_bench(args) -> int:
 
     spec = BenchSpec(lengths=args.lengths, alphabet_sizes=args.alphabets, repeats=args.repeats,
                      impls=args.impls, seed=args.seed)
+    if "native" in (args.impls or ()):
+        native.load()  # a kernel named but not built exits 2 here, as --impl native does
     # open --out before the grid runs, so an unwritable path fails at once
     sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(_stdout())
     with sink as out:

@@ -91,13 +91,11 @@ def _chunk_symbols(seed: int, start_step: int, count: int, alphabet_size: int) -
     return codes.tobytes().decode("ascii")
 
 
-def iter_chunks(spec: GenSpec, chunk_size: int = _CHUNK) -> Iterator[str]:
-    """Yield the spec's string in bounded pieces, O(chunk_size) memory."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+def iter_chunks(spec: GenSpec) -> Iterator[str]:
+    """Yield the spec's string in pieces of 65,536 symbols, so memory stays bounded."""
     done = 0
     while done < spec.length:
-        count = min(chunk_size, spec.length - done)
+        count = min(_CHUNK, spec.length - done)
         yield _chunk_symbols(spec.seed, done, count, spec.alphabet_size)
         done += count
 

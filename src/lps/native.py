@@ -21,14 +21,16 @@ this package's own ``__pycache__`` directory, under a name keyed by the
 source's CRC-32 and the interpreter's extension suffix; later runs only
 load it. A new build deletes the interpreter's earlier ones.
 
-The package plugs this module into :data:`lps.core.kernel`, so
-``core.compute_radii`` runs the kernel on the texts it :func:`takes`.
-``lps radii`` runs :func:`write_radii` on them instead, which formats and
-writes the table chunk by chunk. When no compiler or no ``Python.h`` is
-found or the build fails, :func:`takes` is false after one note on
-stderr and the default engine stays pure Python, while an explicit
-:func:`compute_radii` or :func:`write_radii` call raises
-:class:`lps.core.Unsupported`.
+The kernel runs ``str``, ``bytes`` and ``bytearray`` of at most
+:data:`MAX_SYMBOLS` symbols, where it loads; :func:`compute_radii` and
+:func:`write_radii` raise :class:`lps.core.Unsupported` on anything else
+(a token tuple, a longer text, any text where the kernel cannot be
+built), and :func:`takes` is whether they run. The package plugs this module into
+:data:`lps.core.kernel`, so ``core.compute_radii`` runs the kernel on the
+texts it takes; ``lps radii`` runs :func:`write_radii` on them instead,
+which formats and writes the table chunk by chunk. When no compiler or no
+``Python.h`` is found or the build fails, :func:`takes` writes one note on
+stderr, the first time, and the default engine stays pure Python.
 """
 
 from __future__ import annotations
@@ -36,15 +38,16 @@ from __future__ import annotations
 import os
 import sys
 import zlib
-from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from .core import CompareStats, Unsupported
 
-__all__ = ["MAX_SYMBOLS", "available", "compute_radii", "load", "report", "takes", "write_radii"]
+__all__ = ["MAX_SYMBOLS", "compute_radii", "load", "report", "takes", "write_radii"]
 
-# 2N+1 centers must index an int32 table; longer texts stay on lps.core.
-MAX_SYMBOLS = 2**30 - 1
+# 2N+1 centers must index an int32 table, and the kernel's allocations
+# of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
+# lps.core.
+MAX_SYMBOLS = min(2**30 - 1, (sys.maxsize // 11 - 1) // 2)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 
@@ -114,8 +117,6 @@ def load():
     global _module, _error
     if _module is None and _error is None:
         try:
-            if array("i").itemsize != 4:
-                raise Unsupported("C int is not 32 bits wide on this platform")
             _module = _open()
         except (OSError, ImportError) as exc:  # unreadable source, unwritable cache, failed load
             _error = Unsupported(f"cannot load the compiled kernel: {exc}")
@@ -137,40 +138,36 @@ def report(lines: str) -> None:
             pass
 
 
-def available() -> bool:
-    """Whether the kernel loads. The first failure writes one note on stderr."""
+def _kernel(text):
+    """The loaded module, if it takes ``text``: ``str``, ``bytes`` or
+    ``bytearray`` of at most :data:`MAX_SYMBOLS` symbols; raises
+    lps.core.Unsupported."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise Unsupported(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
+    if len(text) > MAX_SYMBOLS:
+        raise Unsupported(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
+    return load()
+
+
+def takes(text) -> bool:
+    """Whether the kernel runs ``text`` here. The first refusal for a
+    kernel that does not load writes one note on stderr."""
     global _noted
     try:
-        load()
+        _kernel(text)
     except Unsupported as exc:
-        if not _noted:
+        if exc is _error and not _noted:
             _noted = True
             report(f"lps: note: {exc}; using the pure-Python indexmap engine")
         return False
     return True
 
 
-def takes(text) -> bool:
-    """Whether the default engine runs ``text`` here: ``str`` or ``bytes``
-    of at most :data:`MAX_SYMBOLS` symbols, and a kernel that loads."""
-    return isinstance(text, (str, bytes, bytearray)) and len(text) <= MAX_SYMBOLS and available()
-
-
-def _kernel(text):
-    """The loaded module, if it takes ``text``; raises lps.core.Unsupported."""
-    if not isinstance(text, (str, bytes, bytearray)):
-        raise TypeError(f"the compiled kernel takes str and bytes, got {type(text).__name__}")
-    if len(text) > MAX_SYMBOLS:
-        raise Unsupported(f"the compiled kernel takes at most {MAX_SYMBOLS} symbols, got {len(text)}")
-    return load()
-
-
 def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as a memoryview of format ``i`` over
-    the table the kernel allocated. Takes ``str`` and ``bytes`` of at most
-    :data:`MAX_SYMBOLS` symbols; a longer text raises
-    :class:`lps.core.Unsupported`.
+    the table the kernel allocated. Raises :class:`lps.core.Unsupported`
+    where :func:`takes` is false.
 
     On a table of at least ``SPLIT_SIZE`` (2^17) entries, with two
     differing symbols next to each other near the middle of the text, one

@@ -169,11 +169,12 @@ def augmented_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
 # Every implementation the CLI and the bench run, by name, in report order.
 # Each takes only the text and returns (radii, stats), or raises
 # core.Unsupported for a text it cannot run here: naive above ORACLE_CAP,
-# augmented without a free dummy, native where it cannot be built or over
-# its MAX_SYMBOLS. Entries look their solver up at call time, so a wrapper
-# installed on e.g. ``core.python_radii`` or ``augmented_radii`` sees
-# registry calls too. "indexmap" is the Python scan; "native" is the
-# compiled kernel (str and bytes only).
+# augmented without a free dummy, native on any text native.takes is
+# false for (a token tuple, a text over its MAX_SYMBOLS, any text where
+# the kernel cannot be built). Entries look their solver up at call time,
+# so a wrapper installed on e.g. ``core.python_radii`` or
+# ``augmented_radii`` sees registry calls too. "indexmap" is the Python
+# scan; "native" is the compiled kernel.
 SOLVERS: dict[str, Callable[[Text], tuple[RadiiTable, CompareStats]]] = {
     "naive": _naive_solver,
     "augmented": lambda text: augmented_radii(text),

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from lps import bench, native, reference
+from lps import bench, cli, native, reference
 from lps.bench import (
     CSV_HEADER,
     IMPLS,
     BenchRecord,
     BenchSpec,
-    default_impls,
     parse_csv,
     run_bench,
     summarize,
@@ -24,13 +23,23 @@ from lps.reference import SOLVERS
 SMALL = BenchSpec(lengths=(1000,), alphabet_sizes=(2,), repeats=3, seed=0)
 
 
-def test_default_impls_leave_out_a_kernel_that_cannot_load(monkeypatch):
-    spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,))
-    assert spec.impls == IMPLS == default_impls()
-    monkeypatch.setattr(native, "available", lambda: False)
-    spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,))
-    assert spec.impls == default_impls() == tuple(name for name in IMPLS if name != "native")
-    assert {r.impl for r in run_bench(spec)} == set(spec.impls)
+def test_a_kernel_that_cannot_load_is_skipped(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_error", Unsupported("cannot load the compiled kernel: simulated"))
+    # a grid does not load the kernel; its trials are skipped
+    spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,), repeats=2)
+    assert spec.impls == IMPLS
+    for grid in (spec, spec._replace(impls=("indexmap", "native"))):
+        for record in run_bench(grid):
+            assert (record.outcome == "skipped") == (record.impl == "native"), record
+    assert capsys.readouterr().err == ""
+    # lps bench --impls native fails before its --out file is opened
+    out = tmp_path / "report.csv"
+    out.write_text("earlier report\n")
+    argv = ["bench", "--lengths", "10", "--alphabets", "2", "--impls", "indexmap,native", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "lps: error: cannot load the compiled kernel: simulated\n"
+    assert out.read_text() == "earlier report\n"
 
 
 @pytest.fixture(scope="module")

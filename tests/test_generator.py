@@ -82,15 +82,16 @@ def test_length_exactness():
 
 
 def test_chunking_invariance():
-    spec = GenSpec(length=1000, alphabet_size=5, seed=7)
-    whole = gen_text(spec)
-    for chunk_size in (1, 7, 64, 999, 1000, 4096):
-        assert "".join(iter_chunks(spec, chunk_size)) == whole
-
-
-def test_chunk_size_validation():
-    with pytest.raises(ValueError):
-        list(iter_chunks(GenSpec(10, 2, 0), 0))
+    # each chunk picks up the scalar sequence where the one before it ended
+    spec = GenSpec(length=200_000, alphabet_size=5, seed=7)
+    chunks = list(iter_chunks(spec))
+    assert [len(chunk) for chunk in chunks] == [65_536] * 3 + [3_392]
+    state, expected = spec.seed, []
+    for _ in range(spec.length):
+        state, out = rng_next(state)
+        expected.append(chr(ord("a") + out % spec.alphabet_size))
+    for k in range(1, len(chunks)):
+        assert chunks[k - 1][-2:] + chunks[k][:2] == "".join(expected[65_536 * k - 2 : 65_536 * k + 2])
 
 
 @pytest.mark.parametrize("alphabet", [0, -1, 27, 100])

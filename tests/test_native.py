@@ -25,6 +25,7 @@ import pytest
 
 import lps
 from lps import cli, core, native
+from lps.bench import IMPLS
 from lps.generator import GenSpec, gen_text
 
 PACKAGE = Path(lps.__file__).resolve().parent
@@ -120,6 +121,26 @@ def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "lps: error: the compiled kernel takes at most 6 symbols, got 7\n"
+
+
+def test_table_sizes_fit_a_py_ssize_t():
+    # the kernel allocates 4 bytes per center for the table and
+    # FORMAT_BYTES per center at most for write_radii's output buffer
+    assert native.load().FORMAT_BYTES * (2 * native.MAX_SYMBOLS + 1) <= sys.maxsize
+
+
+def test_takes_notes_a_kernel_that_cannot_load_once(monkeypatch, capsys):
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_error", core.Unsupported("cannot load the compiled kernel: simulated"))
+    monkeypatch.setattr(native, "_noted", False)
+    assert not native.takes(tuple("bananas"))  # refused for its type: no note
+    assert capsys.readouterr().err == ""
+    assert not native.takes("bananas") and not native.takes(b"bananas")
+    note = "lps: note: cannot load the compiled kernel: simulated; using the pure-Python indexmap engine\n"
+    assert capsys.readouterr().err == note
+    radii, stats = core.compute_radii("bananas")
+    assert radii == core.python_radii("bananas")[0] and stats == core.CompareStats(11, 7)
+    assert capsys.readouterr().err == ""
 
 
 def _written(table) -> bytes:
@@ -513,6 +534,14 @@ def test_falls_back_with_one_note(tmp_path, failure):
         proc = subprocess.run(argv, input=b"bananas", stdout=subprocess.PIPE, timeout=120, env=env)
         assert (proc.returncode, proc.stdout) == (0, b"anana\n")
 
+    # the bench records the kernel's trials as skipped, with no note
+    bench = _lps(root, "bench", "--lengths", "10", "--alphabets", "2", path=path)
+    assert (bench.returncode, bench.stderr) == (0, b"")
+    rows = [line.split(b",") for line in bench.stdout.splitlines()[1:]]
+    assert {row[0] for row in rows} == {name.encode() for name in IMPLS}
+    for row in rows:
+        assert row[-1] == (b"skipped" if row[0] == b"native" else b"ok"), row
+
     explicit = _lps(root, "find", "--impl", "native", path=path)
     assert explicit.returncode == 2
     assert explicit.stdout == b""
@@ -527,6 +556,31 @@ def test_falls_back_with_one_note(tmp_path, failure):
         assert bench.stderr.startswith(b"lps: error: ") and reason in bench.stderr
         assert out.read_bytes() == b"earlier report\n"
     assert _built(root) == []  # no library and no partial file left behind
+
+
+# Builds a default BenchSpec, then runs its grid, listing the kernel
+# libraries in the package's cache after each.
+_BENCH_CHILD = """
+import os
+import lps
+from lps.bench import BenchSpec, run_bench
+cache = os.path.join(os.path.dirname(lps.__file__), "__pycache__")
+def built():
+    return sum(name.startswith("_manacher.") for name in os.listdir(cache)) if os.path.isdir(cache) else 0
+spec = BenchSpec(lengths=(10,), alphabet_sizes=(2,), repeats=1)
+print(built())
+records = run_bench(spec)
+print(built(), sorted({record.outcome for record in records}))
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_bench_builds_the_kernel_at_its_first_native_trial(tmp_path):
+    root = _fresh_copy(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _BENCH_CHILD], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["0", "1 ['ok']"]
 
 
 def test_concurrent_first_runs_both_succeed(tmp_path):
