@@ -8,11 +8,14 @@ Run from the repository root:
 The script builds ``git show REV:src/lps/_manacher.c`` (the parent) and
 the working tree's ``src/lps/_manacher.c`` (the change) with
 ``lps.native._build`` into a temporary directory and loads both into this
-process. Each round times ``scan`` and ``write_radii`` of both builds on
-random-1e6 (1e6 random ternary symbols) and unary-1e6 (1e6 copies of one
-symbol). ``write_radii`` writes to a file in the temporary directory,
-65,536 entries per chunk, as ``lps radii`` does. Within a round the side
-that runs first alternates, so a drift of the host falls on both sides.
+process. Each round times ``scan(text)`` and the write path of both
+builds on random-1e6 (1e6 random ternary symbols) and unary-1e6 (1e6
+copies of one symbol). The write path, row ``write``, is
+``scan(text, write, chunk)``, or ``write_radii(text, write, chunk)`` in a
+build that still has that second entry point, so older parents still
+compare; it writes to a file in the temporary directory, 65,536 entries
+per chunk, as ``lps radii`` does. Within a round the side that runs
+first alternates, so a drift of the host falls on both sides.
 
 For each call it prints the minimum, first quartile and median of each
 side in ms (``statistics.quantiles``, exclusive method), and in how many
@@ -72,10 +75,10 @@ def main(argv: list[str] | None = None) -> int:
             if call == "scan":
                 kernel.scan(text)
             else:
-                kernel.write_radii(text, out.write, cli.RADII_CHUNK)
+                getattr(kernel, "write_radii", kernel.scan)(text, out.write, cli.RADII_CHUNK)
             return time.perf_counter() - start
 
-        calls = [(name, call) for name in texts for call in ("scan", "write_radii")]
+        calls = [(name, call) for name in texts for call in ("scan", "write")]
         times = {(name, call, side): [] for name, call in calls for side in kernels}
         for round_ in range(args.rounds):
             order = list(kernels) if round_ % 2 == 0 else list(kernels)[::-1]

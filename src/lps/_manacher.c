@@ -11,18 +11,18 @@
    longest palindrome. The caller keeps 2n+1 below 2^31, so every index
    and radius fits the table.
 
-   Both entry points allocate the table themselves, unzeroed, and each
-   runs at most one POSIX thread besides the calling one, the helper. On
-   a table of at least SPLIT_SIZE entries with two differing symbols near
-   its middle, the helper scans the second half while the calling thread
-   scans the first, which then joins the helper and resynchronizes to its
-   scan (split_scan); the radii, counts and centers are the sequential
-   scan's. scan returns the table whole. write_radii, lps radii's path,
-   formats and writes the table chunk by chunk. A table longer than one
-   chunk that split_scan would scan on one thread is scanned by the
-   helper from center 0 instead, while the calling thread formats and
-   writes behind it with the GIL released; every other table is scanned
-   by split_scan first. */
+   The one entry point, scan, allocates the table, unzeroed, finds the
+   split point once and runs at most one POSIX thread besides the calling
+   one, the helper. On a table of at least SPLIT_SIZE entries with two
+   differing symbols near its middle, the helper scans the second half
+   while the calling thread scans the first, which then joins the helper
+   and resynchronizes to its scan (split_scan); the radii, counts and
+   centers are the sequential scan's. Given a write callable, lps radii's
+   path, scan also formats and writes the table chunk by chunk
+   (write_chunks). A table longer than one chunk that split_scan would
+   scan on one thread is then scanned by the helper from center 0
+   instead, while the calling thread formats and writes behind it with
+   the GIL released; every other table is scanned by split_scan first. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -156,7 +156,8 @@ scan_range(const Text *text, int64_t floor, int32_t *radii, ScanState *state, in
 /* The helper's range is cut into STEPS steps of equal length. */
 #define STEPS 64
 
-/* What the helper and the thread that started it share. The helper
+/* One scan of text into radii, and what the helper and the thread that
+   started it share. scan sets m, the split point, once. The helper
    scans centers [m, size) from the floor m/2. At the start of each step
    i it takes lock, records its state in marks[i], sets done = i, reads
    quit and signals moved; it stops there once quit is set. Under lock,
@@ -212,7 +213,7 @@ join_helper(Split *s, pthread_t thread)
     pthread_join(thread, NULL);
 }
 
-/* The even center at which split_scan splits a table of size entries: the
+/* The even center at which scan splits a table of size entries: the
    first boundary at or after the middle whose two neighbouring symbols
    differ, searched within one step; 0 if there is none. */
 static int64_t
@@ -227,11 +228,11 @@ split_point(const Text *text, int64_t size)
     return 0;
 }
 
-/* All size centers of text into radii from SCAN_START, as one scan_range
-   would write them, with the same comparisons and best center, on up to
-   two threads.
+/* All s->size centers of s->text into s->radii from SCAN_START, as one
+   scan_range would write them, with the same comparisons and best
+   center, on up to two threads.
 
-   From a split point m on, a helper thread scans [m, size) with floor
+   From the split point m on, a helper thread scans [m, size) with floor
    m/2, while this thread scans [0, m). Every palindrome the helper knows
    lies right of m, so every reference of its scan, and every mirror
    center k it reads, lies at or right of m. Its entry at k is the true
@@ -256,27 +257,26 @@ split_point(const Text *text, int64_t size)
    an entry the helper wrote before c is at most the true one, which this
    thread has already seen, and every entry it wrote from c on is true.
 
-   This thread scans alone below SPLIT_SIZE, when no thread starts, and
-   without a split point: then the text around the middle is one symbol
-   repeated, and its palindromes cross any point the helper could start
-   from. Memory: one thread stack and the marks, whatever the text holds. */
+   This thread scans alone where m is 0, below SPLIT_SIZE or without a
+   split point, and when no thread starts. Without a split point the
+   text around the middle is one symbol repeated, and its palindromes
+   cross any point the helper could start from. Memory: one thread stack
+   and the marks, whatever the text holds. */
 static void
-split_scan(const Text *text, int32_t *radii, ScanState *state, int64_t size)
+split_scan(Split *s, ScanState *state)
 {
-    Split s = {.text = text, .radii = radii, .m = split_point(text, size), .size = size,
-               .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
     pthread_t thread;
-    if (s.m == 0 || pthread_create(&thread, NULL, helper, &s) != 0) {
-        scan_range(text, 0, radii, state, 0, size);
+    if (s->m == 0 || pthread_create(&thread, NULL, helper, s) != 0) {
+        scan_range(s->text, 0, s->radii, state, 0, s->size);
         return;
     }
-    scan_range(text, 0, radii, state, 0, s.m);
-    join_helper(&s, thread);
-    const ScanState *end = &s.marks[s.done];
+    scan_range(s->text, 0, s->radii, state, 0, s->m);
+    join_helper(s, thread);
+    const ScanState *end = &s->marks[s->done];
     int64_t i = 0;
-    for (; i < s.done; i++) {
-        int64_t c = step_start(&s, i);
-        const ScanState *mark = &s.marks[i];
+    for (; i < s->done; i++) {
+        int64_t c = step_start(s, i);
+        const ScanState *mark = &s->marks[i];
         if (c > end->touch && state->ref == mark->ref && state->right == mark->right) {
             int helpers = end->best_len > state->best_len;
             *state = (ScanState){
@@ -288,31 +288,9 @@ split_scan(const Text *text, int32_t *radii, ScanState *state, int64_t size)
             };
             break;
         }
-        scan_range(text, 0, radii, state, c, step_start(&s, i + 1));
+        scan_range(s->text, 0, s->radii, state, c, step_start(s, i + 1));
     }
-    scan_range(text, 0, radii, state, step_start(&s, s.done), size);
-}
-
-/* scan(text) -> (table, comparisons, center): text is a str or a
-   bytes-like object of n symbols, table a new bytearray of its 2n+1 radii
-   as int32, not zero-filled: SCAN_START writes every entry before it
-   reads it. */
-static PyObject *
-scan(PyObject *Py_UNUSED(self), PyObject *object)
-{
-    Text text;
-    if (text_open(object, &text) < 0)
-        return NULL;
-    int64_t size = 2 * text.n + 1;
-    PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
-    PyObject *result = NULL;
-    if (table != NULL) {
-        ScanState state = SCAN_START;
-        split_scan(&text, (int32_t *)PyByteArray_AS_STRING(table), &state, size);
-        result = Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best);
-    }
-    PyBuffer_Release(&text.buffer);
-    return result;
+    scan_range(s->text, 0, s->radii, state, step_start(s, s->done), s->size);
 }
 
 /* "00" to "99": two digits per division. */
@@ -381,23 +359,25 @@ format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
 }
 
 /* Scan s's table into state and pass each chunk of it, formatted into
-   buffer, to write; -1 with an exception set if write or a signal
-   handler raised. A table longer than one chunk that split_scan would
-   scan on one thread, below SPLIT_SIZE or with no split point, is
-   scanned by the helper from center 0 while this thread formats each
-   chunk the helper has passed. Any other table is scanned by split_scan
-   first, on two threads where the text splits, and then formatted. */
+   one reused bytearray of FORMAT_BYTES per chunk entry, to write; -1
+   with an exception set if write or a signal handler raised. A table
+   longer than one chunk with no split point (s->m = 0) is scanned by
+   the helper from center 0 while this thread formats each chunk the
+   helper has passed. Any other table is scanned by split_scan first, on
+   two threads where the text splits, and then formatted. */
 static int
-write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write, PyObject *buffer)
+write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
 {
-    PyObject *view = PyMemoryView_FromObject(buffer);
-    if (view == NULL)
+    PyObject *buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk);
+    PyObject *view = buffer ? PyMemoryView_FromObject(buffer) : NULL;
+    if (view == NULL) {
+        Py_XDECREF(buffer);
         return -1;
+    }
     pthread_t thread;
-    int behind = s->size > chunk && split_point(s->text, s->size) == 0 &&
-                 pthread_create(&thread, NULL, helper, s) == 0;
+    int behind = s->size > chunk && s->m == 0 && pthread_create(&thread, NULL, helper, s) == 0;
     if (!behind)
-        split_scan(s->text, s->radii, state, s->size);
+        split_scan(s, state);
     int failed = 0;
     for (int64_t start = 0; start < s->size && !failed; start += chunk) {
         int64_t stop = start + chunk < s->size ? start + chunk : s->size;
@@ -430,22 +410,26 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write, PyObjec
         *state = s->marks[s->done];
     }
     Py_DECREF(view);
+    Py_DECREF(buffer);
     return failed ? -1 : 0;
 }
 
-/* write_radii(text, write, chunk) -> (comparisons, center): scan text as
-   scan does and call write with each chunk entries of the table as the
-   decimals str() gives, comma separated, a comma between chunks and a
-   newline at the end, as a memoryview of one reused bytearray. If write
-   or a signal handler raises, a helper still scanning stops at its next
-   step start and is joined before the exception propagates. Memory: the
-   4(2n+1)-byte table and FORMAT_BYTES per chunk entry. */
+/* scan(text, write=None, chunk=1) -> (table, comparisons, center): text
+   is a str or a bytes-like object of n symbols, table a new bytearray of
+   its 2n+1 radii as int32, not zero-filled: SCAN_START writes every entry
+   before it reads it. Given write, scan also calls it with each chunk
+   entries of the table as the decimals str() gives, comma separated, a
+   comma between chunks and a newline at the end, as a memoryview of one
+   reused bytearray. If write or a signal handler raises, a helper still
+   scanning stops at its next step start and is joined before the
+   exception propagates. Memory: the 4(2n+1)-byte table, and with write
+   FORMAT_BYTES per chunk entry. */
 static PyObject *
-write_radii(PyObject *Py_UNUSED(self), PyObject *args)
+scan(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *object, *write;
-    Py_ssize_t chunk;
-    if (!PyArg_ParseTuple(args, "OOn", &object, &write, &chunk))
+    PyObject *object, *write = Py_None;
+    Py_ssize_t chunk = 1;
+    if (!PyArg_ParseTuple(args, "O|On:scan", &object, &write, &chunk))
         return NULL;
     if (chunk < 1)
         return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
@@ -453,24 +437,22 @@ write_radii(PyObject *Py_UNUSED(self), PyObject *args)
     if (text_open(object, &text) < 0)
         return NULL;
     int64_t size = 2 * text.n + 1;
-    chunk = chunk < size ? chunk : size;
-    /* unzeroed: the page faults of a fresh table land in the scan */
-    Split s = {.text = &text, .radii = PyMem_RawMalloc(4 * size), .size = size,
-               .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
-    PyObject *buffer = s.radii ? PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk) : PyErr_NoMemory();
-    PyObject *result = NULL;
+    PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
     ScanState state = SCAN_START;
-    if (buffer != NULL && write_chunks(&s, &state, chunk, write, buffer) == 0)
-        result = Py_BuildValue("LL", (long long)state.comparisons, (long long)state.best);
-    Py_XDECREF(buffer);
-    PyMem_RawFree(s.radii);
+    if (table != NULL) {
+        Split s = {.text = &text, .radii = (int32_t *)PyByteArray_AS_STRING(table), .m = split_point(&text, size),
+                   .size = size, .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
+        if (write == Py_None)
+            split_scan(&s, &state);
+        else if (write_chunks(&s, &state, chunk < size ? chunk : size, write) < 0)
+            Py_CLEAR(table);
+    }
     PyBuffer_Release(&text.buffer);
-    return result;
+    return table ? Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best) : NULL;
 }
 
 static PyMethodDef methods[] = {
-    {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
-    {"write_radii", write_radii, METH_VARARGS, "write_radii(text, write, chunk) -> (comparisons, center)"},
+    {"scan", scan, METH_VARARGS, "scan(text, write=None, chunk=1) -> (table, comparisons, center)"},
     {NULL, NULL, 0, NULL},
 };
 

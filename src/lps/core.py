@@ -41,13 +41,10 @@ __all__ = [
     "UsageError",
     "argmax",
     "compute_radii",
-    "get_left_bound",
-    "get_right_bound",
     "kernel",
     "longest_palindrome",
     "python_radii",
     "result_from_radii",
-    "to_mirror_image",
     "to_original_span",
 ]
 
@@ -102,21 +99,6 @@ class LpsResult(NamedTuple):
 
     def substring(self, text: Text) -> Text:
         return self.span.substring(text)
-
-
-def to_mirror_image(center: int, x: int) -> int:
-    """Reflection of index ``x`` about ``center``: ``2 * center - x``."""
-    return 2 * center - x
-
-
-def get_left_bound(i: int, radii: RadiiTable) -> int:
-    """Left edge, in augmented space, of the palindrome centered at ``i``."""
-    return i - radii[i]
-
-
-def get_right_bound(i: int, radii: RadiiTable) -> int:
-    """Right edge, in augmented space, of the palindrome centered at ``i``."""
-    return i + radii[i]
 
 
 def to_original_span(center: int, radius: int) -> Span:

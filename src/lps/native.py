@@ -6,14 +6,14 @@ stores it in, and ``bytes`` through the buffer protocol, so no copy of the
 symbols is made. It allocates its own ``int32`` radii table, with no zero
 fill, so its memory is 4 bytes per center whatever the text holds. It
 returns the same comparison count as the Python engine, and the leftmost
-center of the longest palindrome, which it keeps as it scans. It has two
-entry points: ``scan``, behind :func:`compute_radii`, returns the whole
-table, and ``write_radii``, behind :func:`write_radii`, writes it. Each
-runs at most one thread besides the calling one, the helper. Both split
-a table of at least ``SPLIT_SIZE`` (2^17) entries between the helper and
-the calling thread where the text allows; ``write_radii`` has the helper
-scan any other table longer than one chunk from the start while the
-calling thread writes behind it.
+center of the longest palindrome, which it keeps as it scans. It has one
+entry point, ``scan``: behind :func:`compute_radii` it returns the whole
+table, and behind :func:`write_radii` it also writes it, given a write
+callable. It runs at most one thread besides the calling one, the
+helper. It splits a table of at least ``SPLIT_SIZE`` (2^17) entries
+between the helper and the calling thread where the text allows; when
+writing, it has the helper scan any other table longer than one chunk
+from the start while the calling thread writes behind it.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -185,14 +185,15 @@ def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
     ``write`` as the ASCII bytes of ``",".join(map(str, radii)) + "\\n"``,
     one memoryview per ``chunk`` entries, and return the stats.
 
-    The table is never a Python object: the kernel allocates it. A table
-    :func:`compute_radii` splits is scanned the same way, on two threads,
-    and then written. Any other table of more than ``chunk`` entries is
-    scanned from the start by the helper thread, while this thread, with
-    the GIL released, waits for each chunk the helper has passed, formats
-    and writes it. Memory is the 4-byte table and the module's
-    ``FORMAT_BYTES`` (11) per chunk entry. An exception from ``write``
-    stops the helper and propagates. Takes the texts :func:`compute_radii`
-    takes."""
-    return CompareStats(*_kernel(text).write_radii(text, write, chunk))
+    The kernel allocates the table as :func:`compute_radii` does, and
+    this function drops it. A table :func:`compute_radii` splits is
+    scanned the same way, on two threads, and then written. Any other
+    table of more than ``chunk`` entries is scanned from the start by the
+    helper thread, while this thread, with the GIL released, waits for
+    each chunk the helper has passed, formats and writes it. Memory is the
+    4-byte table and the module's ``FORMAT_BYTES`` (11) per chunk entry.
+    An exception from ``write`` stops the helper and propagates; a
+    ``chunk`` below 1 raises ValueError before anything is scanned. Takes
+    the texts :func:`compute_radii` takes."""
+    return CompareStats(*_kernel(text).scan(text, write, chunk)[1:])
 

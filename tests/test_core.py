@@ -8,39 +8,12 @@ from lps.core import (
     CompareStats,
     Span,
     argmax,
-    get_left_bound,
-    get_right_bound,
     longest_palindrome,
     python_radii,
-    to_mirror_image,
     to_original_span,
 )
 
 BANANAS_RADII = [0, 1, 0, 1, 0, 3, 0, 5, 0, 3, 0, 1, 0, 1, 0]
-
-
-@pytest.mark.parametrize(
-    "center,x,expected",
-    [
-        (5, 3, 7),
-        (5, 7, 3),
-        (5, 5, 5),
-        (0, 4, -4),
-        (7, 0, 14),
-    ],
-)
-def test_mirror_image(center, x, expected):
-    assert to_mirror_image(center, x) == expected
-    # an involution: reflecting twice gets back to x
-    assert to_mirror_image(center, expected) == x
-
-
-def test_bounds():
-    radii = BANANAS_RADII
-    assert get_left_bound(7, radii) == 2
-    assert get_right_bound(7, radii) == 12
-    assert get_left_bound(0, radii) == 0
-    assert get_right_bound(0, radii) == 0
 
 
 @pytest.mark.parametrize(

@@ -390,6 +390,13 @@ def test_write_radii_propagates_an_exception_from_write():
         assert _kernel_written(text) == (_joined(radii), stats), name
 
 
+def test_write_radii_refuses_a_chunk_below_one():
+    calls = []
+    with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
+        native.write_radii("ab", calls.append, 0)
+    assert calls == []
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
 def test_write_radii_stops_on_a_signal():
     # list.append is C, so no Python code runs between chunks: only the
@@ -427,9 +434,9 @@ def _libtsan() -> str | None:
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], and runs scan and write_radii on each
-# text file named after it and write_radii on unary text, printing
-# (comparisons, center).
+# Loads the kernel built at argv[1], and runs scan without and with a
+# write callable on each text file named after it and with one on unary
+# text, printing (comparisons, center).
 _TSAN_CHILD = """
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -440,8 +447,8 @@ for path in sys.argv[2:]:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     print(kernel.scan(text)[1:])
-    print(kernel.write_radii(text, len, 65536))
-print(kernel.write_radii("a" * 10**6, len, 65536))
+    print(kernel.scan(text, len, 65536)[1:])
+print(kernel.scan("a" * 10**6, len, 65536)[1:])
 """
 
 

@@ -14,12 +14,9 @@ from hypothesis import strategies as st
 from lps import native
 from lps.core import (
     compute_radii,
-    get_left_bound,
-    get_right_bound,
     longest_palindrome,
     python_radii,
     result_from_radii,
-    to_mirror_image,
     to_original_span,
 )
 from lps.generator import GenSpec, gen_text
@@ -102,10 +99,10 @@ def test_reflection_bounds(text):
     # survives
     radii, _ = compute_radii(text)
     for a, r in enumerate(radii):
-        right = get_right_bound(a, radii)
+        right = a + radii[a]
         for j in range(a + 1, right + 1):
-            k = to_mirror_image(a, j)
-            if get_left_bound(k, radii) > get_left_bound(a, radii):
+            k = 2 * a - j
+            if k - radii[k] > a - radii[a]:
                 assert radii[j] == radii[k]
             else:
                 assert radii[j] >= min(radii[k], right - j)
