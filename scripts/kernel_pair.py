@@ -9,8 +9,12 @@ The script builds ``git show REV:src/lps/_manacher.c`` (the parent) and
 the working tree's ``src/lps/_manacher.c`` (the change) with
 ``lps.native._build`` into a temporary directory and loads both into this
 process. Each round times ``scan(text)`` and the write path of both
-builds on random-1e6 (1e6 random ternary symbols) and unary-1e6 (1e6
-copies of one symbol). The write path, row ``write``, is
+builds on random-1e6 (1e6 random ternary symbols), late-1e6 (the same
+with a 300-symbol palindrome at 7/8 of the text, whose radius does not
+fit the kernel's one-byte table, so the table widens past the point
+where the calling thread takes over the helper's scan) and unary-1e6
+(1e6 copies of one symbol, widened at center 256). The write path, row
+``write``, is
 ``scan(text, write, chunk)``, or ``write_radii(text, write, chunk)`` in a
 build that still has that second entry point, so older parents still
 compare; it writes to a file in the temporary directory, 65,536 entries
@@ -18,8 +22,12 @@ per chunk, as ``lps radii`` does. Within a round the side that runs
 first alternates, so a drift of the host falls on both sides.
 
 For each call it prints the minimum, first quartile and median of each
-side in ms (``statistics.quantiles``, exclusive method), and in how many
-rounds each side was lower. Perfbench runs whole processes and scales by
+side in ms (``statistics.quantiles``, exclusive method), in how many
+rounds each side was lower, and the median number of minor page faults
+the call made (``ru_minflt``, both threads). A change in fault cost
+shows in that column, not in the times; at 1e6 it mostly reads 0, since
+glibc hands a freed table back already faulted in, and such a change is
+timed in fresh processes. Perfbench runs whole processes and scales by
 the host's speed; this compares the two kernels with everything else
 held equal, which shows differences of a few percent that perfbench's
 spread hides.
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,7 +53,20 @@ from lps import cli, native  # noqa: E402
 from lps.generator import GenSpec, gen_text  # noqa: E402
 
 KERNEL = "src/lps/_manacher.c"
-TEXTS = {"random-1e6": lambda: gen_text(GenSpec(10**6, 3, 1)), "unary-1e6": lambda: "a" * 10**6}
+
+
+def late(n: int) -> str:
+    """Random ternary text with a 300-symbol palindrome centered at 7n/8."""
+    text, at = gen_text(GenSpec(n, 3, 1)), 7 * n // 8
+    half = text[:150]
+    return text[: at - 150] + half + half[::-1] + text[at + 150 :]
+
+
+TEXTS = {
+    "random-1e6": lambda: gen_text(GenSpec(10**6, 3, 1)),
+    "late-1e6": lambda: late(10**6),
+    "unary-1e6": lambda: "a" * 10**6,
+}
 
 
 def load(source: bytes, directory: str, side: str):
@@ -68,23 +90,28 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
         kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
 
-        def run(kernel, call: str, text) -> float:
+        def run(kernel, call: str, text) -> tuple[float, int]:
             out.seek(0)
             out.truncate()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             if call == "scan":
                 kernel.scan(text)
             else:
                 getattr(kernel, "write_radii", kernel.scan)(text, out.write, cli.RADII_CHUNK)
-            return time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
         calls = [(name, call) for name in texts for call in ("scan", "write")]
         times = {(name, call, side): [] for name, call in calls for side in kernels}
+        faults = {key: [] for key in times}
         for round_ in range(args.rounds):
             order = list(kernels) if round_ % 2 == 0 else list(kernels)[::-1]
             for name, call in calls:
                 for side in order:
-                    times[name, call, side].append(run(kernels[side], call, texts[name]))
+                    elapsed, made = run(kernels[side], call, texts[name])
+                    times[name, call, side].append(elapsed)
+                    faults[name, call, side].append(made)
 
     print(f"{args.rounds} rounds, parent {args.rev}, change the working tree; ms")
     for name, call in calls:
@@ -98,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{name:<11} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
                 f"  median {1e3 * median:7.2f}  lower in {lower[side]}/{args.rounds}"
+                f"  faults {statistics.median(faults[name, call, side]):g}"
             )
     return 0
 

@@ -6,23 +6,28 @@
    one range to the next; a whole scan is one range. It reads the text
    where it lies: a str through its PEP 393 array of 1, 2 or 4 bytes per
    code point, bytes and other buffers as uint8. It writes the 2n+1 radii
-   into an int32 table and reports the number of real symbol comparisons,
-   the count the Python engine reports, and the leftmost center of the
-   longest palindrome. The caller keeps 2n+1 below 2^31, so every index
-   and radius fits the table.
+   into a table of one byte per center, uint8, while every radius fits
+   BYTE_LIMIT (255), and of four, int32, from the first that does not
+   (widen), and reports the number of real symbol comparisons, the count
+   the Python engine reports, and the leftmost center of the longest
+   palindrome. The caller keeps 2n+1 below 2^31, so every index and
+   radius fits an int32 table.
 
-   The one entry point, scan, allocates the table, unzeroed, finds the
-   split point once and runs at most one POSIX thread besides the calling
-   one, the helper. On a table of at least SPLIT_SIZE entries with two
-   differing symbols near its middle, the helper scans the second half
-   while the calling thread scans the first, which then joins the helper
-   and resynchronizes to its scan (split_scan); the radii, counts and
-   centers are the sequential scan's. Given a write callable, lps radii's
-   path, scan also formats and writes the table chunk by chunk
-   (write_chunks). A table longer than one chunk that split_scan would
-   scan on one thread is then scanned by the helper from center 0
-   instead, while the calling thread formats and writes behind it with
-   the GIL released; every other table is scanned by split_scan first. */
+   The one entry point, scan, allocates the table for four bytes per
+   center, 4(2n+1) bytes, unzeroed, and shrinks it to 2n+1 bytes if it
+   stayed at one: only the first quarter of a one-byte table is touched.
+   It finds the split point once and runs at most one POSIX thread
+   besides the calling one, the helper. On a table of at least SPLIT_SIZE
+   entries with two differing symbols near its middle, the helper scans
+   the second half while the calling thread scans the first, which then
+   joins the helper and resynchronizes to its scan (split_scan); the
+   radii, counts and centers are the sequential scan's. Given a write
+   callable, lps radii's path, scan also formats and writes the table
+   chunk by chunk (write_chunks). A table longer than one chunk that
+   split_scan would scan on one thread is then scanned by the helper from
+   center 0 instead, at four bytes from the start, while the calling
+   thread formats and writes behind it with the GIL released; every other
+   table is scanned by split_scan first. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -48,64 +53,89 @@ typedef struct {
    then written before it is read, and the table needs no zero fill. */
 static const ScanState SCAN_START = {.right = -1};
 
+/* The largest radius a one-byte table holds. */
+#ifndef BYTE_LIMIT
+#define BYTE_LIMIT 255
+#endif
+
 /* A mirror copy never exceeds the radius it copies, which an earlier
    center already holds, so only an expansion can raise the best length;
-   testing it with > keeps the leftmost center on ties. An expansion reads
-   no symbol below floor: a scan from floor 0 is the scan of the whole
-   text, and split_scan's helper scans the suffix from its floor as if the
-   text began there. Only a scan with a floor keeps touch, so the test
-   folds away from every loop compiled for floor 0. The loop is inlined
-   into each caller: one shared out-of-line copy scanned unary text 5-10%
-   slower, in how the compiler laid out its branches, than a loop compiled
-   where its start and its state are known. The expansion tests hi < n
-   first: in the other order GCC 12 laid out split_scan's one-thread scan
-   of unary text about 5% slower. */
-#define SCAN(T)                                                                                       \
-    static inline __attribute__((always_inline)) void                                                 \
-    scan_##T(const T *text, int64_t n, int64_t floor, int32_t *radii, ScanState *state, int64_t start, \
-             int64_t stop)                                                                            \
-    {                                                                                                 \
-        int64_t comparisons = state->comparisons, ref = state->ref, right = state->right;             \
-        int64_t best = state->best, best_len = state->best_len, touch = state->touch;                 \
-        for (int64_t j = start; j < stop; j++) {                                                      \
-            int64_t radius;                                                                           \
-            if (j <= right) {                                                                         \
-                int64_t k = 2 * ref - j;                                                              \
-                if (k - radii[k] > 2 * ref - right) {                                                 \
-                    radii[j] = radii[k];                                                              \
-                    continue;                                                                         \
-                }                                                                                     \
-                radius = right - j;                                                                   \
-            } else {                                                                                  \
-                radius = j & 1;                                                                       \
-            }                                                                                         \
-            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                             \
-            while (hi < n && lo >= floor) {                                                           \
-                comparisons++;                                                                        \
-                if (text[lo] != text[hi])                                                             \
-                    break;                                                                            \
-                lo--;                                                                                 \
-                hi++;                                                                                 \
-            }                                                                                         \
-            if (floor > 0 && lo < floor)                                                              \
-                touch = j;                                                                            \
-            radius = hi - lo - 1;                                                                     \
-            radii[j] = (int32_t)radius;                                                               \
-            if (radius > best_len) {                                                                  \
-                best = j;                                                                             \
-                best_len = radius;                                                                    \
-            }                                                                                         \
-            if (j + radius > right) {                                                                 \
-                ref = j;                                                                              \
-                right = j + radius;                                                                   \
-            }                                                                                         \
-        }                                                                                             \
-        *state = (ScanState){ref, right, best, best_len, comparisons, touch};                         \
+   testing it with > keeps the leftmost center on ties. For the same
+   reason only an expansion can outgrow a one-byte table (R uint8_t). Its
+   radius then beats the best length, which fits the byte, so the test
+   sits in the rarely taken branch of a new best and the loop keeps no
+   variable of its own for it. It also reaches past right, since the
+   reference's radius fits the byte too, so that center is the new
+   reference. The scan stops there, with the center counted in state and
+   its entry truncated, and returns it, for its caller to widen the
+   table, write the entry, state->best_len, and scan on from the next
+   center at four bytes. No center is scanned twice, so no comparison is
+   counted twice. Otherwise the scan returns stop. An expansion reads no
+   symbol below floor: a scan from floor 0 is the scan of the whole text,
+   and split_scan's helper scans the suffix from its floor as if the text
+   began there. Only a scan with a floor keeps touch, so the test folds
+   away from every loop compiled for floor 0. The loop is inlined into
+   each caller: one shared out-of-line copy scanned unary text 5-10%
+   slower, in how the compiler laid out its branches, than a loop
+   compiled where its start and its state are known. The expansion tests
+   hi < n first: in the other order GCC 12 laid out split_scan's
+   one-thread scan of unary text about 5% slower. */
+#define SCAN(T, R)                                                                                  \
+    static inline __attribute__((always_inline)) int64_t                                            \
+    scan_##T##_##R(const T *text, int64_t n, int64_t floor, R *radii, ScanState *state,             \
+                   int64_t start, int64_t stop)                                                     \
+    {                                                                                               \
+        int64_t comparisons = state->comparisons, ref = state->ref, right = state->right;           \
+        int64_t best = state->best, best_len = state->best_len, touch = state->touch;               \
+        int64_t j = start;                                                                          \
+        for (; j < stop; j++) {                                                                     \
+            int64_t radius;                                                                         \
+            if (j <= right) {                                                                       \
+                int64_t k = 2 * ref - j;                                                            \
+                if (k - radii[k] > 2 * ref - right) {                                               \
+                    radii[j] = radii[k];                                                            \
+                    continue;                                                                       \
+                }                                                                                   \
+                radius = right - j;                                                                 \
+            } else {                                                                                \
+                radius = j & 1;                                                                     \
+            }                                                                                       \
+            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                           \
+            while (hi < n && lo >= floor) {                                                         \
+                comparisons++;                                                                      \
+                if (text[lo] != text[hi])                                                           \
+                    break;                                                                          \
+                lo--;                                                                               \
+                hi++;                                                                               \
+            }                                                                                       \
+            if (floor > 0 && lo < floor)                                                            \
+                touch = j;                                                                          \
+            radius = hi - lo - 1;                                                                   \
+            radii[j] = (R)radius;                                                                   \
+            if (radius > best_len) {                                                                \
+                best = j;                                                                           \
+                best_len = radius;                                                                  \
+                if (sizeof(R) == 1 && radius > BYTE_LIMIT) {                                        \
+                    ref = j;                                                                        \
+                    right = j + radius;                                                             \
+                    break;                                                                          \
+                }                                                                                   \
+            }                                                                                       \
+            if (j + radius > right) {                                                               \
+                ref = j;                                                                            \
+                right = j + radius;                                                                 \
+            }                                                                                       \
+        }                                                                                           \
+        *state = (ScanState){ref, right, best, best_len, comparisons, touch};                       \
+        return j;                                                                                   \
     }
 
-SCAN(uint8_t)
-SCAN(uint16_t)
-SCAN(uint32_t)
+SCAN(uint8_t, uint8_t)
+SCAN(uint16_t, uint8_t)
+SCAN(uint32_t, uint8_t)
+SCAN(uint8_t, int32_t)
+SCAN(uint16_t, int32_t)
+SCAN(uint32_t, int32_t)
 
 /* The symbols of a str or a bytes-like object, read where they lie. */
 typedef struct {
@@ -134,40 +164,55 @@ text_open(PyObject *object, Text *text)
     return 0;
 }
 
-/* Centers [start, stop) of text into radii, carrying state, reading no
-   symbol below floor. */
-static inline __attribute__((always_inline)) void
-scan_range(const Text *text, int64_t floor, int32_t *radii, ScanState *state, int64_t start, int64_t stop)
+/* Centers [start, stop) of text into radii, one byte per entry or, if
+   wide, four, carrying state, reading no symbol below floor; returns stop,
+   or the center whose radius outgrew the byte (see SCAN). */
+static inline __attribute__((always_inline)) int64_t
+scan_range(const Text *text, int64_t floor, void *radii, int wide, ScanState *state, int64_t start, int64_t stop)
 {
+    if (wide) {
+        if (text->kind == PyUnicode_1BYTE_KIND)
+            return scan_uint8_t_int32_t(text->data, text->n, floor, radii, state, start, stop);
+        if (text->kind == PyUnicode_2BYTE_KIND)
+            return scan_uint16_t_int32_t(text->data, text->n, floor, radii, state, start, stop);
+        return scan_uint32_t_int32_t(text->data, text->n, floor, radii, state, start, stop);
+    }
     if (text->kind == PyUnicode_1BYTE_KIND)
-        scan_uint8_t(text->data, text->n, floor, radii, state, start, stop);
-    else if (text->kind == PyUnicode_2BYTE_KIND)
-        scan_uint16_t(text->data, text->n, floor, radii, state, start, stop);
-    else
-        scan_uint32_t(text->data, text->n, floor, radii, state, start, stop);
+        return scan_uint8_t_uint8_t(text->data, text->n, floor, radii, state, start, stop);
+    if (text->kind == PyUnicode_2BYTE_KIND)
+        return scan_uint16_t_uint8_t(text->data, text->n, floor, radii, state, start, stop);
+    return scan_uint32_t_uint8_t(text->data, text->n, floor, radii, state, start, stop);
 }
 
 /* Tables of at least SPLIT_SIZE entries are scanned on two threads.
    Starting and joining the helper costs about 40 us, so the split breaks
    even near 2^14 entries; at 2^17 it scans random text in 0.68 ms against
    1.1-1.2 ms on one thread (2-core x86_64 host, in process). The module
-   exports the value for its tests. */
+   exports the value for its tests. SPLIT_SIZE, STEPS and BYTE_LIMIT can
+   be set when compiling, for a small model of the scan, and
+   HELPER_STEPS, to fix how far its helper gets (see helper). */
+#ifndef SPLIT_SIZE
 #define SPLIT_SIZE (1 << 17)
+#endif
 /* The helper's range is cut into STEPS steps of equal length. */
+#ifndef STEPS
 #define STEPS 64
+#endif
 
 /* One scan of text into radii, and what the helper and the thread that
-   started it share. scan sets m, the split point, once. The helper
-   scans centers [m, size) from the floor m/2. At the start of each step
-   i it takes lock, records its state in marks[i], sets done = i, reads
-   quit and signals moved; it stops there once quit is set. Under lock,
-   then, the centers before step_start(done) are final in its scan, and
-   marks[0..done] hold. */
+   started it share. scan sets m, the split point, once; wide is whether
+   the table holds four bytes per entry, set by the calling thread. The
+   helper scans centers [m, size) from the floor m/2. At the start of
+   each step i it takes lock, records its state in marks[i], sets done =
+   i, reads quit and signals moved; it stops there once quit is set, and
+   after a step whose scan stopped at a radius above BYTE_LIMIT. Under
+   lock, then, the centers before step_start(done) are final in its scan,
+   and marks[0..done] hold. */
 typedef struct {
     const Text *text;
-    int32_t *radii;
+    void *radii;
     int64_t m, size, done;
-    int quit;
+    int quit, wide;
     pthread_mutex_t lock;
     pthread_cond_t moved;
     ScanState marks[STEPS + 1];
@@ -187,18 +232,27 @@ helper(void *arg)
     /* right = m - 1: center m expands, stops at the floor at once (a
        touch) and writes 0, its true radius since its neighbours differ.
        At m = 0 this is SCAN_START with floor 0: the whole sequential
-       scan, whose end state is marks[STEPS]. */
+       scan, whose end state is marks[STEPS], for write_chunks to format
+       behind it, so at four bytes from the start. */
     ScanState state = {.ref = s->m, .right = s->m - 1, .best = s->m, .touch = s->m};
     for (int64_t i = 0;; i++) {
         pthread_mutex_lock(&s->lock);
         s->marks[i] = state;
         s->done = i;
         int quit = s->quit;
+#ifdef HELPER_STEPS
+        /* a small model's helper takes exactly this many steps of a split,
+           short of a radius above BYTE_LIMIT, however the threads run */
+        if (s->m != 0)
+            quit = i == HELPER_STEPS;
+#endif
         pthread_cond_signal(&s->moved);
         pthread_mutex_unlock(&s->lock);
         if (i == STEPS || quit)
             return NULL;
-        scan_range(s->text, s->m / 2, s->radii, &state, step_start(s, i), step_start(s, i + 1));
+        int64_t next = step_start(s, i + 1);
+        if (scan_range(s->text, s->m / 2, s->radii, s->m == 0, &state, step_start(s, i), next) < next)
+            return NULL; /* as if told to quit: the state it stopped in is no mark */
     }
 }
 
@@ -228,9 +282,64 @@ split_point(const Text *text, int64_t size)
     return 0;
 }
 
+/* Centers [start, stop) at four bytes, floor 0. Out of line: inlined
+   into split_scan, GCC 12 laid the loop out about 5% slower on unary
+   text (in process). */
+static __attribute__((noinline)) void
+scan_wide(const Text *text, void *radii, ScanState *state, int64_t start, int64_t stop)
+{
+    scan_range(text, 0, radii, 1, state, start, stop);
+}
+
+/* The table of a scan stopped at center j, whose radius outgrew the
+   byte, widened to int32 in place, with j's entry written, and scanned on
+   at four bytes (split_scan). Entry i moves to bytes [4i, 4i + 4), which
+   lie at or right of every byte entry not yet moved when the entries
+   move back to front. */
+static void
+widen(Split *s, ScanState *state, int64_t j)
+{
+    int32_t *radii = s->radii;
+    for (int64_t i = j - 1; i >= 0; i--)
+        radii[i] = ((const uint8_t *)s->radii)[i];
+    radii[j] = (int32_t)state->best_len;
+    s->wide = 1;
+    scan_wide(s->text, s->radii, state, j + 1, s->size);
+}
+
+/* The calling thread's scan on from center m, at one byte, after it has
+   joined the helper: step by step until it resynchronizes to the
+   helper's scan, then whatever the helper did not reach (split_scan).
+   Returns size, or the center whose radius outgrew the byte. */
+static int64_t
+resync(Split *s, ScanState *state)
+{
+    const ScanState *end = &s->marks[s->done];
+    for (int64_t i = 0; i < s->done; i++) {
+        int64_t c = step_start(s, i), next = step_start(s, i + 1);
+        const ScanState *mark = &s->marks[i];
+        if (c > end->touch && state->ref == mark->ref && state->right == mark->right) {
+            int helpers = end->best_len > state->best_len;
+            *state = (ScanState){
+                .ref = end->ref,
+                .right = end->right,
+                .best = helpers ? end->best : state->best,
+                .best_len = helpers ? end->best_len : state->best_len,
+                .comparisons = state->comparisons + end->comparisons - mark->comparisons,
+            };
+            break;
+        }
+        int64_t j = scan_range(s->text, 0, s->radii, 0, state, c, next);
+        if (j < next)
+            return j;
+    }
+    return scan_range(s->text, 0, s->radii, 0, state, step_start(s, s->done), s->size);
+}
+
 /* All s->size centers of s->text into s->radii from SCAN_START, as one
-   scan_range would write them, with the same comparisons and best
-   center, on up to two threads.
+   scan_range would write them at four bytes, with the same comparisons
+   and best center, on up to two threads, at one byte per entry until a
+   radius exceeds BYTE_LIMIT.
 
    From the split point m on, a helper thread scans [m, size) with floor
    m/2, while this thread scans [0, m). Every palindrome the helper knows
@@ -257,6 +366,22 @@ split_point(const Text *text, int64_t size)
    an entry the helper wrote before c is at most the true one, which this
    thread has already seen, and every entry it wrote from c on is true.
 
+   Both threads scan at one byte per entry. A helper whose radius exceeds
+   BYTE_LIMIT stops in mid-step as if told to quit; that state is not
+   recorded, so marks[0..done] hold, the centers before step_start(done)
+   are final in its scan, and all of the above stands. Where this
+   thread's scan stops at a center j whose radius exceeds BYTE_LIMIT, the
+   helper has been joined (at m, or here, before m), the entries before j
+   are the sequential scan's, as bytes (its own, and from c on the
+   helper's if it adopted them), and state is the sequential scan's after
+   j. This thread widens the entries before j in place, writes j's and
+   scans (j, size) alone at four bytes: the sequential scan from there,
+   with every entry written before it is read, since a mirror center lies
+   left of the center it serves. A helper scan not adopted by then is
+   dropped: its bytes lie where the wide entries now go. A helper that
+   stopped at BYTE_LIMIT and was adopted leaves this thread to scan on
+   from step_start(done), and to widen where its own scan stops.
+
    This thread scans alone where m is 0, below SPLIT_SIZE or without a
    split point, and when no thread starts. Without a split point the
    text around the middle is one symbol repeated, and its palindromes
@@ -266,31 +391,15 @@ static void
 split_scan(Split *s, ScanState *state)
 {
     pthread_t thread;
-    if (s->m == 0 || pthread_create(&thread, NULL, helper, s) != 0) {
-        scan_range(s->text, 0, s->radii, state, 0, s->size);
-        return;
+    int helped = s->m != 0 && pthread_create(&thread, NULL, helper, s) == 0;
+    int64_t j = scan_range(s->text, 0, s->radii, 0, state, 0, helped ? s->m : s->size);
+    if (helped) {
+        join_helper(s, thread);
+        if (j == s->m)
+            j = resync(s, state);
     }
-    scan_range(s->text, 0, s->radii, state, 0, s->m);
-    join_helper(s, thread);
-    const ScanState *end = &s->marks[s->done];
-    int64_t i = 0;
-    for (; i < s->done; i++) {
-        int64_t c = step_start(s, i);
-        const ScanState *mark = &s->marks[i];
-        if (c > end->touch && state->ref == mark->ref && state->right == mark->right) {
-            int helpers = end->best_len > state->best_len;
-            *state = (ScanState){
-                .ref = end->ref,
-                .right = end->right,
-                .best = helpers ? end->best : state->best,
-                .best_len = helpers ? end->best_len : state->best_len,
-                .comparisons = state->comparisons + end->comparisons - mark->comparisons,
-            };
-            break;
-        }
-        scan_range(s->text, 0, s->radii, state, c, step_start(s, i + 1));
-    }
-    scan_range(s->text, 0, s->radii, state, step_start(s, s->done), s->size);
+    if (j < s->size)
+        widen(s, state, j);
 }
 
 /* "00" to "99": two digits per division. */
@@ -338,14 +447,14 @@ static inline char *put_decimal(char *p, uint32_t v)
     return p + 4;
 }
 
-/* radii[start:stop], none of them negative, as decimals, each followed
-   by a comma, into out, which holds FORMAT_BYTES per entry; returns the
-   end. */
-static char *
-format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
+/* radii[start:stop], one byte per entry or, if wide, four, none of them
+   negative, as decimals, each followed by a comma, into out, which holds
+   FORMAT_BYTES per entry; returns the end. */
+static inline __attribute__((always_inline)) char *
+format_range(const void *radii, int wide, Py_ssize_t start, Py_ssize_t stop, char *end)
 {
     for (Py_ssize_t i = start; i < stop; i++) {
-        uint32_t radius = (uint32_t)radii[i];
+        uint32_t radius = wide ? (uint32_t)((const int32_t *)radii)[i] : ((const uint8_t *)radii)[i];
         if (radius < 10) {
             end[0] = (char)('0' + radius);
             end[1] = ',';
@@ -362,9 +471,11 @@ format_range(const int32_t *radii, Py_ssize_t start, Py_ssize_t stop, char *end)
    one reused bytearray of FORMAT_BYTES per chunk entry, to write; -1
    with an exception set if write or a signal handler raised. A table
    longer than one chunk with no split point (s->m = 0) is scanned by
-   the helper from center 0 while this thread formats each chunk the
-   helper has passed. Any other table is scanned by split_scan first, on
-   two threads where the text splits, and then formatted. */
+   the helper from center 0, at four bytes, while this thread formats
+   each chunk the helper has passed: a table this thread reads cannot
+   widen under it. Any other table is scanned by split_scan first, on
+   two threads where the text splits, and then formatted at whichever
+   width it ended. */
 static int
 write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
 {
@@ -376,6 +487,7 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
     }
     pthread_t thread;
     int behind = s->size > chunk && s->m == 0 && pthread_create(&thread, NULL, helper, s) == 0;
+    s->wide = behind;
     if (!behind)
         split_scan(s, state);
     int failed = 0;
@@ -394,7 +506,8 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
             break;
         }
         char *base = PyByteArray_AS_STRING(buffer);
-        char *end = format_range(s->radii, start, stop, base);
+        char *end = s->wide ? format_range(s->radii, 1, start, stop, base)
+                            : format_range(s->radii, 0, start, stop, base);
         if (stop == s->size)
             end[-1] = '\n'; /* in place of the last comma */
         PyObject *slice = PySequence_GetSlice(view, 0, end - base);
@@ -416,14 +529,17 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
 
 /* scan(text, write=None, chunk=1) -> (table, comparisons, center): text
    is a str or a bytes-like object of n symbols, table a new bytearray of
-   its 2n+1 radii as int32, not zero-filled: SCAN_START writes every entry
-   before it reads it. Given write, scan also calls it with each chunk
-   entries of the table as the decimals str() gives, comma separated, a
-   comma between chunks and a newline at the end, as a memoryview of one
-   reused bytearray. If write or a signal handler raises, a helper still
-   scanning stops at its next step start and is joined before the
-   exception propagates. Memory: the 4(2n+1)-byte table, and with write
-   FORMAT_BYTES per chunk entry. */
+   its 2n+1 radii, as uint8 if every radius fits BYTE_LIMIT and as int32
+   otherwise, so its length, 2n+1 or 4(2n+1), tells which; it is not
+   zero-filled: SCAN_START writes every entry before it reads it. Given
+   write, scan also calls it with each chunk entries of the table as the
+   decimals str() gives, comma separated, a comma between chunks and a
+   newline at the end, as a memoryview of one reused bytearray. If write
+   or a signal handler raises, a helper still scanning stops at its next
+   step start and is joined before the exception propagates. Memory: the
+   table, allocated as 4(2n+1) bytes, of which a one-byte table touches
+   the first quarter before it is shrunk, and with write FORMAT_BYTES per
+   chunk entry. */
 static PyObject *
 scan(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -440,11 +556,13 @@ scan(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
     ScanState state = SCAN_START;
     if (table != NULL) {
-        Split s = {.text = &text, .radii = (int32_t *)PyByteArray_AS_STRING(table), .m = split_point(&text, size),
+        Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, size),
                    .size = size, .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
         if (write == Py_None)
             split_scan(&s, &state);
         else if (write_chunks(&s, &state, chunk < size ? chunk : size, write) < 0)
+            Py_CLEAR(table);
+        if (table != NULL && !s.wide && PyByteArray_Resize(table, size) < 0)
             Py_CLEAR(table);
     }
     PyBuffer_Release(&text.buffer);

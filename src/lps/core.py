@@ -114,9 +114,10 @@ def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
     """Palindrome lengths for all 2N+1 centers: the default engine.
 
     ``str`` and ``bytes`` run on the compiled kernel where it loads (a
-    memoryview of format ``i`` over the int32 table the kernel allocates),
-    anything else on :func:`python_radii` (a ``list``). Both give the same
-    radii, comparison count and center.
+    memoryview over the table the kernel allocates: format ``B``, one
+    byte per center, if every radius fits 255, else ``i``, four), anything
+    else on :func:`python_radii` (a ``list``). Both give the same radii,
+    comparison count and center.
     """
     if kernel is not None and kernel.takes(text):
         return kernel.compute_radii(text)

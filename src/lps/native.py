@@ -3,9 +3,12 @@
 The kernel is :func:`lps.core.python_radii` line for line. It reads a
 ``str`` in place, through the 1, 2 or 4 bytes per code point CPython
 stores it in, and ``bytes`` through the buffer protocol, so no copy of the
-symbols is made. It allocates its own ``int32`` radii table, with no zero
-fill, so its memory is 4 bytes per center whatever the text holds. It
-returns the same comparison count as the Python engine, and the leftmost
+symbols is made. It allocates its own radii table, with no zero fill, at
+4 bytes per center whatever the text holds, and fills it at one byte per
+center while every radius fits 255, widening it in place to ``int32`` at
+the first radius that does not; a one-byte table is returned shrunk to
+one byte per center, so on such text the scan touches a quarter of what
+it allocated. It returns the same comparison count as the Python engine, and the leftmost
 center of the longest palindrome, which it keeps as it scans. It has one
 entry point, ``scan``: behind :func:`compute_radii` it returns the whole
 table, and behind :func:`write_radii` it also writes it, given a write
@@ -165,9 +168,10 @@ def takes(text) -> bool:
 
 def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
-    from the kernel, with the radii as a memoryview of format ``i`` over
-    the table the kernel allocated. Raises :class:`lps.core.Unsupported`
-    where :func:`takes` is false.
+    from the kernel, with the radii as a memoryview over the table the
+    kernel allocated: of format ``B`` if every radius fits 255, else of
+    format ``i``. Raises :class:`lps.core.Unsupported` where :func:`takes`
+    is false.
 
     On a table of at least ``SPLIT_SIZE`` (2^17) entries, with two
     differing symbols next to each other near the middle of the text, one
@@ -177,7 +181,8 @@ def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     thread, and it has ended when this call returns. The GIL is held
     throughout."""
     table, comparisons, center = _kernel(text).scan(text)
-    return memoryview(table).cast("i"), CompareStats(comparisons, center)
+    radii = memoryview(table)
+    return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
 
 
 def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
@@ -187,11 +192,13 @@ def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
 
     The kernel allocates the table as :func:`compute_radii` does, and
     this function drops it. A table :func:`compute_radii` splits is
-    scanned the same way, on two threads, and then written. Any other
-    table of more than ``chunk`` entries is scanned from the start by the
-    helper thread, while this thread, with the GIL released, waits for
-    each chunk the helper has passed, formats and writes it. Memory is the
-    4-byte table and the module's ``FORMAT_BYTES`` (11) per chunk entry.
+    scanned the same way, on two threads, at one byte per entry until a
+    radius exceeds 255, and then written. Any other table of more than
+    ``chunk`` entries is scanned from the start by the helper thread, at
+    four bytes per entry, while this thread, with the GIL released, waits
+    for each chunk the helper has passed, formats and writes it. Memory is
+    the table, allocated at 4 bytes per entry, and the module's
+    ``FORMAT_BYTES`` (11) per chunk entry.
     An exception from ``write`` stops the helper and propagates; a
     ``chunk`` below 1 raises ValueError before anything is scanned. Takes
     the texts :func:`compute_radii` takes."""

@@ -245,32 +245,10 @@ def test_c6_memory_contract(tmp_path):
 
     # the augmented solver's peak is taken in a child from ru_maxrss
     # (kilobytes on Linux): traced, its 2N+1 int allocations run about 25
-    # times slower. Its table and buffer are fresh memory it fills. On
-    # Linux a child's ru_maxrss starts at the peak of the process it was
-    # forked from, so a small launcher starts it, not this process.
+    # times slower. Its table and buffer are fresh memory it fills.
     path = tmp_path / "text.txt"
     path.write_text(text, encoding="ascii")
-    child = textwrap.dedent(
-        """
-        import resource
-        import sys
-
-        sys.path.insert(0, sys.argv[1])
-        from lps.reference import augmented_radii
-
-        with open(sys.argv[2], encoding="ascii") as fh:
-            text = fh.read()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        augmented_radii(text)
-        print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
-        """
-    )
-    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    root = Path(lps.core.__file__).parent.parent
-    argv = [sys.executable, "-S", "-c", launcher, sys.executable, "-c", child, str(root), str(path)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    aug_peak = int(proc.stdout)
+    aug_peak = _rss_rise("lps.reference", "augmented_radii", path)
 
     table_bytes = 8 * size
     assert core_peak < table_bytes + size // 2
@@ -280,6 +258,54 @@ def test_c6_memory_contract(tmp_path):
         f"core {core_peak:,}B (table only) vs augmented {aug_peak:,}B "
         f"(table + symbol buffer)"
     )
+
+
+# Reads the text file argv[3] and prints by how many bytes calling
+# argv[1].argv[2] on it raises the child's ru_maxrss (kilobytes on Linux).
+_RSS_CHILD = """
+import importlib
+import resource
+import sys
+
+sys.path.insert(0, sys.argv[4])
+solve = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])
+solve("ab")  # imports, and the kernel's build and load, come before the measure
+with open(sys.argv[3], encoding="ascii") as fh:
+    text = fh.read()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solve(text)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+def _rss_rise(module: str, function: str, path: Path) -> int:
+    """The rise of a fresh child's peak resident memory over one call of
+    ``module.function`` on the text in ``path``, in bytes. On Linux a
+    child's ru_maxrss starts at the peak of the process it was forked
+    from, so a small launcher starts it, not this process."""
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    root = Path(lps.core.__file__).parent.parent
+    child = [sys.executable, "-c", _RSS_CHILD, module, function, str(path), str(root)]
+    argv = [sys.executable, "-S", "-c", launcher, *child]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_c6_resident_table_follows_the_longest_radius(tmp_path):
+    # the kernel's table is allocated at 4 bytes per center, but touched at
+    # one while every radius fits 255: random text keeps it there, unary
+    # text widens it at center 256 and touches all of it
+    length = 10**6
+    size = 2 * length + 1
+    rises = {}
+    for name, text in (("random", gen_text(GenSpec(length, 3, 99))), ("unary", "a" * length)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="ascii")
+        rises[name] = _rss_rise("lps.native", "compute_radii", path)
+    assert rises["random"] < 2 * size
+    assert rises["unary"] >= 3 * size
+    print(f"PASS [C6'] resident table at L=1e6: random {rises['random']:,}B, unary {rises['unary']:,}B")
 
 
 def test_c7_prng_golden_vectors():

@@ -8,7 +8,9 @@ fresh copy of the package, so each starts with no compiled library.
 
 from __future__ import annotations
 
+import collections
 import ctypes
+import functools
 import io
 import itertools
 import os
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import sysconfig
 import tracemalloc
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from pathlib import Path
 
 import pytest
@@ -96,9 +99,12 @@ def test_worst_case_is_2n_minus_3_over_every_binary_string():
 
 def test_default_engine_runs_the_kernel_on_str_and_bytes_only():
     assert core.kernel is native
-    for text in ("bananas", "b\xe4n\xe4n\xe4s", b"bananas"):
+    # one byte per center while every radius fits 255, four from the first that does not
+    rows = [("bananas", "B", 1), ("b\xe4n\xe4n\xe4s", "B", 1), (b"bananas", "B", 1)]
+    rows += [("a" * 256, "i", 4), (b"a" * 256, "i", 4)]
+    for text, format, itemsize in rows:
         radii, stats = core.compute_radii(text)
-        assert isinstance(radii, memoryview) and (radii.format, radii.itemsize) == ("i", 4)
+        assert isinstance(radii, memoryview) and (radii.format, radii.itemsize) == (format, itemsize)
         assert list(radii) == core.python_radii(text)[0]
         assert stats.comparisons == core.python_radii(text)[1].comparisons
     radii, stats = core.compute_radii(tuple("bananas"))
@@ -322,6 +328,52 @@ def test_split_scan_matches_the_python_engine(family, length):
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
 
 
+def _planted(length: int, at: float):
+    """Random ternary text with a palindrome of ``length`` symbols centered
+    at ``at`` n, fenced by d and e so it extends no further."""
+
+    def planted(n: int) -> str:
+        text = gen_text(GenSpec(n, 3, n))
+        half = text[: length // 2]
+        fenced = "d" + half + text[length // 2] * (length & 1) + half[::-1] + "e"
+        start = int(at * n) - len(fenced) // 2
+        return text[:start] + fenced + text[start + len(fenced) :]
+
+    return planted
+
+
+WIDTH_TEXTS = {
+    "radius-255": _planted(255, 1 / 4),  # the longest radius fits a byte: no widening
+    "radius-256": _planted(256, 3 / 4),  # the first that does not
+    "first-half": _planted(400, 1 / 4),  # the caller widens before m and drops the helper
+    "late": _planted(300, 7 / 8),  # widens past the resynchronization, in a scan the caller took over
+    "crossing": _planted(600, 1 / 2 + 1 / 3000),  # crosses m; cut at the helper's floor its radius fits a byte
+    "crossing-helper": _planted(600, 1 / 2 + 1 / 500),  # crosses m; even cut, its radius outgrows the byte
+}
+
+
+@pytest.mark.parametrize("length", ["below", "1e5"])
+@pytest.mark.parametrize("family", WIDTH_TEXTS)
+def test_table_widens_at_the_first_radius_above_255(family, length):
+    # one byte per center until a radius exceeds 255, then four; on two
+    # threads (1e5) the widening falls before, across and after the split
+    split = native.load().SPLIT_SIZE
+    n = {"below": split // 2 - 1, "1e5": 10**5}[length]
+    text = WIDTH_TEXTS[family](n)
+    assert len(text) == n
+    expected, stats = core.python_radii(text)
+    assert max(expected) == {"radius-255": 255, "radius-256": 256}.get(family, max(expected))
+    format = "B" if max(expected) <= 255 else "i"
+    assert (format == "B") == (family == "radius-255")
+    for encoding, encode in ENCODINGS.items():
+        _garbage(4 * (2 * n + 1))
+        radii, native_stats = native.compute_radii(encode(text))
+        assert (radii.format, native_stats) == (format, stats), encoding
+        assert list(radii) == expected, encoding
+        _garbage(4 * (2 * n + 1))
+        assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
+
+
 @pytest.mark.parametrize("n", WRITE_LENGTHS)
 @pytest.mark.parametrize("kind", WRITE_TEXTS)
 def test_write_radii_matches_the_python_engine(kind, n):
@@ -461,7 +513,12 @@ def test_kernel_has_no_data_race(tmp_path):
     built = subprocess.run([*command, str(PACKAGE / "_manacher.c"), "-o", str(library)], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     n = 10**6
-    texts = {"random": gen_text(GenSpec(n, 3, 1)), "crossing": _crossing(16)(n), "period-2": "ab" * (n // 2)}
+    texts = {
+        "random": gen_text(GenSpec(n, 3, 1)),
+        "crossing": _crossing(16)(n),
+        "period-2": "ab" * (n // 2),
+        "late": WIDTH_TEXTS["late"](n),  # the helper stops at a radius above 255, and the table widens
+    }
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="ascii")
     env = dict(os.environ, LD_PRELOAD=_libtsan(), TSAN_OPTIONS="halt_on_error=1")
@@ -471,6 +528,45 @@ def test_kernel_has_no_data_race(tmp_path):
     expected = [tuple(native.compute_radii(text)[1]) for text in texts.values() for _ in ("scan", "write_radii")]
     expected.append(tuple(native.write_radii("a" * n, len, 65536)))
     assert done.stdout.splitlines() == [str(stats) for stats in expected]
+
+
+@functools.cache
+def _small_texts() -> list[tuple[bytes | str, list[int], core.CompareStats]]:
+    """Every binary text of 4 to 13 symbols and every ternary one of 4 to
+    8, with the Python engine's radii and stats."""
+    texts = [bytes(s) for n in range(4, 14) for s in itertools.product(b"ab", repeat=n)]
+    texts += ["".join(s) for n in range(4, 9) for s in itertools.product("abc", repeat=n)]
+    return [(text, *core.python_radii(text)) for text in texts]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+@pytest.mark.parametrize("helper_steps", range(5))
+def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
+    # the kernel built small: tables of 8 entries and more split, the
+    # helper's range has 4 steps, a byte holds radii up to 3, and the
+    # helper takes exactly helper_steps of them, short of a radius above
+    # 3. Short texts then widen before the split, across it, in the
+    # helper, and after the calling thread adopts the helper's scan.
+    include = sysconfig.get_paths()["include"]
+    library = tmp_path / f"small{EXTENSION_SUFFIXES[0]}"
+    flags = ["-DSPLIT_SIZE=8", "-DSTEPS=4", "-DBYTE_LIMIT=3", f"-DHELPER_STEPS={helper_steps}"]
+    command = ["cc", "-O2", "-shared", "-fPIC", "-pthread", *flags, f"-I{include}", str(PACKAGE / "_manacher.c")]
+    built = subprocess.run([*command, "-o", str(library)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    loader = ExtensionFileLoader(f"small{helper_steps}._manacher", str(library))
+    kernel = loader.create_module(ModuleSpec(loader.name, loader, origin=str(library)))
+    loader.exec_module(kernel)
+    assert kernel.SPLIT_SIZE == 8
+    formats = collections.Counter()
+    for text, expected, stats in _small_texts():
+        table, comparisons, center = kernel.scan(text)
+        radii = memoryview(table) if len(table) == 2 * len(text) + 1 else memoryview(table).cast("i")
+        assert (list(radii), comparisons, center) == (expected, *stats), text
+        formats[radii.format] += 1
+        out = io.BytesIO()
+        assert kernel.scan(text, out.write, 4)[1:] == tuple(stats), text
+        assert out.getvalue() == _joined(expected), text
+    assert formats["B"] and formats["i"]
 
 
 def _fresh_copy(tmp_path: Path) -> Path:
