@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 scripts/kernel_pair.py HEAD~1 --rounds 101
+    python3 scripts/kernel_pair.py HEAD~1 --rounds 101 [--texts random-1e6 unary-1e7]
 
 The script builds ``git show REV:src/lps/_manacher.c`` (the parent) and
 the working tree's ``src/lps/_manacher.c`` (the change) with
@@ -12,25 +12,29 @@ process. Each round times ``scan(text)`` and the write path of both
 builds on random-1e6 (1e6 random ternary symbols), late-1e6 (the same
 with a 300-symbol palindrome at 7/8 of the text, whose radius does not
 fit the kernel's one-byte table, so the table widens past the point
-where the calling thread takes over the helper's scan) and unary-1e6
-(1e6 copies of one symbol, widened at center 256). The write path, row
-``write``, is
+where the calling thread takes over the helper's scan), unary-1e6 (1e6
+copies of one symbol, widened at center 256), random-1e7 and unary-1e7,
+or on the texts ``--texts`` names. The write path, row ``write``, is
 ``scan(text, write, chunk)``, or ``write_radii(text, write, chunk)`` in a
 build that still has that second entry point, so older parents still
-compare; it writes to a file in the temporary directory, 65,536 entries
-per chunk, as ``lps radii`` does. Within a round the side that runs
-first alternates, so a drift of the host falls on both sides.
+compare; it writes to a file in the temporary directory,
+``lps.native.CHUNK`` (65,536) entries per chunk, as ``lps radii`` does.
+Within a round the side that runs first alternates, so a drift of the
+host falls on both sides.
 
-For each call it prints the minimum, first quartile and median of each
-side in ms (``statistics.quantiles``, exclusive method), in how many
-rounds each side was lower, and the median number of minor page faults
-the call made (``ru_minflt``, both threads). A change in fault cost
-shows in that column, not in the times; at 1e6 it mostly reads 0, since
-glibc hands a freed table back already faulted in, and such a change is
-timed in fresh processes. Perfbench runs whole processes and scales by
-the host's speed; this compares the two kernels with everything else
-held equal, which shows differences of a few percent that perfbench's
-spread hides.
+For each call it prints the minimum and first quartile of each side in
+ms (``statistics.quantiles``, exclusive method), in how many rounds each
+side was lower, and the median number of minor page faults the call
+made (``ru_minflt``, both threads). The median time is left out: at 1e6
+the times are bimodal, and the median moves between runs of the same
+build far more than the differences the script is used to resolve. A
+change in fault cost shows in the faults column, not in the times. At
+1e6 that column mostly reads 0, since glibc hands a freed table back
+already faulted in; at 1e7 every call maps and faults a fresh 80 MB
+table, so such a change shows in process there. Perfbench runs whole
+processes and scales by the host's speed; this compares the two kernels
+with everything else held equal, which shows differences of a few
+percent that perfbench's spread hides.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from lps import cli, native  # noqa: E402
+from lps import native  # noqa: E402
 from lps.generator import GenSpec, gen_text  # noqa: E402
 
 KERNEL = "src/lps/_manacher.c"
@@ -66,6 +70,8 @@ TEXTS = {
     "random-1e6": lambda: gen_text(GenSpec(10**6, 3, 1)),
     "late-1e6": lambda: late(10**6),
     "unary-1e6": lambda: "a" * 10**6,
+    "random-1e7": lambda: gen_text(GenSpec(10**7, 3, 1)),
+    "unary-1e7": lambda: "a" * 10**7,
 }
 
 
@@ -83,10 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the parent revision whose kernel is compared with the working tree's")
     parser.add_argument("--rounds", type=int, default=101)
+    parser.add_argument("--texts", nargs="+", choices=TEXTS, default=list(TEXTS), help="the texts to time (default: all)")
     args = parser.parse_args(argv)
     parent = subprocess.run(["git", "show", f"{args.rev}:{KERNEL}"], cwd=ROOT, capture_output=True, check=True).stdout
     change = (ROOT / KERNEL).read_bytes()
-    texts = {name: make() for name, make in TEXTS.items()}
+    texts = {name: TEXTS[name]() for name in args.texts}
     with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
         kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
 
@@ -98,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             if call == "scan":
                 kernel.scan(text)
             else:
-                getattr(kernel, "write_radii", kernel.scan)(text, out.write, cli.RADII_CHUNK)
+                getattr(kernel, "write_radii", kernel.scan)(text, out.write, native.CHUNK)
             elapsed = time.perf_counter() - start
             return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
@@ -121,10 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             "change": sum(c < p for p, c in zip(parent_times, change_times)),
         }
         for side, values in (("parent", parent_times), ("change", change_times)):
-            q1, median, _ = statistics.quantiles(values, n=4)
+            q1 = statistics.quantiles(values, n=4)[0]
             print(
                 f"{name:<11} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
-                f"  median {1e3 * median:7.2f}  lower in {lower[side]}/{args.rounds}"
+                f"  lower in {lower[side]}/{args.rounds}"
                 f"  faults {statistics.median(faults[name, call, side]):g}"
             )
     return 0

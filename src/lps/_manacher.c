@@ -242,7 +242,7 @@ helper(void *arg)
         int quit = s->quit;
 #ifdef HELPER_STEPS
         /* a small model's helper takes exactly this many steps of a split,
-           short of a radius above BYTE_LIMIT, however the threads run */
+           short of a radius above BYTE_LIMIT, before split_scan scans [0, m) */
         if (s->m != 0)
             quit = i == HELPER_STEPS;
 #endif
@@ -344,14 +344,19 @@ resync(Split *s, ScanState *state)
    From the split point m on, a helper thread scans [m, size) with floor
    m/2, while this thread scans [0, m). Every palindrome the helper knows
    lies right of m, so every reference of its scan, and every mirror
-   center k it reads, lies at or right of m. Its entry at k is the true
-   radius cut back to the floor: min(r, k - m). A cut entry reaches back
-   to m, so it is never strictly inside a reference palindrome, which
-   also lies right of m, and the true entry, reaching at least as far
-   left, is not inside either: a cut entry never changes a mirror
-   decision, and it is never copied. The helper's scan therefore differs
-   from the sequential one only through its state, (ref, right), and
-   through an expansion stopped at the floor, a touch.
+   center k it reads, lies at or right of m. The floor keeps them there:
+   with floor 0 the helper's palindromes cross m, and it reads mirror
+   entries left of m that this thread may not have written yet. Under
+   that mutant the small model (see helper), whose helper scans first,
+   gets up to 774 of 26,169 texts wrong; run the other way round, none.
+   Its entry at k is the true radius cut back to the floor:
+   min(r, k - m). A cut entry reaches back to m, so it is never strictly
+   inside a reference palindrome, which also lies right of m, and the
+   true entry, reaching at least as far left, is not inside either: a cut
+   entry never changes a mirror decision, and it is never copied. The
+   helper's scan therefore differs from the sequential one only through
+   its state, (ref, right), and through an expansion stopped at the
+   floor, a touch.
 
    When this thread has reached m, it makes the helper stop after its
    current step and joins it. Then it scans on from m, step by step,
@@ -392,9 +397,15 @@ split_scan(Split *s, ScanState *state)
 {
     pthread_t thread;
     int helped = s->m != 0 && pthread_create(&thread, NULL, helper, s) == 0;
+#ifdef HELPER_STEPS
+    if (helped) /* the small model's helper meets [0, m) unwritten (see above) */
+        join_helper(s, thread);
+#endif
     int64_t j = scan_range(s->text, 0, s->radii, 0, state, 0, helped ? s->m : s->size);
     if (helped) {
+#ifndef HELPER_STEPS
         join_helper(s, thread);
+#endif
         if (j == s->m)
             j = resync(s, state);
     }

@@ -12,9 +12,10 @@ the symbol model to raw bytes, in which case nothing is stripped.
 
 find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
-after one note on stderr. radii runs the kernel through
-lps.native.write_radii, which writes the table while it scans it, and
-writes any other engine's table with str. --impl picks an implementation of
+after one note on stderr. radii makes one call on either path:
+lps.native.compute_radii, given the output's write, has the kernel
+write the table it scans, and lps.native.write_table writes any other
+engine's table with str. --impl picks an implementation of
 lps.reference.SOLVERS explicitly. Without it, find and radii import
 neither lps.reference nor lps.generator; the commands that use them
 import them.
@@ -42,8 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 64
 EXIT_OUTPUT = 74
-
-RADII_CHUNK = 65_536  # table entries formatted per write, so output memory stays bounded
 
 __all__ = ["EXIT_INPUT", "EXIT_OK", "EXIT_OUTPUT", "EXIT_USAGE", "entrypoint", "main"]
 
@@ -115,17 +114,6 @@ def _solve(args, text):
     return SOLVERS[args.impl](text)
 
 
-def _write_radii(table, out) -> None:
-    """Write a Python engine's ``table`` comma separated with a closing
-    newline, formatting RADII_CHUNK entries at a time with ``str`` instead
-    of one string for all of them."""
-    for start in range(0, len(table), RADII_CHUNK):
-        if start:
-            out.write(b",")
-        out.write(",".join(map(str, table[start : start + RADII_CHUNK])).encode("ascii"))
-    out.write(b"\n")
-
-
 def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
     result = core.result_from_radii(*_solve(args, text))
@@ -150,9 +138,9 @@ def _cmd_radii(args) -> int:
     with _writing():
         out = _stdout().buffer
         if kernel:
-            native.write_radii(text, out.write, RADII_CHUNK)
+            native.compute_radii(text, out.write)
         else:
-            _write_radii(table, out)
+            native.write_table(table, out.write)
         out.flush()
     return EXIT_OK
 

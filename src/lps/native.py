@@ -1,22 +1,12 @@
-"""The index-mapped scan compiled from ``_manacher.c`` as an extension module.
+"""The index-mapped scan compiled from ``_manacher.c``, and the radii text.
 
-The kernel is :func:`lps.core.python_radii` line for line. It reads a
-``str`` in place, through the 1, 2 or 4 bytes per code point CPython
-stores it in, and ``bytes`` through the buffer protocol, so no copy of the
-symbols is made. It allocates its own radii table, with no zero fill, at
-4 bytes per center whatever the text holds, and fills it at one byte per
-center while every radius fits 255, widening it in place to ``int32`` at
-the first radius that does not; a one-byte table is returned shrunk to
-one byte per center, so on such text the scan touches a quarter of what
-it allocated. It returns the same comparison count as the Python engine, and the leftmost
-center of the longest palindrome, which it keeps as it scans. It has one
-entry point, ``scan``: behind :func:`compute_radii` it returns the whole
-table, and behind :func:`write_radii` it also writes it, given a write
-callable. It runs at most one thread besides the calling one, the
-helper. It splits a table of at least ``SPLIT_SIZE`` (2^17) entries
-between the helper and the calling thread where the text allows; when
-writing, it has the helper scan any other table longer than one chunk
-from the start while the calling thread writes behind it.
+The kernel is :func:`lps.core.python_radii` line for line; the comments
+of ``_manacher.c`` give its design: the one-byte table that widens, the
+split between two threads and the write path. This module builds and
+loads it, says which texts it takes, and makes the one call into it,
+:func:`compute_radii`, which returns the table and, given a ``write``
+callable, also writes it as the radii text. :func:`write_table` writes
+the table of any other engine as the same text, with ``str``.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -25,15 +15,13 @@ source's CRC-32 and the interpreter's extension suffix; later runs only
 load it. A new build deletes the interpreter's earlier ones.
 
 The kernel runs ``str``, ``bytes`` and ``bytearray`` of at most
-:data:`MAX_SYMBOLS` symbols, where it loads; :func:`compute_radii` and
-:func:`write_radii` raise :class:`lps.core.Unsupported` on anything else
-(a token tuple, a longer text, any text where the kernel cannot be
-built), and :func:`takes` is whether they run. The package plugs this module into
-:data:`lps.core.kernel`, so ``core.compute_radii`` runs the kernel on the
-texts it takes; ``lps radii`` runs :func:`write_radii` on them instead,
-which formats and writes the table chunk by chunk. When no compiler or no
-``Python.h`` is found or the build fails, :func:`takes` writes one note on
-stderr, the first time, and the default engine stays pure Python.
+:data:`MAX_SYMBOLS` symbols, where it loads; :func:`compute_radii` raises
+:class:`lps.core.Unsupported` on anything else (a token tuple, a longer
+text, any text where the kernel cannot be built), and :func:`takes` is
+whether it runs. The package plugs this module into
+:data:`lps.core.kernel`. When no compiler or no ``Python.h`` is found or
+the build fails, :func:`takes` writes one note on stderr, the first
+time, and the default engine stays pure Python.
 """
 
 from __future__ import annotations
@@ -45,12 +33,14 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleS
 
 from .core import CompareStats, Unsupported
 
-__all__ = ["MAX_SYMBOLS", "compute_radii", "load", "report", "takes", "write_radii"]
+__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "report", "takes", "write_table"]
 
 # 2N+1 centers must index an int32 table, and the kernel's allocations
 # of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
 # lps.core.
 MAX_SYMBOLS = min(2**30 - 1, (sys.maxsize // 11 - 1) // 2)
+
+CHUNK = 65_536  # table entries formatted per write, so output memory stays bounded
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 
@@ -166,41 +156,29 @@ def takes(text) -> bool:
     return True
 
 
-def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
+def compute_radii(text: str | bytes, write=None) -> tuple[memoryview, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as a memoryview over the table the
     kernel allocated: of format ``B`` if every radius fits 255, else of
     format ``i``. Raises :class:`lps.core.Unsupported` where :func:`takes`
     is false.
 
-    On a table of at least ``SPLIT_SIZE`` (2^17) entries, with two
-    differing symbols next to each other near the middle of the text, one
-    helper thread scans the second half from the middle on while this
-    thread scans the first half; this thread then joins the helper and
-    picks up its scan where the two agree. The helper is the only extra
-    thread, and it has ended when this call returns. The GIL is held
-    throughout."""
-    table, comparisons, center = _kernel(text).scan(text)
+    Given ``write``, the kernel also passes the table to it as the ASCII
+    bytes of ``",".join(map(str, radii)) + "\\n"``, one memoryview of a
+    reused buffer per :data:`CHUNK` entries; an exception from ``write``
+    propagates. The kernel runs at most one thread besides this one, and
+    it has ended when this call returns."""
+    table, comparisons, center = _kernel(text).scan(text, write, CHUNK)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
 
 
-def write_radii(text: str | bytes, write, chunk: int) -> CompareStats:
-    """Scan ``text`` as :func:`compute_radii` does and pass its table to
-    ``write`` as the ASCII bytes of ``",".join(map(str, radii)) + "\\n"``,
-    one memoryview per ``chunk`` entries, and return the stats.
-
-    The kernel allocates the table as :func:`compute_radii` does, and
-    this function drops it. A table :func:`compute_radii` splits is
-    scanned the same way, on two threads, at one byte per entry until a
-    radius exceeds 255, and then written. Any other table of more than
-    ``chunk`` entries is scanned from the start by the helper thread, at
-    four bytes per entry, while this thread, with the GIL released, waits
-    for each chunk the helper has passed, formats and writes it. Memory is
-    the table, allocated at 4 bytes per entry, and the module's
-    ``FORMAT_BYTES`` (11) per chunk entry.
-    An exception from ``write`` stops the helper and propagates; a
-    ``chunk`` below 1 raises ValueError before anything is scanned. Takes
-    the texts :func:`compute_radii` takes."""
-    return CompareStats(*_kernel(text).scan(text, write, chunk)[1:])
-
+def write_table(table, write) -> None:
+    """Pass any engine's ``table`` to ``write`` as :func:`compute_radii`
+    writes the kernel's, formatting :data:`CHUNK` entries at a time with
+    ``str`` instead of one string for all of them."""
+    for start in range(0, len(table), CHUNK):
+        if start:
+            write(b",")
+        write(",".join(map(str, table[start : start + CHUNK])).encode("ascii"))
+    write(b"\n")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lps import bench, cli, reference
+from lps import bench, cli, native, reference
 from lps.bench import IMPLS, parse_csv
 
 
@@ -113,7 +113,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     path = tmp_path / "input.txt"
     path.write_text("bananas")
     unary = tmp_path / "unary.txt"
-    unary.write_text("a" * cli.RADII_CHUNK)  # 2 * RADII_CHUNK + 1 entries: three chunks
+    unary.write_text("a" * native.CHUNK)  # 2 * CHUNK + 1 entries: three chunks
     probe = (
         "import sys; before = set(sys.modules); import lps.cli; "
         f"print([name for name in {heavy!r} if name in sys.modules], flush=True); "
@@ -124,7 +124,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    n = cli.RADII_CHUNK
+    n = native.CHUNK
     radii = ",".join(str(min(j, 2 * n - j)) for j in range(2 * n + 1)).encode()
     assert proc.stdout == b"[]\nanana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n" + radii + b"\n[]\n"
     # lps bench itself, run in-process, loads numpy (and with it inspect) but

@@ -59,8 +59,8 @@ def test_memory_does_not_depend_on_content():
     }
     native.load()  # build and load outside the traced calls
     table = 4 * (2 * length + 1)  # the int32 radii table
-    buffer = native.load().FORMAT_BYTES * cli.RADII_CHUNK  # write_radii's output buffer
-    for run, extra in ((native.compute_radii, 0), (lambda text: native.write_radii(text, len, cli.RADII_CHUNK), buffer)):
+    buffer = native.load().FORMAT_BYTES * native.CHUNK  # the write path's output buffer
+    for run, extra in ((native.compute_radii, 0), (lambda text: native.compute_radii(text, len), buffer)):
         peaks = []
         for text in texts.values():
             assert len(text) == length
@@ -131,7 +131,7 @@ def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
 
 def test_table_sizes_fit_a_py_ssize_t():
     # the kernel allocates 4 bytes per center for the table and
-    # FORMAT_BYTES per center at most for write_radii's output buffer
+    # FORMAT_BYTES per center at most for the write path's output buffer
     assert native.load().FORMAT_BYTES * (2 * native.MAX_SYMBOLS + 1) <= sys.maxsize
 
 
@@ -151,13 +151,16 @@ def test_takes_notes_a_kernel_that_cannot_load_once(monkeypatch, capsys):
 
 def _written(table) -> bytes:
     out = io.BytesIO()
-    cli._write_radii(table, out)
+    native.write_table(table, out.write)
     return out.getvalue()
 
 
-def _kernel_written(text, chunk=cli.RADII_CHUNK) -> tuple[bytes, core.CompareStats]:
+def _kernel_written(text) -> tuple[bytes, core.CompareStats]:
+    """What the kernel writes of ``text``, and its stats; the table it
+    returns while writing must be the one it returns without."""
     out = io.BytesIO()
-    stats = native.write_radii(text, out.write, chunk)
+    radii, stats = native.compute_radii(text, out.write)
+    assert list(radii) == list(native.compute_radii(text)[0])
     return out.getvalue(), stats
 
 
@@ -165,7 +168,7 @@ def _joined(values) -> bytes:
     return (",".join(map(str, values)) + "\n").encode("ascii")
 
 
-TABLE_SIZES = [1, cli.RADII_CHUNK - 1, cli.RADII_CHUNK, cli.RADII_CHUNK + 1]
+TABLE_SIZES = [1, native.CHUNK - 1, native.CHUNK, native.CHUNK + 1]
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
@@ -174,8 +177,10 @@ def test_radii_output_streams_whole_table(size):
     # reached as a table of size - 1 against a chunk one entry shorter
     n = (size - 1) // 2
     text = "a" * n  # size 1 is the empty text's table, [0]
-    chunk = cli.RADII_CHUNK - (size - (2 * n + 1))
-    assert _kernel_written(text, chunk) == (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
+    chunk = native.CHUNK - (size - (2 * n + 1))
+    out = io.BytesIO()
+    stats = core.CompareStats(*native.load().scan(text, out.write, chunk)[1:])
+    assert (out.getvalue(), stats) == (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
@@ -222,7 +227,7 @@ WRITE_TEXTS = {
     "unary": lambda n: "a" * n,
 }
 # the table sizes 2n+1 around one and two chunks; the empty text's is 1
-WRITE_LENGTHS = [0, cli.RADII_CHUNK // 2 - 1, cli.RADII_CHUNK // 2, cli.RADII_CHUNK]
+WRITE_LENGTHS = [0, native.CHUNK // 2 - 1, native.CHUNK // 2, native.CHUNK]
 
 
 def _garbage(size: int) -> None:
@@ -310,12 +315,12 @@ ENCODINGS = {
 @pytest.mark.parametrize("family", SPLIT_TEXTS)
 def test_split_scan_matches_the_python_engine(family, length):
     # tables of SPLIT_SIZE entries and more are scanned on two threads;
-    # write_radii formats them after the split scan, and any other table
+    # the write path formats them after the split scan, and any other table
     # of more than one chunk behind a helper that scans it from center 0
     split = native.load().SPLIT_SIZE
     n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
     assert (2 * n + 1 < split) == (length == "below")
-    assert 2 * n + 1 > cli.RADII_CHUNK
+    assert 2 * n + 1 > native.CHUNK
     text = SPLIT_TEXTS[family](n)
     assert len(text) == n
     expected, stats = core.python_radii(text)
@@ -394,13 +399,13 @@ def _threads() -> int:
 def test_write_radii_runs_at_most_one_helper_thread():
     before = _threads()
     rows = {
-        "one chunk": ("a" * (cli.RADII_CHUNK // 2 - 1), 0),
+        "one chunk": ("a" * (native.CHUNK // 2 - 1), 0),
         "unary-1e6": ("a" * 10**6, 1),  # no split point: the helper scans ahead of the writes
         "random-1e6": (gen_text(GenSpec(10**6, 3, 1)), 0),  # split, scanned and joined before the first write
     }
     for name, (text, extra) in rows.items():
         seen = []
-        native.write_radii(text, lambda chunk: seen.append(_threads()), cli.RADII_CHUNK)
+        native.compute_radii(text, lambda chunk: seen.append(_threads()))
         assert max(seen) <= before + extra, name
         assert _threads() == before, name  # joined
 
@@ -435,7 +440,7 @@ def test_write_radii_propagates_an_exception_from_write():
                 raise _Stop
 
         with pytest.raises(_Stop):
-            native.write_radii(text, write, cli.RADII_CHUNK)
+            native.compute_radii(text, write)
         assert len(calls) == 2, name
         # the helper was joined and the table freed: the next run is whole
         radii, stats = native.compute_radii(text)
@@ -443,9 +448,10 @@ def test_write_radii_propagates_an_exception_from_write():
 
 
 def test_write_radii_refuses_a_chunk_below_one():
+    # the chunk is the kernel's argument; lps.native always passes CHUNK
     calls = []
     with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
-        native.write_radii("ab", calls.append, 0)
+        native.load().scan("ab", calls.append, 0)
     assert calls == []
 
 
@@ -461,7 +467,7 @@ def test_write_radii_stops_on_a_signal():
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.002)
         with pytest.raises(_Stop):
-            native.write_radii("a" * 10**6, chunks.append, 16)
+            native.load().scan("a" * 10**6, chunks.append, 16)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -525,17 +531,17 @@ def test_kernel_has_no_data_race(tmp_path):
     child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
     done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
-    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values() for _ in ("scan", "write_radii")]
-    expected.append(tuple(native.write_radii("a" * n, len, 65536)))
+    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values() for _ in ("scan", "write")]
+    expected.append(tuple(native.compute_radii("a" * n, len)[1]))
     assert done.stdout.splitlines() == [str(stats) for stats in expected]
 
 
 @functools.cache
-def _small_texts() -> list[tuple[bytes | str, list[int], core.CompareStats]]:
-    """Every binary text of 4 to 13 symbols and every ternary one of 4 to
-    8, with the Python engine's radii and stats."""
-    texts = [bytes(s) for n in range(4, 14) for s in itertools.product(b"ab", repeat=n)]
-    texts += ["".join(s) for n in range(4, 9) for s in itertools.product("abc", repeat=n)]
+def _small_texts(binary: int = 13, ternary: int = 8) -> list[tuple[bytes | str, list[int], core.CompareStats]]:
+    """Every binary text of 4 to ``binary`` symbols and every ternary one
+    of 4 to ``ternary``, with the Python engine's radii and stats."""
+    texts = [bytes(s) for n in range(4, binary + 1) for s in itertools.product(b"ab", repeat=n)]
+    texts += ["".join(s) for n in range(4, ternary + 1) for s in itertools.product("abc", repeat=n)]
     return [(text, *core.python_radii(text)) for text in texts]
 
 
@@ -545,8 +551,9 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
     # the kernel built small: tables of 8 entries and more split, the
     # helper's range has 4 steps, a byte holds radii up to 3, and the
     # helper takes exactly helper_steps of them, short of a radius above
-    # 3. Short texts then widen before the split, across it, in the
-    # helper, and after the calling thread adopts the helper's scan.
+    # 3, before the calling thread scans the first half. Short texts then
+    # widen before the split, across it, in the helper, and after the
+    # calling thread adopts the helper's scan.
     include = sysconfig.get_paths()["include"]
     library = tmp_path / f"small{EXTENSION_SUFFIXES[0]}"
     flags = ["-DSPLIT_SIZE=8", "-DSTEPS=4", "-DBYTE_LIMIT=3", f"-DHELPER_STEPS={helper_steps}"]
@@ -567,6 +574,15 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         assert kernel.scan(text, out.write, 4)[1:] == tuple(stats), text
         assert out.getvalue() == _joined(expected), text
     assert formats["B"] and formats["i"]
+    if helper_steps == 4:
+        # the write path at every chunk size: a text with no split point
+        # and a table longer than the chunk is scanned by the helper from
+        # center 0, and the calling thread waits for it at each chunk
+        for text, expected, stats in _small_texts(10, 6):
+            for chunk in range(1, 2 * len(text) + 2):
+                out = io.BytesIO()
+                assert kernel.scan(text, out.write, chunk)[1:] == tuple(stats), (text, chunk)
+                assert out.getvalue() == _joined(expected), (text, chunk)
 
 
 def _fresh_copy(tmp_path: Path) -> Path:

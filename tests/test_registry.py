@@ -66,17 +66,19 @@ def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(lps.core, "compute_radii", counting("compute_radii", lps.core.compute_radii))
     monkeypatch.setattr(lps.core, "argmax", counting("argmax", lps.core.argmax))
-    monkeypatch.setattr(lps.native, "write_radii", counting("write_radii", lps.native.write_radii))
+    monkeypatch.setattr(lps.native, "compute_radii", counting("native.compute_radii", lps.native.compute_radii))
     path = tmp_path / "input.txt"
     path.write_text("bananas")
+    kernel = lps.native.takes("bananas")
 
     assert cli.main(["find", str(path)]) == 0
-    assert calls == {"compute_radii": 1, "argmax": 1}
+    # the default engine runs the kernel through lps.core.kernel, which is lps.native
+    assert calls == {"compute_radii": 1, "argmax": 1, **({"native.compute_radii": 1} if kernel else {})}
 
     calls.clear()
     assert cli.main(["radii", str(path)]) == 0
     # the kernel scans as it writes; without it the default engine's table is written
-    assert calls == ({"write_radii": 1} if lps.native.takes("bananas") else {"compute_radii": 1})
+    assert calls == ({"native.compute_radii": 1} if kernel else {"compute_radii": 1})
 
     # the default engine may run the Python scan too (no kernel); count it from here on
     monkeypatch.setattr(lps.core, "python_radii", counting("python_radii", lps.core.python_radii))
