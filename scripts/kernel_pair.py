@@ -13,8 +13,10 @@ builds on random-1e6 (1e6 random ternary symbols), late-1e6 (the same
 with a 300-symbol palindrome at 7/8 of the text, whose radius does not
 fit the kernel's one-byte table, so the table widens past the point
 where the calling thread takes over the helper's scan), unary-1e6 (1e6
-copies of one symbol, widened at center 256), random-1e7 and unary-1e7,
-or on the texts ``--texts`` names. The write path, row ``write``, is
+copies of one symbol, widened at center 256), period-2-1e6 (``ab``
+repeated, whose palindrome that reaches the end only ties the longest),
+suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
+random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write path, row ``write``, is
 ``scan(text, write, chunk)``, or ``write_radii(text, write, chunk)`` in a
 build that still has that second entry point, so older parents still
 compare; it writes to a file in the temporary directory,
@@ -70,6 +72,8 @@ TEXTS = {
     "random-1e6": lambda: gen_text(GenSpec(10**6, 3, 1)),
     "late-1e6": lambda: late(10**6),
     "unary-1e6": lambda: "a" * 10**6,
+    "period-2-1e6": lambda: "ab" * (10**6 // 2),
+    "suffix-1e6": lambda: gen_text(GenSpec(10**6 // 2, 3, 1)) + "a" * (10**6 // 2),
     "random-1e7": lambda: gen_text(GenSpec(10**7, 3, 1)),
     "unary-1e7": lambda: "a" * 10**7,
 }
@@ -130,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, values in (("parent", parent_times), ("change", change_times)):
             q1 = statistics.quantiles(values, n=4)[0]
             print(
-                f"{name:<11} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
+                f"{name:<12} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
                 f"  lower in {lower[side]}/{args.rounds}"
                 f"  faults {statistics.median(faults[name, call, side]):g}"
             )

@@ -1,7 +1,9 @@
 /* Compiled index-mapped Manacher scan: the extension module lps/native.py
    builds and loads.
 
-   The scan is the loop of lps.core.python_radii, line for line, run over
+   The scan is the loop of lps.core.python_radii, line for line except
+   where it compares no symbol, at the widening, the split and the tail
+   (see SCAN), with the same radii, counts and centers. It runs over
    a range of centers [start, stop) from a ScanState that carries it from
    one range to the next; a whole scan is one range. It reads the text
    where it lies: a str through its PEP 393 array of 1, 2 or 4 bytes per
@@ -79,7 +81,33 @@ static const ScanState SCAN_START = {.right = -1};
    slower, in how the compiler laid out its branches, than a loop
    compiled where its start and its state are known. The expansion tests
    hi < n first: in the other order GCC 12 laid out split_scan's
-   one-thread scan of unary text about 5% slower. */
+   one-thread scan of unary text about 5% slower.
+
+   Once the reference palindrome reaches the end of the text, right = 2n,
+   the scan fills the rest of its range from the mirror, the tail loop:
+   radii[j] = min(radii[2 ref - j], right - j), with no comparison. This
+   is what the loop above writes there, and the tail leaves ref, right,
+   best, comparisons and touch as that loop leaves them. Every center j
+   left lies inside the reference, so the loop either copies the mirror
+   entry, where it is below right - j, or expands from right - j with
+   hi = n, past the end: no comparison, and radius = right - j. No radius
+   there beats the best, since it is below right - ref, the reference's
+   own, which is at most best_len; none reaches past right = 2n; and none
+   outgrows a one-byte table, since no entry exceeds its mirror. Such an
+   expansion would start at lo = j - n - 1 >= ref - n >= floor, since the
+   reference's own expansion stopped at hi = n with
+   lo = ref - n - 1 >= floor - 1, so it is no touch. The scan enters the
+   tail at the range's start where right is 2n already (the helper's later
+   steps, the write path's helper from center 0 among them, resync's
+   ranges, and scan_wide after a widening), and from the branch of a new
+   best whose palindrome reaches the end, after the byte test, which
+   keeps its center. An end-reaching palindrome that only ties the best,
+   as in period-2 text, gets the full step: the same test on every new
+   right edge made random text scan 3-6% slower (this placement was
+   faster in 87 of 101 rounds). On unary text the tail is the second
+   half of the table: 1e6 symbols scan in 3.5 ms against 4.2 ms without
+   the tail (min of 101 rounds, lower in 97 of them). Both measured with
+   scripts/kernel_pair.py, in process. */
 #define SCAN(T, R)                                                                                  \
     static inline __attribute__((always_inline)) int64_t                                            \
     scan_##T##_##R(const T *text, int64_t n, int64_t floor, R *radii, ScanState *state,             \
@@ -88,43 +116,54 @@ static const ScanState SCAN_START = {.right = -1};
         int64_t comparisons = state->comparisons, ref = state->ref, right = state->right;           \
         int64_t best = state->best, best_len = state->best_len, touch = state->touch;               \
         int64_t j = start;                                                                          \
-        for (; j < stop; j++) {                                                                     \
-            int64_t radius;                                                                         \
-            if (j <= right) {                                                                       \
-                int64_t k = 2 * ref - j;                                                            \
-                if (k - radii[k] > 2 * ref - right) {                                               \
-                    radii[j] = radii[k];                                                            \
-                    continue;                                                                       \
+        if (right < 2 * n) {                                                                        \
+            for (; j < stop; j++) {                                                                 \
+                int64_t radius;                                                                     \
+                if (j <= right) {                                                                   \
+                    int64_t k = 2 * ref - j;                                                        \
+                    if (k - radii[k] > 2 * ref - right) {                                           \
+                        radii[j] = radii[k];                                                        \
+                        continue;                                                                   \
+                    }                                                                               \
+                    radius = right - j;                                                             \
+                } else {                                                                            \
+                    radius = j & 1;                                                                 \
                 }                                                                                   \
-                radius = right - j;                                                                 \
-            } else {                                                                                \
-                radius = j & 1;                                                                     \
-            }                                                                                       \
-            int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                           \
-            while (hi < n && lo >= floor) {                                                         \
-                comparisons++;                                                                      \
-                if (text[lo] != text[hi])                                                           \
-                    break;                                                                          \
-                lo--;                                                                               \
-                hi++;                                                                               \
-            }                                                                                       \
-            if (floor > 0 && lo < floor)                                                            \
-                touch = j;                                                                          \
-            radius = hi - lo - 1;                                                                   \
-            radii[j] = (R)radius;                                                                   \
-            if (radius > best_len) {                                                                \
-                best = j;                                                                           \
-                best_len = radius;                                                                  \
-                if (sizeof(R) == 1 && radius > BYTE_LIMIT) {                                        \
+                int64_t lo = ((j - radius) >> 1) - 1, hi = (j + radius) >> 1;                       \
+                while (hi < n && lo >= floor) {                                                     \
+                    comparisons++;                                                                  \
+                    if (text[lo] != text[hi])                                                       \
+                        break;                                                                      \
+                    lo--;                                                                           \
+                    hi++;                                                                           \
+                }                                                                                   \
+                if (floor > 0 && lo < floor)                                                        \
+                    touch = j;                                                                      \
+                radius = hi - lo - 1;                                                               \
+                radii[j] = (R)radius;                                                               \
+                if (radius > best_len) {                                                            \
+                    best = j;                                                                       \
+                    best_len = radius;                                                              \
+                    if (sizeof(R) == 1 && radius > BYTE_LIMIT) {                                    \
+                        *state = (ScanState){j, j + radius, best, best_len, comparisons, touch};    \
+                        return j;                                                                   \
+                    }                                                                               \
+                    if (j + radius == 2 * n) {                                                      \
+                        ref = j;                                                                    \
+                        right = j + radius;                                                         \
+                        j++;                                                                        \
+                        break;                                                                      \
+                    }                                                                               \
+                }                                                                                   \
+                if (j + radius > right) {                                                           \
                     ref = j;                                                                        \
                     right = j + radius;                                                             \
-                    break;                                                                          \
                 }                                                                                   \
             }                                                                                       \
-            if (j + radius > right) {                                                               \
-                ref = j;                                                                            \
-                right = j + radius;                                                                 \
-            }                                                                                       \
+        }                                                                                           \
+        for (; j < stop; j++) {                                                                     \
+            int64_t k = 2 * ref - j;                                                                \
+            radii[j] = radii[k] < right - j ? radii[k] : (R)(right - j);                            \
         }                                                                                           \
         *state = (ScanState){ref, right, best, best_len, comparisons, touch};                       \
         return j;                                                                                   \

@@ -118,15 +118,18 @@ def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
     result = core.result_from_radii(*_solve(args, text))
     sub = result.substring(text)
-    lines = [sub if args.as_bytes else sub.encode("utf-8")]
-    if args.span:
-        span = result.span
-        lines.append(b"%d %d %d" % (span.start, span.end, span.length))
+    answer = sub if args.as_bytes else sub.encode("utf-8")
     # bytes straight to the buffer: the output is UTF-8 whatever the
-    # locale's stdout encoding is, like the input
+    # locale's stdout encoding is, like the input; each piece is written
+    # as it is, with no joined copy of the answer
     with _writing():
-        _stdout().buffer.write(b"\n".join(lines) + b"\n")
-        sys.stdout.buffer.flush()
+        out = _stdout().buffer
+        out.write(answer)
+        out.write(b"\n")
+        if args.span:
+            span = result.span
+            out.write(b"%d %d %d\n" % (span.start, span.end, span.length))
+        out.flush()
     return EXIT_OK
 
 

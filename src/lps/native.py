@@ -1,8 +1,10 @@
 """The index-mapped scan compiled from ``_manacher.c``, and the radii text.
 
-The kernel is :func:`lps.core.python_radii` line for line; the comments
-of ``_manacher.c`` give its design: the one-byte table that widens, the
-split between two threads and the write path. This module builds and
+The kernel is :func:`lps.core.python_radii` line for line, except where
+it compares no symbol; the comments of ``_manacher.c`` give its design:
+the one-byte table that widens, the split between two threads, the tail
+of centers inside a palindrome that reaches the end of the text, which
+it fills from their mirrors, and the write path. This module builds and
 loads it, says which texts it takes, and makes the one call into it,
 :func:`compute_radii`, which returns the table and, given a ``write``
 callable, also writes it as the radii text. :func:`write_table` writes

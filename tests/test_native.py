@@ -288,6 +288,12 @@ def _fibonacci(n: int) -> str:
     return word[:n]
 
 
+def _mirrored(n: int) -> str:
+    """Random text followed by its mirror image, one symbol between them where n is odd."""
+    half = gen_text(GenSpec(n // 2, 3, n))
+    return half + half[: n & 1] + half[::-1]
+
+
 SPLIT_TEXTS = {
     "random-2": _random(2),
     "random-3": _random(3),
@@ -300,6 +306,10 @@ SPLIT_TEXTS = {
     "thue-morse": lambda n: "".join("ab"[i.bit_count() & 1] for i in range(n)),
     "unary": lambda n: "a" * n,  # no split point: no helper
     "a-b-c": lambda n: "a" + "b" * (n - 2) + "c",  # no split point either
+    # the run is the longest palindrome and ends the text: it widens the table, then fills the tail from the mirror
+    "suffix-run": lambda n: gen_text(GenSpec(n - n // 4, 3, n)) + "a" * (n // 4),
+    # one palindrome: the table widens at its center, left of the split point, and the rest is tail
+    "mirrored": _mirrored,
 }
 # radii, counts and centers do not depend on which symbols stand for a, b, ...
 ENCODINGS = {
@@ -333,14 +343,17 @@ def test_split_scan_matches_the_python_engine(family, length):
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
 
 
-def _planted(length: int, at: float):
+def _planted(length: int, at: float | None):
     """Random ternary text with a palindrome of ``length`` symbols centered
-    at ``at`` n, fenced by d and e so it extends no further."""
+    at ``at`` n, fenced by d and e so it extends no further; with ``at``
+    None, the palindrome ends the text, fenced by d."""
 
     def planted(n: int) -> str:
         text = gen_text(GenSpec(n, 3, n))
         half = text[: length // 2]
         fenced = "d" + half + text[length // 2] * (length & 1) + half[::-1] + "e"
+        if at is None:
+            return text[: n - len(fenced) + 1] + fenced[:-1]
         start = int(at * n) - len(fenced) // 2
         return text[:start] + fenced + text[start + len(fenced) :]
 
@@ -354,6 +367,7 @@ WIDTH_TEXTS = {
     "late": _planted(300, 7 / 8),  # widens past the resynchronization, in a scan the caller took over
     "crossing": _planted(600, 1 / 2 + 1 / 3000),  # crosses m; cut at the helper's floor its radius fits a byte
     "crossing-helper": _planted(600, 1 / 2 + 1 / 500),  # crosses m; even cut, its radius outgrows the byte
+    "suffix-255": _planted(255, None),  # ends the text: the tail is filled from the mirror at one byte
 }
 
 
@@ -367,9 +381,9 @@ def test_table_widens_at_the_first_radius_above_255(family, length):
     text = WIDTH_TEXTS[family](n)
     assert len(text) == n
     expected, stats = core.python_radii(text)
-    assert max(expected) == {"radius-255": 255, "radius-256": 256}.get(family, max(expected))
+    assert max(expected) == {"radius-255": 255, "radius-256": 256, "suffix-255": 255}.get(family, max(expected))
     format = "B" if max(expected) <= 255 else "i"
-    assert (format == "B") == (family == "radius-255")
+    assert (format == "B") == (family in ("radius-255", "suffix-255"))
     for encoding, encode in ENCODINGS.items():
         _garbage(4 * (2 * n + 1))
         radii, native_stats = native.compute_radii(encode(text))
@@ -494,7 +508,8 @@ def _libtsan() -> str | None:
 
 # Loads the kernel built at argv[1], and runs scan without and with a
 # write callable on each text file named after it and with one on unary
-# text, printing (comparisons, center).
+# text (whose helper scans from center 0 and fills the second half as
+# tail), printing (comparisons, center).
 _TSAN_CHILD = """
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -524,6 +539,8 @@ def test_kernel_has_no_data_race(tmp_path):
         "crossing": _crossing(16)(n),
         "period-2": "ab" * (n // 2),
         "late": WIDTH_TEXTS["late"](n),  # the helper stops at a radius above 255, and the table widens
+        "suffix-run": SPLIT_TEXTS["suffix-run"](n),  # the helper stops in the run; the caller widens, then fills the tail
+        "suffix-255": WIDTH_TEXTS["suffix-255"](n),  # the helper fills the tail at one byte
     }
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="ascii")
