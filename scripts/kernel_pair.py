@@ -16,11 +16,10 @@ where the calling thread takes over the helper's scan), unary-1e6 (1e6
 copies of one symbol, widened at center 256), period-2-1e6 (``ab``
 repeated, whose palindrome that reaches the end only ties the longest),
 suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
-random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write path, row ``write``, is
-``scan(text, write, chunk)``, or ``write_radii(text, write, chunk)`` in a
-build that still has that second entry point, so older parents still
-compare; it writes to a file in the temporary directory,
-``lps.native.CHUNK`` (65,536) entries per chunk, as ``lps radii`` does.
+random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write
+path, row ``write``, is ``scan(text, write, chunk)``; it writes to a file
+in the temporary directory, ``lps.native.CHUNK`` (65,536) entries per
+chunk, as ``lps radii`` does.
 Within a round the side that runs first alternates, so a drift of the
 host falls on both sides.
 
@@ -36,7 +35,10 @@ already faulted in; at 1e7 every call maps and faults a fresh 80 MB
 table, so such a change shows in process there. Perfbench runs whole
 processes and scales by the host's speed; this compares the two kernels
 with everything else held equal, which shows differences of a few
-percent that perfbench's spread hides.
+percent that perfbench's spread hides. Its ``write`` rows at 1e6 reuse a
+table that is already faulted in, and they have read a unary cost for a
+change to the write path that fresh processes did not show, so time such
+a change with ``scripts/bench_pair.py`` too.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             if call == "scan":
                 kernel.scan(text)
             else:
-                getattr(kernel, "write_radii", kernel.scan)(text, out.write, native.CHUNK)
+                kernel.scan(text, out.write, native.CHUNK)
             elapsed = time.perf_counter() - start
             return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 

@@ -24,12 +24,10 @@
    the second half while the calling thread scans the first, which then
    joins the helper and resynchronizes to its scan (split_scan); the
    radii, counts and centers are the sequential scan's. Given a write
-   callable, lps radii's path, scan also formats and writes the table
-   chunk by chunk (write_chunks). A table longer than one chunk that
-   split_scan would scan on one thread is then scanned by the helper from
-   center 0 instead, at four bytes from the start, while the calling
-   thread formats and writes behind it with the GIL released; every other
-   table is scanned by split_scan first. */
+   callable, lps radii's path, scan then formats and writes the finished
+   table chunk by chunk (write_chunks), so lps find and lps radii run the
+   same scan. The calling thread holds the GIL throughout: no Python code
+   runs while the helper does. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -98,16 +96,15 @@ static const ScanState SCAN_START = {.right = -1};
    reference's own expansion stopped at hi = n with
    lo = ref - n - 1 >= floor - 1, so it is no touch. The scan enters the
    tail at the range's start where right is 2n already (the helper's later
-   steps, the write path's helper from center 0 among them, resync's
-   ranges, and scan_wide after a widening), and from the branch of a new
-   best whose palindrome reaches the end, after the byte test, which
-   keeps its center. An end-reaching palindrome that only ties the best,
-   as in period-2 text, gets the full step: the same test on every new
-   right edge made random text scan 3-6% slower (this placement was
-   faster in 87 of 101 rounds). On unary text the tail is the second
-   half of the table: 1e6 symbols scan in 3.5 ms against 4.2 ms without
-   the tail (min of 101 rounds, lower in 97 of them). Both measured with
-   scripts/kernel_pair.py, in process. */
+   steps, resync's ranges, and scan_wide after a widening), and from the
+   branch of a new best whose palindrome reaches the end, after the byte
+   test, which keeps its center. An end-reaching palindrome that only
+   ties the best, as in period-2 text, gets the full step: the same test
+   on every new right edge made random text scan 3-6% slower (this
+   placement was faster in 87 of 101 rounds). On unary text the tail is
+   the second half of the table: 1e6 symbols scan in 3.5 ms against 4.2
+   ms without the tail (min of 101 rounds, lower in 97 of them). Both
+   measured with scripts/kernel_pair.py, in process. */
 #define SCAN(T, R)                                                                                  \
     static inline __attribute__((always_inline)) int64_t                                            \
     scan_##T##_##R(const T *text, int64_t n, int64_t floor, R *radii, ScanState *state,             \
@@ -239,21 +236,21 @@ scan_range(const Text *text, int64_t floor, void *radii, int wide, ScanState *st
 #endif
 
 /* One scan of text into radii, and what the helper and the thread that
-   started it share. scan sets m, the split point, once; wide is whether
-   the table holds four bytes per entry, set by the calling thread. The
-   helper scans centers [m, size) from the floor m/2. At the start of
-   each step i it takes lock, records its state in marks[i], sets done =
-   i, reads quit and signals moved; it stops there once quit is set, and
-   after a step whose scan stopped at a radius above BYTE_LIMIT. Under
-   lock, then, the centers before step_start(done) are final in its scan,
-   and marks[0..done] hold. */
+   started it share. scan sets m, the split point, once, and a helper
+   runs only where m is not 0; wide is whether the table holds four bytes
+   per entry, set by the calling thread. The helper scans centers
+   [m, size) from the floor m/2, at one byte. At the start of each step i
+   it takes lock, records its state in marks[i], sets done = i and reads
+   quit; it stops there once quit is set, and after a step whose scan
+   stopped at a radius above BYTE_LIMIT. Under lock, then, the centers
+   before step_start(done) are final in its scan, and marks[0..done]
+   hold. */
 typedef struct {
     const Text *text;
     void *radii;
     int64_t m, size, done;
     int quit, wide;
     pthread_mutex_t lock;
-    pthread_cond_t moved;
     ScanState marks[STEPS + 1];
 } Split;
 
@@ -269,10 +266,7 @@ helper(void *arg)
 {
     Split *s = arg;
     /* right = m - 1: center m expands, stops at the floor at once (a
-       touch) and writes 0, its true radius since its neighbours differ.
-       At m = 0 this is SCAN_START with floor 0: the whole sequential
-       scan, whose end state is marks[STEPS], for write_chunks to format
-       behind it, so at four bytes from the start. */
+       touch) and writes 0, its true radius since its neighbours differ. */
     ScanState state = {.ref = s->m, .right = s->m - 1, .best = s->m, .touch = s->m};
     for (int64_t i = 0;; i++) {
         pthread_mutex_lock(&s->lock);
@@ -282,15 +276,13 @@ helper(void *arg)
 #ifdef HELPER_STEPS
         /* a small model's helper takes exactly this many steps of a split,
            short of a radius above BYTE_LIMIT, before split_scan scans [0, m) */
-        if (s->m != 0)
-            quit = i == HELPER_STEPS;
+        quit = i == HELPER_STEPS;
 #endif
-        pthread_cond_signal(&s->moved);
         pthread_mutex_unlock(&s->lock);
         if (i == STEPS || quit)
             return NULL;
         int64_t next = step_start(s, i + 1);
-        if (scan_range(s->text, s->m / 2, s->radii, s->m == 0, &state, step_start(s, i), next) < next)
+        if (scan_range(s->text, s->m / 2, s->radii, 0, &state, step_start(s, i), next) < next)
             return NULL; /* as if told to quit: the state it stopped in is no mark */
     }
 }
@@ -517,17 +509,12 @@ format_range(const void *radii, int wide, Py_ssize_t start, Py_ssize_t stop, cha
     return end;
 }
 
-/* Scan s's table into state and pass each chunk of it, formatted into
-   one reused bytearray of FORMAT_BYTES per chunk entry, to write; -1
-   with an exception set if write or a signal handler raised. A table
-   longer than one chunk with no split point (s->m = 0) is scanned by
-   the helper from center 0, at four bytes, while this thread formats
-   each chunk the helper has passed: a table this thread reads cannot
-   widen under it. Any other table is scanned by split_scan first, on
-   two threads where the text splits, and then formatted at whichever
-   width it ended. */
+/* Pass the finished table, size entries of one byte or, if wide, four,
+   to write, each chunk of it formatted into one reused bytearray of
+   FORMAT_BYTES per chunk entry; -1 with an exception set if write or a
+   signal handler raised. */
 static int
-write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
+write_chunks(const void *radii, int wide, int64_t size, int64_t chunk, PyObject *write)
 {
     PyObject *buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk);
     PyObject *view = buffer ? PyMemoryView_FromObject(buffer) : NULL;
@@ -535,42 +522,22 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
         Py_XDECREF(buffer);
         return -1;
     }
-    pthread_t thread;
-    int behind = s->size > chunk && s->m == 0 && pthread_create(&thread, NULL, helper, s) == 0;
-    s->wide = behind;
-    if (!behind)
-        split_scan(s, state);
     int failed = 0;
-    for (int64_t start = 0; start < s->size && !failed; start += chunk) {
-        int64_t stop = start + chunk < s->size ? start + chunk : s->size;
-        if (behind) {
-            Py_BEGIN_ALLOW_THREADS
-            pthread_mutex_lock(&s->lock);
-            while (step_start(s, s->done) < stop)
-                pthread_cond_wait(&s->moved, &s->lock);
-            pthread_mutex_unlock(&s->lock);
-            Py_END_ALLOW_THREADS
-        }
+    for (int64_t start = 0; start < size && !failed; start += chunk) {
+        int64_t stop = start + chunk < size ? start + chunk : size;
         if (PyErr_CheckSignals() < 0) {
             failed = 1;
             break;
         }
         char *base = PyByteArray_AS_STRING(buffer);
-        char *end = s->wide ? format_range(s->radii, 1, start, stop, base)
-                            : format_range(s->radii, 0, start, stop, base);
-        if (stop == s->size)
+        char *end = wide ? format_range(radii, 1, start, stop, base) : format_range(radii, 0, start, stop, base);
+        if (stop == size)
             end[-1] = '\n'; /* in place of the last comma */
         PyObject *slice = PySequence_GetSlice(view, 0, end - base);
         PyObject *written = slice ? PyObject_CallOneArg(write, slice) : NULL;
         failed = written == NULL;
         Py_XDECREF(written);
         Py_XDECREF(slice);
-    }
-    if (behind) {
-        Py_BEGIN_ALLOW_THREADS
-        join_helper(s, thread);
-        Py_END_ALLOW_THREADS
-        *state = s->marks[s->done];
     }
     Py_DECREF(view);
     Py_DECREF(buffer);
@@ -582,11 +549,13 @@ write_chunks(Split *s, ScanState *state, int64_t chunk, PyObject *write)
    its 2n+1 radii, as uint8 if every radius fits BYTE_LIMIT and as int32
    otherwise, so its length, 2n+1 or 4(2n+1), tells which; it is not
    zero-filled: SCAN_START writes every entry before it reads it. Given
-   write, scan also calls it with each chunk entries of the table as the
+   write, scan then calls it with each chunk entries of the table as the
    decimals str() gives, comma separated, a comma between chunks and a
-   newline at the end, as a memoryview of one reused bytearray. If write
-   or a signal handler raises, a helper still scanning stops at its next
-   step start and is joined before the exception propagates. Memory: the
+   newline at the end, as a memoryview of one reused bytearray. The scan
+   has ended, and its helper has been joined, before the first call, so
+   nothing write does, to the text included, reaches the table, the
+   count or the center. An exception from write or a signal handler
+   propagates. Memory: the
    table, allocated as 4(2n+1) bytes, of which a one-byte table touches
    the first quarter before it is shrunk, and with write FORMAT_BYTES per
    chunk entry. */
@@ -607,10 +576,9 @@ scan(PyObject *Py_UNUSED(self), PyObject *args)
     ScanState state = SCAN_START;
     if (table != NULL) {
         Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, size),
-                   .size = size, .lock = PTHREAD_MUTEX_INITIALIZER, .moved = PTHREAD_COND_INITIALIZER};
-        if (write == Py_None)
-            split_scan(&s, &state);
-        else if (write_chunks(&s, &state, chunk < size ? chunk : size, write) < 0)
+                   .size = size, .lock = PTHREAD_MUTEX_INITIALIZER};
+        split_scan(&s, &state);
+        if (write != Py_None && write_chunks(s.radii, s.wide, size, chunk < size ? chunk : size, write) < 0)
             Py_CLEAR(table);
         if (table != NULL && !s.wide && PyByteArray_Resize(table, size) < 0)
             Py_CLEAR(table);

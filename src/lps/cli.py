@@ -135,7 +135,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    # the kernel scans while it writes; any other engine's table is solved first
+    # the kernel scans, then formats as it writes; any other engine's table is solved first
     kernel = args.impl == "native" if args.impl else native.takes(text)
     table = None if kernel else _solve(args, text)[0]
     with _writing():

@@ -4,11 +4,12 @@ The kernel is :func:`lps.core.python_radii` line for line, except where
 it compares no symbol; the comments of ``_manacher.c`` give its design:
 the one-byte table that widens, the split between two threads, the tail
 of centers inside a palindrome that reaches the end of the text, which
-it fills from their mirrors, and the write path. This module builds and
-loads it, says which texts it takes, and makes the one call into it,
-:func:`compute_radii`, which returns the table and, given a ``write``
-callable, also writes it as the radii text. :func:`write_table` writes
-the table of any other engine as the same text, with ``str``.
+it fills from their mirrors, and the write path, which formats the
+finished table. This module builds and loads it, says which texts it
+takes, and makes the one call into it, :func:`compute_radii`, which
+returns the table and, given a ``write`` callable, then writes it as the
+radii text. :func:`write_table` writes the table of any other engine as
+the same text, with ``str``.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -165,11 +166,13 @@ def compute_radii(text: str | bytes, write=None) -> tuple[memoryview, CompareSta
     format ``i``. Raises :class:`lps.core.Unsupported` where :func:`takes`
     is false.
 
-    Given ``write``, the kernel also passes the table to it as the ASCII
+    Given ``write``, the kernel then passes the table to it as the ASCII
     bytes of ``",".join(map(str, radii)) + "\\n"``, one memoryview of a
     reused buffer per :data:`CHUNK` entries; an exception from ``write``
-    propagates. The kernel runs at most one thread besides this one, and
-    it has ended when this call returns."""
+    propagates. The kernel scans on at most one thread besides this one.
+    The scan has ended, and that thread has been joined, before the first
+    ``write``, so nothing ``write`` does, to ``text`` included, changes
+    the table or the stats."""
     table, comparisons, center = _kernel(text).scan(text, write, CHUNK)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)

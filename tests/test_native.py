@@ -325,8 +325,7 @@ ENCODINGS = {
 @pytest.mark.parametrize("family", SPLIT_TEXTS)
 def test_split_scan_matches_the_python_engine(family, length):
     # tables of SPLIT_SIZE entries and more are scanned on two threads;
-    # the write path formats them after the split scan, and any other table
-    # of more than one chunk behind a helper that scans it from center 0
+    # the write path formats every table after the same scan
     split = native.load().SPLIT_SIZE
     n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
     assert (2 * n + 1 < split) == (length == "below")
@@ -414,7 +413,7 @@ def test_write_radii_runs_at_most_one_helper_thread():
     before = _threads()
     rows = {
         "one chunk": ("a" * (native.CHUNK // 2 - 1), 0),
-        "unary-1e6": ("a" * 10**6, 1),  # no split point: the helper scans ahead of the writes
+        "unary-1e6": ("a" * 10**6, 0),  # no split point: scanned on this thread before the first write
         "random-1e6": (gen_text(GenSpec(10**6, 3, 1)), 0),  # split, scanned and joined before the first write
     }
     for name, (text, extra) in rows.items():
@@ -442,7 +441,7 @@ class _Stop(Exception):
 
 def test_write_radii_propagates_an_exception_from_write():
     rows = {
-        "unary-1e6": "a" * 10**6,  # 31 chunks: the helper is still scanning at the second
+        "unary-1e6": "a" * 10**6,  # no split point: scanned on this thread before the first write
         "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: scanned before the first write
     }
     for name, text in rows.items():
@@ -459,6 +458,26 @@ def test_write_radii_propagates_an_exception_from_write():
         # the helper was joined and the table freed: the next run is whole
         radii, stats = native.compute_radii(text)
         assert _kernel_written(text) == (_joined(radii), stats), name
+
+
+def test_write_radii_scans_before_write_can_change_the_text():
+    # a same-length assignment to a bytearray is allowed while the kernel
+    # holds its buffer; the scan has ended before the first write, so the
+    # table, stats and output are those of the text as it was passed
+    n = 10**6
+    expected, stats = core.python_radii(b"a" * n)
+    text = bytearray(b"a" * n)
+    out = io.BytesIO()
+
+    def write(chunk):
+        if not out.tell():
+            text[:] = b"ab" * (n // 2)
+        out.write(chunk)
+
+    radii, native_stats = native.compute_radii(text, write)
+    assert native_stats == stats
+    assert list(radii) == expected
+    assert out.getvalue() == _joined(expected)
 
 
 def test_write_radii_refuses_a_chunk_below_one():
@@ -508,7 +527,7 @@ def _libtsan() -> str | None:
 
 # Loads the kernel built at argv[1], and runs scan without and with a
 # write callable on each text file named after it and with one on unary
-# text (whose helper scans from center 0 and fills the second half as
+# text (no split point: one thread, which fills the second half as
 # tail), printing (comparisons, center).
 _TSAN_CHILD = """
 import sys
@@ -592,9 +611,8 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         assert out.getvalue() == _joined(expected), text
     assert formats["B"] and formats["i"]
     if helper_steps == 4:
-        # the write path at every chunk size: a text with no split point
-        # and a table longer than the chunk is scanned by the helper from
-        # center 0, and the calling thread waits for it at each chunk
+        # the write path at every chunk size, formatting the finished
+        # table of every text, split or not, at either width
         for text, expected, stats in _small_texts(10, 6):
             for chunk in range(1, 2 * len(text) + 2):
                 out = io.BytesIO()
