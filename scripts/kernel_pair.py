@@ -17,9 +17,11 @@ copies of one symbol, widened at center 256), period-2-1e6 (``ab``
 repeated, whose palindrome that reaches the end only ties the longest),
 suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
 random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write
-path, row ``write``, is ``scan(text, write, chunk)``; it writes to a file
-in the temporary directory, ``lps.native.CHUNK`` (65,536) entries per
-chunk, as ``lps radii`` does.
+path, row ``write``, is ``scan(text)`` followed by the kernel's
+``write_table(table, write, chunk)``, as ``lps radii`` runs them; a REV
+whose kernel has no ``write_table`` runs ``scan(text, write, chunk)``
+there. It writes to a file in the temporary directory,
+``lps.native.CHUNK`` (65,536) entries per chunk.
 Within a round the side that runs first alternates, so a drift of the
 host falls on both sides.
 
@@ -28,17 +30,23 @@ ms (``statistics.quantiles``, exclusive method), in how many rounds each
 side was lower, and the median number of minor page faults the call
 made (``ru_minflt``, both threads). The median time is left out: at 1e6
 the times are bimodal, and the median moves between runs of the same
-build far more than the differences the script is used to resolve. A
-change in fault cost shows in the faults column, not in the times. At
-1e6 that column mostly reads 0, since glibc hands a freed table back
-already faulted in; at 1e7 every call maps and faults a fresh 80 MB
-table, so such a change shows in process there. Perfbench runs whole
-processes and scales by the host's speed; this compares the two kernels
-with everything else held equal, which shows differences of a few
-percent that perfbench's spread hides. Its ``write`` rows at 1e6 reuse a
-table that is already faulted in, and they have read a unary cost for a
-change to the write path that fresh processes did not show, so time such
-a change with ``scripts/bench_pair.py`` too.
+build far more than the differences the script is used to resolve. At
+1e6 the faults column depends on what ran before in the process. Until a
+table of 8 MB or more has been freed, glibc maps each table afresh, and
+the 2 MB a one-byte table touches fault on every call: about 490 pages
+on random-1e6. Once one has been freed, as after the first unary-1e6
+call, glibc serves a 1e6 table from memory already faulted in, and the
+column reads 0. The times do not follow the faults: on a 2-core x86_64
+host random-1e6 ``scan`` read min 12.2 ms at 490 faults timed alone here
+and 6.0 ms at 0 faults after unary-1e6, but in a plain loop 6.1 ms at
+490 faults and 11.2 ms at 0, the two modes of the bimodal times above.
+At 1e7 every call maps and faults a fresh 80 MB table. Perfbench runs
+whole processes and scales by the host's speed; this compares the two
+kernels with everything else held equal, which shows differences of a
+few percent that perfbench's spread hides. Its ``write`` rows at 1e6 can
+reuse a table that is already faulted in, and they have read a unary
+cost for a change to the write path that fresh processes did not show,
+so time such a change with ``scripts/bench_pair.py`` too.
 """
 
 from __future__ import annotations
@@ -110,7 +118,11 @@ def main(argv: list[str] | None = None) -> int:
             start = time.perf_counter()
             if call == "scan":
                 kernel.scan(text)
-            else:
+            elif hasattr(kernel, "write_table"):
+                table = memoryview(kernel.scan(text)[0])
+                radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
+                kernel.write_table(radii, out.write, native.CHUNK)
+            else:  # a kernel whose scan formats, given write
                 kernel.scan(text, out.write, native.CHUNK)
             elapsed = time.perf_counter() - start
             return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

@@ -15,19 +15,18 @@
    palindrome. The caller keeps 2n+1 below 2^31, so every index and
    radius fits an int32 table.
 
-   The one entry point, scan, allocates the table for four bytes per
-   center, 4(2n+1) bytes, unzeroed, and shrinks it to 2n+1 bytes if it
-   stayed at one: only the first quarter of a one-byte table is touched.
-   It finds the split point once and runs at most one POSIX thread
-   besides the calling one, the helper. On a table of at least SPLIT_SIZE
-   entries with two differing symbols near its middle, the helper scans
-   the second half while the calling thread scans the first, which then
-   joins the helper and resynchronizes to its scan (split_scan); the
-   radii, counts and centers are the sequential scan's. Given a write
-   callable, lps radii's path, scan then formats and writes the finished
-   table chunk by chunk (write_chunks), so lps find and lps radii run the
-   same scan. The calling thread holds the GIL throughout: no Python code
-   runs while the helper does. */
+   scan allocates the table for four bytes per center, 4(2n+1) bytes,
+   unzeroed, and shrinks it to 2n+1 bytes if it stayed at one: only the
+   first quarter of a one-byte table is touched. It finds the split point
+   once and runs at most one POSIX thread besides the calling one, the
+   helper. On a table of at least SPLIT_SIZE entries with two differing
+   symbols near its middle, the helper scans the second half while the
+   calling thread scans the first, which then joins the helper and
+   resynchronizes to its scan (split_scan); the radii, counts and centers
+   are the sequential scan's. The calling thread holds the GIL
+   throughout, and scan calls no Python code. write_table, lps radii's
+   writer, formats a finished table chunk by chunk and passes each chunk
+   to a write callable; it scans nothing and runs no thread. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -509,65 +508,16 @@ format_range(const void *radii, int wide, Py_ssize_t start, Py_ssize_t stop, cha
     return end;
 }
 
-/* Pass the finished table, size entries of one byte or, if wide, four,
-   to write, each chunk of it formatted into one reused bytearray of
-   FORMAT_BYTES per chunk entry; -1 with an exception set if write or a
-   signal handler raised. */
-static int
-write_chunks(const void *radii, int wide, int64_t size, int64_t chunk, PyObject *write)
-{
-    PyObject *buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk);
-    PyObject *view = buffer ? PyMemoryView_FromObject(buffer) : NULL;
-    if (view == NULL) {
-        Py_XDECREF(buffer);
-        return -1;
-    }
-    int failed = 0;
-    for (int64_t start = 0; start < size && !failed; start += chunk) {
-        int64_t stop = start + chunk < size ? start + chunk : size;
-        if (PyErr_CheckSignals() < 0) {
-            failed = 1;
-            break;
-        }
-        char *base = PyByteArray_AS_STRING(buffer);
-        char *end = wide ? format_range(radii, 1, start, stop, base) : format_range(radii, 0, start, stop, base);
-        if (stop == size)
-            end[-1] = '\n'; /* in place of the last comma */
-        PyObject *slice = PySequence_GetSlice(view, 0, end - base);
-        PyObject *written = slice ? PyObject_CallOneArg(write, slice) : NULL;
-        failed = written == NULL;
-        Py_XDECREF(written);
-        Py_XDECREF(slice);
-    }
-    Py_DECREF(view);
-    Py_DECREF(buffer);
-    return failed ? -1 : 0;
-}
-
-/* scan(text, write=None, chunk=1) -> (table, comparisons, center): text
-   is a str or a bytes-like object of n symbols, table a new bytearray of
-   its 2n+1 radii, as uint8 if every radius fits BYTE_LIMIT and as int32
+/* scan(text) -> (table, comparisons, center): text is a str or a
+   bytes-like object of n symbols, table a new bytearray of its 2n+1
+   radii, as uint8 if every radius fits BYTE_LIMIT and as int32
    otherwise, so its length, 2n+1 or 4(2n+1), tells which; it is not
-   zero-filled: SCAN_START writes every entry before it reads it. Given
-   write, scan then calls it with each chunk entries of the table as the
-   decimals str() gives, comma separated, a comma between chunks and a
-   newline at the end, as a memoryview of one reused bytearray. The scan
-   has ended, and its helper has been joined, before the first call, so
-   nothing write does, to the text included, reaches the table, the
-   count or the center. An exception from write or a signal handler
-   propagates. Memory: the
-   table, allocated as 4(2n+1) bytes, of which a one-byte table touches
-   the first quarter before it is shrunk, and with write FORMAT_BYTES per
-   chunk entry. */
+   zero-filled: SCAN_START writes every entry before it reads it. Memory:
+   the table, allocated as 4(2n+1) bytes, of which a one-byte table
+   touches the first quarter before it is shrunk. */
 static PyObject *
-scan(PyObject *Py_UNUSED(self), PyObject *args)
+scan(PyObject *Py_UNUSED(self), PyObject *object)
 {
-    PyObject *object, *write = Py_None;
-    Py_ssize_t chunk = 1;
-    if (!PyArg_ParseTuple(args, "O|On:scan", &object, &write, &chunk))
-        return NULL;
-    if (chunk < 1)
-        return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
     Text text;
     if (text_open(object, &text) < 0)
         return NULL;
@@ -578,17 +528,67 @@ scan(PyObject *Py_UNUSED(self), PyObject *args)
         Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, size),
                    .size = size, .lock = PTHREAD_MUTEX_INITIALIZER};
         split_scan(&s, &state);
-        if (write != Py_None && write_chunks(s.radii, s.wide, size, chunk < size ? chunk : size, write) < 0)
-            Py_CLEAR(table);
-        if (table != NULL && !s.wide && PyByteArray_Resize(table, size) < 0)
+        if (!s.wide && PyByteArray_Resize(table, size) < 0)
             Py_CLEAR(table);
     }
     PyBuffer_Release(&text.buffer);
     return table ? Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best) : NULL;
 }
 
+/* write_table(table, write, chunk) -> None: table is a C-contiguous
+   buffer of format B (uint8) or i (int32) of at least one entry, none
+   negative, as a memoryview over scan's table; any other format raises
+   TypeError. Passes each chunk entries of the table to write as the
+   decimals str() gives, comma separated, a comma between chunks and a
+   newline at the end, formatted into one reused bytearray of
+   FORMAT_BYTES per chunk entry, as a memoryview of it. An exception from
+   write or a signal handler propagates. */
+static PyObject *
+write_table(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *object, *write, *buffer = NULL, *view = NULL;
+    Py_ssize_t chunk;
+    if (!PyArg_ParseTuple(args, "OOn:write_table", &object, &write, &chunk))
+        return NULL;
+    if (chunk < 1)
+        return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
+    Py_buffer table;
+    if (PyObject_GetBuffer(object, &table, PyBUF_ND | PyBUF_FORMAT) < 0)
+        return NULL;
+    int wide = strcmp(table.format, "i") == 0;
+    int64_t size = table.len / table.itemsize;
+    chunk = chunk < size ? chunk : size;
+    if (!wide && strcmp(table.format, "B") != 0)
+        PyErr_Format(PyExc_TypeError, "write_table takes a table of format 'B' or 'i', got '%s'", table.format);
+    else if ((buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk)) != NULL)
+        view = PyMemoryView_FromObject(buffer);
+    int failed = view == NULL;
+    for (int64_t start = 0; start < size && !failed; start += chunk) {
+        int64_t stop = start + chunk < size ? start + chunk : size;
+        if ((failed = PyErr_CheckSignals() < 0))
+            break;
+        char *base = PyByteArray_AS_STRING(buffer);
+        char *end = wide ? format_range(table.buf, 1, start, stop, base)
+                         : format_range(table.buf, 0, start, stop, base);
+        if (stop == size)
+            end[-1] = '\n'; /* in place of the last comma */
+        PyObject *slice = PySequence_GetSlice(view, 0, end - base);
+        PyObject *written = slice ? PyObject_CallOneArg(write, slice) : NULL;
+        failed = written == NULL;
+        Py_XDECREF(written);
+        Py_XDECREF(slice);
+    }
+    Py_XDECREF(view);
+    Py_XDECREF(buffer);
+    PyBuffer_Release(&table);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
-    {"scan", scan, METH_VARARGS, "scan(text, write=None, chunk=1) -> (table, comparisons, center)"},
+    {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
+    {"write_table", write_table, METH_VARARGS, "write_table(table, write, chunk) -> None"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,13 +12,12 @@ the symbol model to raw bytes, in which case nothing is stripped.
 
 find and radii run lps.core.compute_radii by default: the compiled kernel
 (lps.native), or where it cannot be built the pure-Python indexmap engine
-after one note on stderr. radii makes one call on either path:
-lps.native.compute_radii, given the output's write, has the kernel
-write the table it scans, and lps.native.write_table writes any other
-engine's table with str. --impl picks an implementation of
-lps.reference.SOLVERS explicitly. Without it, find and radii import
-neither lps.reference nor lps.generator; the commands that use them
-import them.
+after one note on stderr, or the implementation of lps.reference.SOLVERS
+that --impl names. Both solve the same way; radii then passes the table
+to lps.native.write_table, which has the kernel format its own tables
+and formats any other engine's with str. Without --impl, find and radii
+import neither lps.reference nor lps.generator; the commands that use
+them import them.
 
 Command lines are read with argparse's syntax from one table, _OPTIONS,
 whose help -h prints; importing argparse would cost a short run 5-8 ms.
@@ -135,15 +134,10 @@ def _cmd_find(args) -> int:
 
 def _cmd_radii(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    # the kernel scans, then formats as it writes; any other engine's table is solved first
-    kernel = args.impl == "native" if args.impl else native.takes(text)
-    table = None if kernel else _solve(args, text)[0]
+    radii, _ = _solve(args, text)
     with _writing():
         out = _stdout().buffer
-        if kernel:
-            native.compute_radii(text, out.write)
-        else:
-            native.write_table(table, out.write)
+        native.write_table(radii, out.write)
         out.flush()
     return EXIT_OK
 

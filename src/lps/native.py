@@ -2,14 +2,14 @@
 
 The kernel is :func:`lps.core.python_radii` line for line, except where
 it compares no symbol; the comments of ``_manacher.c`` give its design:
-the one-byte table that widens, the split between two threads, the tail
-of centers inside a palindrome that reaches the end of the text, which
-it fills from their mirrors, and the write path, which formats the
-finished table. This module builds and loads it, says which texts it
-takes, and makes the one call into it, :func:`compute_radii`, which
-returns the table and, given a ``write`` callable, then writes it as the
-radii text. :func:`write_table` writes the table of any other engine as
-the same text, with ``str``.
+the one-byte table that widens, the split between two threads, and the
+tail of centers inside a palindrome that reaches the end of the text,
+which it fills from their mirrors. This module builds and loads it, says
+which texts it takes, and makes its two calls into it:
+:func:`compute_radii` scans a text into its table, with the signature of
+every other solver, and :func:`write_table`, the one writer of the radii
+text, has the kernel format its tables and formats every other engine's
+with ``str``.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -159,29 +159,28 @@ def takes(text) -> bool:
     return True
 
 
-def compute_radii(text: str | bytes, write=None) -> tuple[memoryview, CompareStats]:
+def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as a memoryview over the table the
     kernel allocated: of format ``B`` if every radius fits 255, else of
     format ``i``. Raises :class:`lps.core.Unsupported` where :func:`takes`
-    is false.
-
-    Given ``write``, the kernel then passes the table to it as the ASCII
-    bytes of ``",".join(map(str, radii)) + "\\n"``, one memoryview of a
-    reused buffer per :data:`CHUNK` entries; an exception from ``write``
-    propagates. The kernel scans on at most one thread besides this one.
-    The scan has ended, and that thread has been joined, before the first
-    ``write``, so nothing ``write`` does, to ``text`` included, changes
-    the table or the stats."""
-    table, comparisons, center = _kernel(text).scan(text, write, CHUNK)
+    is false. The kernel scans on at most one thread besides this one and
+    joins it before it returns."""
+    table, comparisons, center = _kernel(text).scan(text)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
 
 
 def write_table(table, write) -> None:
-    """Pass any engine's ``table`` to ``write`` as :func:`compute_radii`
-    writes the kernel's, formatting :data:`CHUNK` entries at a time with
-    ``str`` instead of one string for all of them."""
+    """Pass any engine's ``table``, its 2n+1 radii, to ``write`` as the
+    ASCII bytes of ``",".join(map(str, table)) + "\\n"``, :data:`CHUNK`
+    entries at a time, as a bytes-like object per chunk; an exception
+    from ``write`` propagates. The kernel formats its own tables,
+    memoryviews of format ``B`` or ``i``, into one reused buffer; every
+    other table is formatted with ``str``."""
+    if isinstance(table, memoryview) and table.format in ("B", "i"):
+        load().write_table(table, write, CHUNK)
+        return
     for start in range(0, len(table), CHUNK):
         if start:
             write(b",")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lps import bench, cli, native, reference
+from lps import bench, cli, core, native, reference
 from lps.bench import IMPLS, parse_csv
 
 
@@ -105,9 +105,9 @@ def test_augmented_without_free_dummy_exits_2():
 def test_cli_import_does_not_load_numpy(tmp_path):
     # nor the bench harness, dataclasses, inspect, the generator or the
     # reference solvers; and running find and radii loads no argparse,
-    # gettext or locale, nor (radii on a table of several chunks, scanned
-    # on a thread of the kernel's own) threading or queue, beyond what the
-    # interpreter had at start-up
+    # gettext or locale, nor (radii on a table of several chunks, which
+    # the kernel formats) threading or queue, beyond what the interpreter
+    # had at start-up
     heavy = "numpy", "dataclasses", "inspect", "lps.bench", "lps.generator", "lps.reference"
     unused = "argparse", "gettext", "locale", "threading", "queue"
     path = tmp_path / "input.txt"
@@ -243,6 +243,34 @@ def test_radii_default_engine_matches_indexmap_byte_for_byte(args, stdin):
     assert default.stdout == python.stdout
     if not stdin:
         assert default.stdout == b"0\n"
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+def test_radii_solves_through_the_default_engine_once(monkeypatch, tmp_path, capsys, kernel):
+    # lps radii solves as lps find does, with one core.compute_radii call,
+    # and then writes that table, whichever engine the call ran
+    if not kernel:
+        monkeypatch.setattr(native, "_module", None)
+        monkeypatch.setattr(native, "_error", core.Unsupported("cannot load the compiled kernel: simulated"))
+        monkeypatch.setattr(native, "_noted", True)
+    solved = []
+    solve = core.compute_radii
+    monkeypatch.setattr(core, "compute_radii", lambda text: solved.append(text) or solve(text))
+    inputs = {
+        "empty": b"",
+        "bananas": b"bananas",
+        "unary": b"a" * native.CHUNK,  # three chunks, an int32 table
+        "astral": "x\u00e9\U0001f600\u00e9x".encode(),
+    }
+    for name, data in inputs.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        for args, text in (([], data.decode()), (["--bytes"], data)):
+            solved.clear()
+            assert cli.main([*args, "radii", str(path)]) == cli.EXIT_OK
+            assert solved == [text], (name, args)
+            radii = core.python_radii(text)[0]
+            assert capsys.readouterr() == (",".join(map(str, radii)) + "\n", ""), (name, args)
 
 
 def test_radii_into_a_closed_pipe_exits_0_quietly(tmp_path):

@@ -8,6 +8,7 @@ fresh copy of the package, so each starts with no compiled library.
 
 from __future__ import annotations
 
+import array
 import collections
 import ctypes
 import functools
@@ -58,18 +59,27 @@ def test_memory_does_not_depend_on_content():
         "bytes": b"ab" * (length // 2),
     }
     native.load()  # build and load outside the traced calls
-    table = 4 * (2 * length + 1)  # the int32 radii table
-    buffer = native.load().FORMAT_BYTES * native.CHUNK  # the write path's output buffer
-    for run, extra in ((native.compute_radii, 0), (lambda text: native.compute_radii(text, len), buffer)):
+    table = 4 * (2 * length + 1)  # the radii table, allocated for int32
+    buffer = native.load().FORMAT_BYTES * native.CHUNK  # write_table's output buffer
+
+    def scan(text):
+        return lambda: native.compute_radii(text)
+
+    def write(text):
+        radii = native.compute_radii(text)[0]  # the one-byte and the int32 tables alike
+        return lambda: native.write_table(radii, len)
+
+    for call, expected in ((scan, table), (write, buffer)):
         peaks = []
         for text in texts.values():
             assert len(text) == length
+            run = call(text)
             tracemalloc.start()
-            run(text)
+            run()
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert max(peaks) - min(peaks) < 1024
-        assert table + extra <= min(peaks) and max(peaks) < table + extra + 64 * 1024
+        assert expected <= min(peaks) and max(peaks) < expected + 64 * 1024
 
 
 @pytest.mark.parametrize("n", [3, 4, 10, 1000])
@@ -131,7 +141,7 @@ def test_long_texts_stay_on_the_python_engine(monkeypatch, tmp_path, capsys):
 
 def test_table_sizes_fit_a_py_ssize_t():
     # the kernel allocates 4 bytes per center for the table and
-    # FORMAT_BYTES per center at most for the write path's output buffer
+    # FORMAT_BYTES per center at most for write_table's output buffer
     assert native.load().FORMAT_BYTES * (2 * native.MAX_SYMBOLS + 1) <= sys.maxsize
 
 
@@ -156,12 +166,9 @@ def _written(table) -> bytes:
 
 
 def _kernel_written(text) -> tuple[bytes, core.CompareStats]:
-    """What the kernel writes of ``text``, and its stats; the table it
-    returns while writing must be the one it returns without."""
-    out = io.BytesIO()
-    radii, stats = native.compute_radii(text, out.write)
-    assert list(radii) == list(native.compute_radii(text)[0])
-    return out.getvalue(), stats
+    """What the kernel writes of ``text``, as lps radii has it write, and its stats."""
+    radii, stats = native.compute_radii(text)
+    return _written(radii), stats
 
 
 def _joined(values) -> bytes:
@@ -178,9 +185,11 @@ def test_radii_output_streams_whole_table(size):
     n = (size - 1) // 2
     text = "a" * n  # size 1 is the empty text's table, [0]
     chunk = native.CHUNK - (size - (2 * n + 1))
+    radii, stats = native.compute_radii(text)
     out = io.BytesIO()
-    stats = core.CompareStats(*native.load().scan(text, out.write, chunk)[1:])
-    assert (out.getvalue(), stats) == (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
+    native.load().write_table(radii, out.write, chunk)
+    expected, expected_stats = core.python_radii(text)
+    assert (out.getvalue(), stats) == (_joined(expected), expected_stats)
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
@@ -324,8 +333,7 @@ ENCODINGS = {
 @pytest.mark.parametrize("length", ["below", "above", "1e5"])
 @pytest.mark.parametrize("family", SPLIT_TEXTS)
 def test_split_scan_matches_the_python_engine(family, length):
-    # tables of SPLIT_SIZE entries and more are scanned on two threads;
-    # the write path formats every table after the same scan
+    # tables of SPLIT_SIZE entries and more are scanned on two threads
     split = native.load().SPLIT_SIZE
     n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
     assert (2 * n + 1 < split) == (length == "below")
@@ -410,17 +418,19 @@ def _threads() -> int:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 def test_write_radii_runs_at_most_one_helper_thread():
+    # the scan's helper is joined before compute_radii returns, and
+    # write_table runs no thread of its own
     before = _threads()
     rows = {
-        "one chunk": ("a" * (native.CHUNK // 2 - 1), 0),
-        "unary-1e6": ("a" * 10**6, 0),  # no split point: scanned on this thread before the first write
-        "random-1e6": (gen_text(GenSpec(10**6, 3, 1)), 0),  # split, scanned and joined before the first write
+        "one chunk": "a" * (native.CHUNK // 2 - 1),
+        "unary-1e6": "a" * 10**6,  # no split point: one thread
+        "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: the helper scans the second half
     }
-    for name, (text, extra) in rows.items():
+    for name, text in rows.items():
         seen = []
-        native.compute_radii(text, lambda chunk: seen.append(_threads()))
-        assert max(seen) <= before + extra, name
-        assert _threads() == before, name  # joined
+        native.write_table(native.compute_radii(text)[0], lambda chunk: seen.append(_threads()))
+        assert max(seen) == before, name
+        assert _threads() == before, name
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
@@ -441,8 +451,8 @@ class _Stop(Exception):
 
 def test_write_radii_propagates_an_exception_from_write():
     rows = {
-        "unary-1e6": "a" * 10**6,  # no split point: scanned on this thread before the first write
-        "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: scanned before the first write
+        "unary-1e6": "a" * 10**6,  # an int32 table
+        "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # a one-byte table
     }
     for name, text in rows.items():
         calls = []
@@ -452,40 +462,37 @@ def test_write_radii_propagates_an_exception_from_write():
             if len(calls) == 2:
                 raise _Stop
 
+        radii, _ = native.compute_radii(text)
         with pytest.raises(_Stop):
-            native.compute_radii(text, write)
+            native.write_table(radii, write)
         assert len(calls) == 2, name
-        # the helper was joined and the table freed: the next run is whole
-        radii, stats = native.compute_radii(text)
-        assert _kernel_written(text) == (_joined(radii), stats), name
-
-
-def test_write_radii_scans_before_write_can_change_the_text():
-    # a same-length assignment to a bytearray is allowed while the kernel
-    # holds its buffer; the scan has ended before the first write, so the
-    # table, stats and output are those of the text as it was passed
-    n = 10**6
-    expected, stats = core.python_radii(b"a" * n)
-    text = bytearray(b"a" * n)
-    out = io.BytesIO()
-
-    def write(chunk):
-        if not out.tell():
-            text[:] = b"ab" * (n // 2)
-        out.write(chunk)
-
-    radii, native_stats = native.compute_radii(text, write)
-    assert native_stats == stats
-    assert list(radii) == expected
-    assert out.getvalue() == _joined(expected)
+        # the next write is whole, and no export of the table is left held
+        assert _written(radii) == _joined(radii), name
+        radii.release()
 
 
 def test_write_radii_refuses_a_chunk_below_one():
     # the chunk is the kernel's argument; lps.native always passes CHUNK
     calls = []
     with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
-        native.load().scan("ab", calls.append, 0)
+        native.load().write_table(native.compute_radii("ab")[0], calls.append, 0)
     assert calls == []
+
+
+def test_write_table_formats_b_and_i_in_the_kernel_only():
+    # the kernel refuses every other format; lps.native formats those with str
+    kernel = native.load()
+    for format, values in (("b", [0, 1, -1]), ("I", [0, 2**31]), ("q", [0, 2**40]), ("f", [0.5])):
+        table = memoryview(array.array(format, values))
+        calls = []
+        with pytest.raises(TypeError, match=f"^write_table takes a table of format 'B' or 'i', got '{format}'$"):
+            kernel.write_table(table, calls.append, 1)
+        assert calls == []
+        assert _written(table) == _joined(values), format
+    for format, values in (("B", [0, 255]), ("i", [0, 2**31 - 1])):
+        out = io.BytesIO()
+        kernel.write_table(memoryview(array.array(format, values)), out.write, 1)
+        assert out.getvalue() == _joined(values), format
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
@@ -495,12 +502,13 @@ def test_write_radii_stops_on_a_signal():
     def alarm(signum, frame):
         raise _Stop
 
+    radii, _ = native.compute_radii("a" * 10**6)
     chunks = []
     previous = signal.signal(signal.SIGALRM, alarm)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.002)
         with pytest.raises(_Stop):
-            native.load().scan("a" * 10**6, chunks.append, 16)
+            native.load().write_table(radii, chunks.append, 16)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -525,10 +533,9 @@ def _libtsan() -> str | None:
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], and runs scan without and with a
-# write callable on each text file named after it and with one on unary
-# text (no split point: one thread, which fills the second half as
-# tail), printing (comparisons, center).
+# Loads the kernel built at argv[1], and runs scan on each text file
+# named after it and on unary text (no split point: one thread, which
+# fills the second half as tail), printing (comparisons, center).
 _TSAN_CHILD = """
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -539,8 +546,7 @@ for path in sys.argv[2:]:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     print(kernel.scan(text)[1:])
-    print(kernel.scan(text, len, 65536)[1:])
-print(kernel.scan("a" * 10**6, len, 65536)[1:])
+print(kernel.scan("a" * 10**6)[1:])
 """
 
 
@@ -567,8 +573,7 @@ def test_kernel_has_no_data_race(tmp_path):
     child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
     done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
-    expected = [tuple(native.compute_radii(text)[1]) for text in texts.values() for _ in ("scan", "write")]
-    expected.append(tuple(native.compute_radii("a" * n, len)[1]))
+    expected = [tuple(native.compute_radii(text)[1]) for text in [*texts.values(), "a" * n]]
     assert done.stdout.splitlines() == [str(stats) for stats in expected]
 
 
@@ -607,16 +612,18 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         assert (list(radii), comparisons, center) == (expected, *stats), text
         formats[radii.format] += 1
         out = io.BytesIO()
-        assert kernel.scan(text, out.write, 4)[1:] == tuple(stats), text
+        kernel.write_table(radii, out.write, 4)
         assert out.getvalue() == _joined(expected), text
     assert formats["B"] and formats["i"]
     if helper_steps == 4:
-        # the write path at every chunk size, formatting the finished
-        # table of every text, split or not, at either width
-        for text, expected, stats in _small_texts(10, 6):
+        # write_table at every chunk size, on the table of every text,
+        # split or not, at either width
+        for text, expected, _ in _small_texts(10, 6):
+            table = memoryview(kernel.scan(text)[0])
+            radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
             for chunk in range(1, 2 * len(text) + 2):
                 out = io.BytesIO()
-                assert kernel.scan(text, out.write, chunk)[1:] == tuple(stats), (text, chunk)
+                kernel.write_table(radii, out.write, chunk)
                 assert out.getvalue() == _joined(expected), (text, chunk)
 
 
