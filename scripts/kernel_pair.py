@@ -25,12 +25,21 @@ there. It writes to a file in the temporary directory,
 Within a round the side that runs first alternates, so a drift of the
 host falls on both sides.
 
-For each call it prints the minimum and first quartile of each side in
-ms (``statistics.quantiles``, exclusive method), in how many rounds each
-side was lower, and the median number of minor page faults the call
-made (``ru_minflt``, both threads). The median time is left out: at 1e6
-the times are bimodal, and the median moves between runs of the same
-build far more than the differences the script is used to resolve. At
+For each call it prints two columns per side, wall time
+(``time.perf_counter``) and the process's CPU time
+(``time.process_time``, which counts both threads): each column's
+minimum and first quartile in ms (``statistics.quantiles``, exclusive
+method) and in how many rounds that side was lower. Then comes the
+median number of minor page faults the call made (``ru_minflt``, both
+threads). Claim a cut in work (instructions, comparisons, faults) on CPU
+time, and a gain from parallelism on wall time. The helper thread of a
+split scan overlaps the calling thread only while the second core is
+free, so wall time moves with the host while CPU time stays: on a 2-core
+x86_64 host random-1e6 ``scan`` read min wall 13.4 / CPU 13.3 ms in one
+run (no overlap), and wall 6.5 / CPU 12.6 ms in the next. The median
+is left out: at 1e6 the wall times are bimodal, and the median moves
+between runs of the same build far more than the differences the script
+is used to resolve. At
 1e6 the faults column depends on what ran before in the process. Until a
 table of 8 MB or more has been freed, glibc maps each table afresh, and
 the 2 MB a one-byte table touches fault on every call: about 490 pages
@@ -39,7 +48,8 @@ call, glibc serves a 1e6 table from memory already faulted in, and the
 column reads 0. The times do not follow the faults: on a 2-core x86_64
 host random-1e6 ``scan`` read min 12.2 ms at 490 faults timed alone here
 and 6.0 ms at 0 faults after unary-1e6, but in a plain loop 6.1 ms at
-490 faults and 11.2 ms at 0, the two modes of the bimodal times above.
+490 faults and 11.2 ms at 0, the two modes of the bimodal wall times
+above, which the CPU column tells apart.
 At 1e7 every call maps and faults a fresh 80 MB table. Perfbench runs
 whole processes and scales by the host's speed; this compares the two
 kernels with everything else held equal, which shows differences of a
@@ -111,11 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
         kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
 
-        def run(kernel, call: str, text) -> tuple[float, int]:
+        def run(kernel, call: str, text) -> tuple[float, float, int]:
             out.seek(0)
             out.truncate()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.perf_counter()
+            cpu, start = time.process_time(), time.perf_counter()
             if call == "scan":
                 kernel.scan(text)
             elif hasattr(kernel, "write_table"):
@@ -124,33 +134,35 @@ def main(argv: list[str] | None = None) -> int:
                 kernel.write_table(radii, out.write, native.CHUNK)
             else:  # a kernel whose scan formats, given write
                 kernel.scan(text, out.write, native.CHUNK)
-            elapsed = time.perf_counter() - start
-            return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+            return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
         calls = [(name, call) for name in texts for call in ("scan", "write")]
-        times = {(name, call, side): [] for name, call in calls for side in kernels}
-        faults = {key: [] for key in times}
+        walls = {(name, call, side): [] for name, call in calls for side in kernels}
+        cpus = {key: [] for key in walls}
+        faults = {key: [] for key in walls}
         for round_ in range(args.rounds):
             order = list(kernels) if round_ % 2 == 0 else list(kernels)[::-1]
             for name, call in calls:
                 for side in order:
-                    elapsed, made = run(kernels[side], call, texts[name])
-                    times[name, call, side].append(elapsed)
+                    wall, cpu, made = run(kernels[side], call, texts[name])
+                    walls[name, call, side].append(wall)
+                    cpus[name, call, side].append(cpu)
                     faults[name, call, side].append(made)
 
+    def columns(times: dict, key: tuple, side: str) -> str:
+        """Min, q1 and lower-in of ``side`` in ``times``, against the other side."""
+        values, other = times[(*key, side)], times[(*key, "change" if side == "parent" else "parent")]
+        q1 = statistics.quantiles(values, n=4)[0]
+        lower = sum(mine < theirs for mine, theirs in zip(values, other))
+        return f"min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}  lower in {lower:>3}/{args.rounds}"
+
     print(f"{args.rounds} rounds, parent {args.rev}, change the working tree; ms")
-    for name, call in calls:
-        parent_times, change_times = times[name, call, "parent"], times[name, call, "change"]
-        lower = {
-            "parent": sum(p < c for p, c in zip(parent_times, change_times)),
-            "change": sum(c < p for p, c in zip(parent_times, change_times)),
-        }
-        for side, values in (("parent", parent_times), ("change", change_times)):
-            q1 = statistics.quantiles(values, n=4)[0]
+    for key in calls:
+        for side in kernels:
             print(
-                f"{name:<12} {call:<12} {side:<7} min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}"
-                f"  lower in {lower[side]}/{args.rounds}"
-                f"  faults {statistics.median(faults[name, call, side]):g}"
+                f"{key[0]:<12} {key[1]:<6} {side:<7} wall {columns(walls, key, side)}"
+                f"  cpu {columns(cpus, key, side)}  faults {statistics.median(faults[(*key, side)]):g}"
             )
     return 0
 

@@ -139,6 +139,40 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     assert proc.stdout == b"False\n"
 
 
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the budget was measured on CPython 3.11's parser",
+)
+def test_find_and_radii_compile_no_large_module(tmp_path):
+    # Under PYTHONDONTWRITEBYTECODE every run compiles the package from
+    # source, and the memory the parser took stays resident, so the largest
+    # module compiled sets a floor under the peak RSS of every run. No module
+    # find or radii load may peak above 560 KiB in compile() (lps.cli alone
+    # read 937 KiB while it also held the command-line syntax).
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+    probe = f"""
+import sys, tracemalloc, lps.cli
+assert lps.cli.main(['find', '--span', {str(path)!r}]) == 0
+assert lps.cli.main(['radii', {str(path)!r}]) == 0
+for name, module in sorted(sys.modules.items()):
+    if name.partition('.')[0] == 'lps' and module.__file__.endswith('.py'):
+        with open(module.__file__, 'rb') as fh:
+            source = fh.read()
+        tracemalloc.start()
+        compile(source, module.__file__, 'exec')
+        print(name, tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert lines[:3] == ["anana", "1 6 5", "0,1,0,1,0,3,0,5,0,3,0,1,0,1,0"]
+    peaks = {name: int(peak) for name, peak in (line.split() for line in lines[3:])}
+    assert max(peaks.values()) <= 560 * 1024, peaks
+    assert sorted(peaks) == ["lps", "lps._cmdline", "lps.cli", "lps.core", "lps.native"]
+
+
 def test_package_exports_the_engine_only():
     # importing the package loads neither the bench harness, the generator
     # nor the reference solvers, and a star import binds every name of __all__
