@@ -3,13 +3,13 @@
 
 Run from the repository root:
 
-    python3 scripts/kernel_pair.py HEAD~1 --rounds 101 [--texts random-1e6 unary-1e7]
+    python3 scripts/kernel_pair.py HEAD~1 --rounds 101 [--texts random-1e6 unary-1e7] [--fork]
 
 The script builds ``git show REV:src/lps/_manacher.c`` (the parent) and
 the working tree's ``src/lps/_manacher.c`` (the change) with
 ``lps.native._build`` into a temporary directory and loads both into this
-process. Each round times ``scan(text)`` and the write path of both
-builds on random-1e6 (1e6 random ternary symbols), late-1e6 (the same
+process. Each round times ``scan(text)``, the write path and
+``longest(text)`` of both builds on random-1e6 (1e6 random ternary symbols), late-1e6 (the same
 with a 300-symbol palindrome at 7/8 of the text, whose radius does not
 fit the kernel's one-byte table, so the table widens past the point
 where the calling thread takes over the helper's scan), unary-1e6 (1e6
@@ -21,9 +21,10 @@ path, row ``write``, is ``scan(text)`` followed by the kernel's
 ``write_table(table, write, chunk)``, as ``lps radii`` runs them; a REV
 whose kernel has no ``write_table`` runs ``scan(text, write, chunk)``
 there. It writes to a file in the temporary directory,
-``lps.native.CHUNK`` (65,536) entries per chunk.
-Within a round the side that runs first alternates, so a drift of the
-host falls on both sides.
+``lps.native.CHUNK`` (65,536) entries per chunk. Row ``find`` is
+``longest(text)``, as ``lps find`` runs it; a REV whose kernel has no
+``longest`` runs ``scan(text)`` there. Within a round the side that runs
+first alternates, so a drift of the host falls on both sides.
 
 For each call it prints two columns per side, wall time
 (``time.perf_counter``) and the process's CPU time
@@ -39,10 +40,10 @@ x86_64 host random-1e6 ``scan`` read min wall 13.4 / CPU 13.3 ms in one
 run (no overlap), and wall 6.5 / CPU 12.6 ms in the next. The median
 is left out: at 1e6 the wall times are bimodal, and the median moves
 between runs of the same build far more than the differences the script
-is used to resolve. At
-1e6 the faults column depends on what ran before in the process. Until a
-table of 8 MB or more has been freed, glibc maps each table afresh, and
-the 2 MB a one-byte table touches fault on every call: about 490 pages
+is used to resolve. In process, at 1e6 the faults column depends on
+what ran before. Until a table of 8 MB or more has been freed, glibc
+maps each table afresh, and the 2 MB a one-byte table touches fault on
+every call: about 490 pages
 on random-1e6. Once one has been freed, as after the first unary-1e6
 call, glibc serves a 1e6 table from memory already faulted in, and the
 column reads 0. The times do not follow the faults: on a 2-core x86_64
@@ -56,7 +57,18 @@ kernels with everything else held equal, which shows differences of a
 few percent that perfbench's spread hides. Its ``write`` rows at 1e6 can
 reuse a table that is already faulted in, and they have read a unary
 cost for a change to the write path that fresh processes did not show,
-so time such a change with ``scripts/bench_pair.py`` too.
+so time such a change with ``scripts/bench_pair.py`` too, or with
+``--fork``.
+
+``--fork`` times each call in a child forked for that call, which
+reports its wall time, CPU time and faults to this process and exits;
+the kernel joins its helper thread before it returns, so this process
+has one thread when it forks. The child starts with this process's
+heap, copy-on-write, so every page
+the call writes faults in the child: the table's pages always, and
+those of glibc's free lists too, whatever ran before. At 1e6 the faults
+then show on every call, as they do in a fresh ``lps`` process; the
+times include them, and the fork's own cost falls outside them.
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ import argparse
 import os
 import resource
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -109,11 +122,29 @@ def load(source: bytes, directory: str, side: str):
     return module
 
 
+def forked(measure):
+    """``measure()``, a tuple of two floats and an int, run in a child
+    forked for it, which sends it back through a pipe."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: no cleanup of the parent's objects on the way out
+        try:
+            os.write(write, struct.pack("ddq", *measure()))
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        data = fh.read()
+    os.waitpid(pid, 0)
+    return struct.unpack("ddq", data)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the parent revision whose kernel is compared with the working tree's")
     parser.add_argument("--rounds", type=int, default=101)
     parser.add_argument("--texts", nargs="+", choices=TEXTS, default=list(TEXTS), help="the texts to time (default: all)")
+    parser.add_argument("--fork", action="store_true", help="time each call in a child forked for it")
     args = parser.parse_args(argv)
     parent = subprocess.run(["git", "show", f"{args.rev}:{KERNEL}"], cwd=ROOT, capture_output=True, check=True).stdout
     change = (ROOT / KERNEL).read_bytes()
@@ -121,12 +152,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
         kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
 
-        def run(kernel, call: str, text) -> tuple[float, float, int]:
+        def measure(kernel, call: str, text) -> tuple[float, float, int]:
             out.seek(0)
             out.truncate()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             cpu, start = time.process_time(), time.perf_counter()
-            if call == "scan":
+            if call == "find" and hasattr(kernel, "longest"):
+                kernel.longest(text)
+            elif call != "write":
                 kernel.scan(text)
             elif hasattr(kernel, "write_table"):
                 table = memoryview(kernel.scan(text)[0])
@@ -137,7 +170,12 @@ def main(argv: list[str] | None = None) -> int:
             wall, cpu = time.perf_counter() - start, time.process_time() - cpu
             return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
-        calls = [(name, call) for name in texts for call in ("scan", "write")]
+        def run(kernel, call: str, text) -> tuple[float, float, int]:
+            if args.fork:
+                return forked(lambda: measure(kernel, call, text))
+            return measure(kernel, call, text)
+
+        calls = [(name, call) for name in texts for call in ("scan", "write", "find")]
         walls = {(name, call, side): [] for name, call in calls for side in kernels}
         cpus = {key: [] for key in walls}
         faults = {key: [] for key in walls}
@@ -157,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         lower = sum(mine < theirs for mine, theirs in zip(values, other))
         return f"min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}  lower in {lower:>3}/{args.rounds}"
 
-    print(f"{args.rounds} rounds, parent {args.rev}, change the working tree; ms")
+    where = "each call in a forked child" if args.fork else "in process"
+    print(f"{args.rounds} rounds, parent {args.rev}, change the working tree, {where}; ms")
     for key in calls:
         for side in kernels:
             print(

@@ -13,18 +13,22 @@
    (widen), and reports the number of real symbol comparisons, the count
    the Python engine reports, and the leftmost center of the longest
    palindrome. The caller keeps 2n+1 below 2^31, so every index and
-   radius fits an int32 table.
+   radius fits an int32 table. Once a palindrome that beats the best
+   reaches the end of the text, no later center can beat it, and a range
+   writes no further entry: the tail, which scan fills once at the end
+   (fill_tail) and longest leaves unwritten.
 
-   scan allocates the table for four bytes per center, 4(2n+1) bytes,
-   unzeroed, and shrinks it to 2n+1 bytes if it stayed at one: only the
-   first quarter of a one-byte table is touched. It finds the split point
-   once and runs at most one POSIX thread besides the calling one, the
-   helper. On a table of at least SPLIT_SIZE entries with two differing
-   symbols near its middle, the helper scans the second half while the
-   calling thread scans the first, which then joins the helper and
-   resynchronizes to its scan (split_scan); the radii, counts and centers
-   are the sequential scan's. The calling thread holds the GIL
-   throughout, and scan calls no Python code. write_table, lps radii's
+   scan_text allocates the table for four bytes per center, 4(2n+1)
+   bytes, unzeroed; a one-byte table touches only its first quarter. It
+   finds the split point once and runs at most one POSIX thread besides
+   the calling one, the helper. On a table of at least SPLIT_SIZE entries
+   with two differing symbols near its middle, the helper scans the
+   second half while the calling thread scans the first, which then joins
+   the helper and resynchronizes to its scan (split_scan); the radii,
+   counts and centers are the sequential scan's. The calling thread holds
+   the GIL throughout, and no scan calls Python code. scan fills the tail
+   and shrinks a one-byte table to 2n+1 bytes; longest frees the table
+   and returns the best center and its radius. write_table, lps radii's
    writer, formats a finished table chunk by chunk and passes each chunk
    to a write callable; it scans nothing and runs no thread. */
 
@@ -41,10 +45,11 @@
 
 /* Where a scan stands between two ranges: the reference center and the
    right edge of its palindrome, the best center and its radius, the
-   comparisons made so far, and touch, the last center whose expansion
-   stopped at a floor above 0 (see SCAN). */
+   comparisons made so far, touch, the last center whose expansion
+   stopped at a floor above 0, and tail, the first center of the tail the
+   scan left unwritten (see SCAN). */
 typedef struct {
-    int64_t ref, right, best, best_len, comparisons, touch;
+    int64_t ref, right, best, best_len, comparisons, touch, tail;
 } ScanState;
 
 /* right = -1: no palindrome is known yet, so center 0 expands (over no
@@ -81,29 +86,43 @@ static const ScanState SCAN_START = {.right = -1};
    one-thread scan of unary text about 5% slower.
 
    Once the reference palindrome reaches the end of the text, right = 2n,
-   the scan fills the rest of its range from the mirror, the tail loop:
-   radii[j] = min(radii[2 ref - j], right - j), with no comparison. This
-   is what the loop above writes there, and the tail leaves ref, right,
-   best, comparisons and touch as that loop leaves them. Every center j
-   left lies inside the reference, so the loop either copies the mirror
-   entry, where it is below right - j, or expands from right - j with
-   hi = n, past the end: no comparison, and radius = right - j. No radius
-   there beats the best, since it is below right - ref, the reference's
-   own, which is at most best_len; none reaches past right = 2n; and none
-   outgrows a one-byte table, since no entry exceeds its mirror. Such an
-   expansion would start at lo = j - n - 1 >= ref - n >= floor, since the
-   reference's own expansion stopped at hi = n with
-   lo = ref - n - 1 >= floor - 1, so it is no touch. The scan enters the
-   tail at the range's start where right is 2n already (the helper's later
-   steps, resync's ranges, and scan_wide after a widening), and from the
-   branch of a new best whose palindrome reaches the end, after the byte
-   test, which keeps its center. An end-reaching palindrome that only
-   ties the best, as in period-2 text, gets the full step: the same test
-   on every new right edge made random text scan 3-6% slower (this
-   placement was faster in 87 of 101 rounds). On unary text the tail is
-   the second half of the table: 1e6 symbols scan in 3.5 ms against 4.2
-   ms without the tail (min of 101 rounds, lower in 97 of them). Both
-   measured with scripts/kernel_pair.py, in process. */
+   the centers left are the tail, and a range writes none of them: one
+   that starts where right is 2n already (the helper's later steps,
+   resync's ranges, and widen's after a widening) leaves state as it is,
+   and the loop stops in the branch of a new best whose palindrome
+   reaches the end, after the byte test, which keeps its center. The loop
+   would write radii[j] = min(radii[2 ref - j], right - j) there, with no
+   comparison, and leave ref, right, best, comparisons and touch as they
+   are. Every center j left lies inside the reference, so the loop either
+   copies the mirror entry, where it is below right - j, or expands from
+   right - j with hi = n, past the end: no comparison, and
+   radius = right - j. No radius there beats the best, since it is below
+   right - ref, the reference's own, which is at most best_len; none
+   reaches past right = 2n; and none outgrows a one-byte table, since no
+   entry exceeds its mirror. Such an expansion would start at
+   lo = j - n - 1 >= ref - n >= floor, since the reference's own expansion
+   stopped at hi = n with lo = ref - n - 1 >= floor - 1, so it is no
+   touch. So a skipped range leaves the state the loop would leave, but
+   for tail, the first center left unwritten, which the last loop to run
+   sets where it stops: at ref + 1 after a new best that reaches the end,
+   and after the center of the byte test's return, whose caller writes
+   its entry. An end-reaching palindrome that only ties the best, as in
+   period-2 text, gets the full step, and its range writes every entry to
+   stop, where tail is set. Once the scan is done, fill_tail writes
+   centers [tail, 2n] for scan, at the table's final width; longest reads
+   only the state. On unary text the tail is the second half of the
+   table, which longest never touches.
+
+   Where the tail test sits moves the scan's time through how GCC 12
+   lays the loop out, by more than the tail saves on most texts (1e6
+   symbols, scripts/kernel_pair.py, minimum CPU time of 101 rounds): a
+   test on every end-reaching palindrome, where a mirror copy falls
+   through or on every new right edge, made random text scan 4-7% slower,
+   and one on ties (>=), unary text 6%; a range that starts in the tail
+   returning at once, before the loop, made the widened scan of period-2
+   text 30% slower, and the widened scan in a function of its own, out of
+   line, 8%. Filling from ref + 1 instead of tail wrote period-2 text's
+   tail twice: after its widening one range runs to the end. */
 #define SCAN(T, R)                                                                                  \
     static inline __attribute__((always_inline)) int64_t                                            \
     scan_##T##_##R(const T *text, int64_t n, int64_t floor, R *radii, ScanState *state,             \
@@ -111,8 +130,8 @@ static const ScanState SCAN_START = {.right = -1};
     {                                                                                               \
         int64_t comparisons = state->comparisons, ref = state->ref, right = state->right;           \
         int64_t best = state->best, best_len = state->best_len, touch = state->touch;               \
-        int64_t j = start;                                                                          \
         if (right < 2 * n) {                                                                        \
+            int64_t j = start;                                                                      \
             for (; j < stop; j++) {                                                                 \
                 int64_t radius;                                                                     \
                 if (j <= right) {                                                                   \
@@ -141,7 +160,8 @@ static const ScanState SCAN_START = {.right = -1};
                     best = j;                                                                       \
                     best_len = radius;                                                              \
                     if (sizeof(R) == 1 && radius > BYTE_LIMIT) {                                    \
-                        *state = (ScanState){j, j + radius, best, best_len, comparisons, touch};    \
+                        *state = (ScanState){j, j + radius, best, best_len, comparisons, touch,     \
+                                             j + 1};                                                \
                         return j;                                                                   \
                     }                                                                               \
                     if (j + radius == 2 * n) {                                                      \
@@ -156,13 +176,9 @@ static const ScanState SCAN_START = {.right = -1};
                     right = j + radius;                                                             \
                 }                                                                                   \
             }                                                                                       \
+            *state = (ScanState){ref, right, best, best_len, comparisons, touch, j};                \
         }                                                                                           \
-        for (; j < stop; j++) {                                                                     \
-            int64_t k = 2 * ref - j;                                                                \
-            radii[j] = radii[k] < right - j ? radii[k] : (R)(right - j);                            \
-        }                                                                                           \
-        *state = (ScanState){ref, right, best, best_len, comparisons, touch};                       \
-        return j;                                                                                   \
+        return stop;                                                                                \
     }
 
 SCAN(uint8_t, uint8_t)
@@ -312,20 +328,13 @@ split_point(const Text *text, int64_t size)
     return 0;
 }
 
-/* Centers [start, stop) at four bytes, floor 0. Out of line: inlined
-   into split_scan, GCC 12 laid the loop out about 5% slower on unary
-   text (in process). */
-static __attribute__((noinline)) void
-scan_wide(const Text *text, void *radii, ScanState *state, int64_t start, int64_t stop)
-{
-    scan_range(text, 0, radii, 1, state, start, stop);
-}
-
 /* The table of a scan stopped at center j, whose radius outgrew the
    byte, widened to int32 in place, with j's entry written, and scanned on
    at four bytes (split_scan). Entry i moves to bytes [4i, 4i + 4), which
    lie at or right of every byte entry not yet moved when the entries
-   move back to front. */
+   move back to front. Every entry it moves is written: j expanded, and no
+   expansion happens once the tail starts, so no range before j skipped
+   one. */
 static void
 widen(Split *s, ScanState *state, int64_t j)
 {
@@ -334,7 +343,7 @@ widen(Split *s, ScanState *state, int64_t j)
         radii[i] = ((const uint8_t *)s->radii)[i];
     radii[j] = (int32_t)state->best_len;
     s->wide = 1;
-    scan_wide(s->text, s->radii, state, j + 1, s->size);
+    scan_range(s->text, 0, s->radii, 1, state, j + 1, s->size);
 }
 
 /* The calling thread's scan on from center m, at one byte, after it has
@@ -356,6 +365,7 @@ resync(Split *s, ScanState *state)
                 .best = helpers ? end->best : state->best,
                 .best_len = helpers ? end->best_len : state->best_len,
                 .comparisons = state->comparisons + end->comparisons - mark->comparisons,
+                .tail = end->tail,
             };
             break;
         }
@@ -366,10 +376,12 @@ resync(Split *s, ScanState *state)
     return scan_range(s->text, 0, s->radii, 0, state, step_start(s, s->done), s->size);
 }
 
-/* All s->size centers of s->text into s->radii from SCAN_START, as one
+/* The s->size centers of s->text into s->radii from SCAN_START, as one
    scan_range would write them at four bytes, with the same comparisons
    and best center, on up to two threads, at one byte per entry until a
-   radius exceeds BYTE_LIMIT.
+   radius exceeds BYTE_LIMIT. Like that scan_range it leaves the tail
+   right of the final reference unwritten, but for the rest of a step
+   that an end-reaching palindrome only ties (see SCAN).
 
    From the split point m on, a helper thread scans [m, size) with floor
    m/2, while this thread scans [0, m). Every palindrome the helper knows
@@ -416,6 +428,22 @@ resync(Split *s, ScanState *state)
    dropped: its bytes lie where the wide entries now go. A helper that
    stopped at BYTE_LIMIT and was adopted leaves this thread to scan on
    from step_start(done), and to widen where its own scan stops.
+
+   Neither thread writes the tail. Where the sequential scan reaches it at
+   a center after c, the helper's scan reaches it there too, and this
+   thread adopts its tail with the rest of its state. Where it reaches it
+   before, this thread's scan does too, and resync's later ranges return
+   at once, leaving the entries from this thread's tail on as the helper
+   left them. If this thread adopts the helper's scan at a c past that
+   point, their (ref, right) are equal, so the helper's scan reached the
+   tail at the same center, in the same step, since both step from m at
+   the same step starts. It set its tail at the step's end, as this
+   thread did, or at the center after, where that center beat its own
+   best but only tied this thread's; not the other way round, since its
+   best is never above this thread's: every radius it writes is at most
+   the true one. So the adopted tail is at or before this thread's, and
+   the entries before it are this thread's. Either way the entries before
+   the final tail are the sequential scan's, and fill_tail reads no other.
 
    This thread scans alone where m is 0, below SPLIT_SIZE or without a
    split point, and when no thread starts. Without a split point the
@@ -508,31 +536,86 @@ format_range(const void *radii, int wide, Py_ssize_t start, Py_ssize_t stop, cha
     return end;
 }
 
-/* scan(text) -> (table, comparisons, center): text is a str or a
-   bytes-like object of n symbols, table a new bytearray of its 2n+1
-   radii, as uint8 if every radius fits BYTE_LIMIT and as int32
-   otherwise, so its length, 2n+1 or 4(2n+1), tells which; it is not
-   zero-filled: SCAN_START writes every entry before it reads it. Memory:
-   the table, allocated as 4(2n+1) bytes, of which a one-byte table
-   touches the first quarter before it is shrunk. */
+/* Centers [tail, size) of a finished scan's table, one byte per entry
+   or, if wide, four: the tail SCAN leaves unwritten, right of the
+   reference, whose palindrome reaches the end, right = 2n = size - 1.
+   Each entry is the smaller of its mirror entry, left of the reference,
+   and its distance to the end. */
+static void
+fill_tail(void *radii, int wide, const ScanState *state, int64_t size)
+{
+    int64_t ref = state->ref, right = state->right;
+    if (wide) {
+        int32_t *r = radii;
+        for (int64_t j = state->tail; j < size; j++)
+            r[j] = r[2 * ref - j] < right - j ? r[2 * ref - j] : (int32_t)(right - j);
+    } else {
+        uint8_t *r = radii;
+        for (int64_t j = state->tail; j < size; j++)
+            r[j] = r[2 * ref - j] < right - j ? r[2 * ref - j] : (uint8_t)(right - j);
+    }
+}
+
+/* The scan that scan and longest share: object is a str or a bytes-like object
+   of n symbols, scanned from SCAN_START into a new bytearray of 4(2n+1)
+   bytes, not zero-filled (SCAN_START writes every entry before it reads
+   it), whose first 2n+1 bytes are a one-byte table unless *wide. Its
+   state is left in state and its tail is unwritten. Returns the table,
+   or NULL with an exception set. Memory: the table, of which a one-byte
+   table touches the first quarter, and the tail none. */
 static PyObject *
-scan(PyObject *Py_UNUSED(self), PyObject *object)
+scan_text(PyObject *object, ScanState *state, int *wide)
 {
     Text text;
     if (text_open(object, &text) < 0)
         return NULL;
     int64_t size = 2 * text.n + 1;
     PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
-    ScanState state = SCAN_START;
     if (table != NULL) {
         Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, size),
                    .size = size, .lock = PTHREAD_MUTEX_INITIALIZER};
-        split_scan(&s, &state);
-        if (!s.wide && PyByteArray_Resize(table, size) < 0)
-            Py_CLEAR(table);
+        split_scan(&s, state);
+        *wide = s.wide;
     }
     PyBuffer_Release(&text.buffer);
-    return table ? Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best) : NULL;
+    return table;
+}
+
+/* scan(text) -> (table, comparisons, center): the table of scan_text
+   with its tail filled, a new bytearray of the text's 2n+1 radii, as
+   uint8 if every radius fits BYTE_LIMIT and as int32 otherwise, so its
+   length, 2n+1 or 4(2n+1), tells which. A one-byte table is shrunk
+   after the scan. */
+static PyObject *
+scan(PyObject *Py_UNUSED(self), PyObject *object)
+{
+    ScanState state = SCAN_START;
+    int wide;
+    PyObject *table = scan_text(object, &state, &wide);
+    if (table == NULL)
+        return NULL;
+    int64_t size = PyByteArray_GET_SIZE(table) / 4;
+    fill_tail(PyByteArray_AS_STRING(table), wide, &state, size);
+    if (!wide && PyByteArray_Resize(table, size) < 0) {
+        Py_DECREF(table);
+        return NULL;
+    }
+    return Py_BuildValue("NLL", table, (long long)state.comparisons, (long long)state.best);
+}
+
+/* longest(text) -> (comparisons, center, length): scan's comparisons and
+   center, and the center's radius, the length of the longest palindrome,
+   from scan_text, whose table is freed unfilled. */
+static PyObject *
+longest(PyObject *Py_UNUSED(self), PyObject *object)
+{
+    ScanState state = SCAN_START;
+    int wide;
+    PyObject *table = scan_text(object, &state, &wide);
+    if (table == NULL)
+        return NULL;
+    Py_DECREF(table);
+    return Py_BuildValue("LLL", (long long)state.comparisons, (long long)state.best, (long long)state.best_len);
 }
 
 /* write_table(table, write, chunk) -> None: table is a C-contiguous
@@ -588,6 +671,7 @@ write_table(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyMethodDef methods[] = {
     {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
+    {"longest", longest, METH_O, "longest(text) -> (comparisons, center, length)"},
     {"write_table", write_table, METH_VARARGS, "write_table(table, write, chunk) -> None"},
     {NULL, NULL, 0, NULL},
 };

@@ -10,14 +10,16 @@ A carriage return is an ordinary symbol and is never stripped, so the
 input "aba\\r\\n" is scanned as "aba\\r". The global --bytes flag switches
 the symbol model to raw bytes, in which case nothing is stripped.
 
-find and radii run lps.core.compute_radii by default: the compiled kernel
-(lps.native), or where it cannot be built the pure-Python indexmap engine
-after one note on stderr, or the implementation of lps.reference.SOLVERS
-that --impl names. Both solve the same way; radii then passes the table
-to lps.native.write_table, which has the kernel format its own tables
-and formats any other engine's with str. Without --impl, find and radii
-import neither lps.reference nor lps.generator; the commands that use
-them import them.
+By default find runs lps.core.longest_palindrome and radii
+lps.core.compute_radii: the compiled kernel (lps.native), or where it
+cannot be built the pure-Python indexmap engine after one note on stderr.
+The kernel's longest palindrome leaves the part of the table it does not
+need unwritten. With --impl both run the implementation of
+lps.reference.SOLVERS it names, and find takes the result from its
+table. radii passes the table to lps.native.write_table, which has the
+kernel format its own tables and formats any other engine's with str.
+Without --impl, find and radii import neither lps.reference nor
+lps.generator; the commands that use them import them.
 
 Command lines are read, and -h's help printed, by lps._cmdline, whose
 docstring says why that is a module of its own.
@@ -60,10 +62,11 @@ def _read_input(path: str, *, as_bytes: bool, raw: bool) -> str | bytes:
             data = fh.read()
     if as_bytes:
         return data
-    text = data.decode("utf-8")
-    if not raw and text.endswith("\n"):
-        text = text[:-1]
-    return text
+    if not raw and data.endswith(b"\n"):
+        # a line feed byte is always the character in UTF-8: decoding a
+        # view without it makes no copy of the text
+        return str(memoryview(data)[:-1], "utf-8")
+    return data.decode("utf-8")
 
 
 def _stdout():
@@ -95,7 +98,7 @@ def _solve(args, text):
 
 def _cmd_find(args) -> int:
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    result = core.result_from_radii(*_solve(args, text))
+    result = core.result_from_radii(*_solve(args, text)) if args.impl else core.longest_palindrome(text)
     sub = result.substring(text)
     answer = sub if args.as_bytes else sub.encode("utf-8")
     # bytes straight to the buffer: the output is UTF-8 whatever the

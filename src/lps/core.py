@@ -50,8 +50,8 @@ __all__ = [
 
 
 # The compiled kernel, or None: the package sets it to :mod:`lps.native`,
-# which then runs compute_radii on the texts it takes. Loaded on its own,
-# this module is the pure-Python engine.
+# which then runs compute_radii and longest_palindrome on the texts it
+# takes. Loaded on its own, this module is the pure-Python engine.
 kernel = None
 
 
@@ -207,5 +207,14 @@ def result_from_radii(radii: RadiiTable, stats: CompareStats) -> LpsResult:
 
 
 def longest_palindrome(text: Text) -> LpsResult:
-    """Longest palindromic substring of ``text``, leftmost on ties."""
+    """Longest palindromic substring of ``text``, leftmost on ties.
+
+    Where :func:`compute_radii` would run the compiled kernel, this runs
+    its ``longest_palindrome``, which leaves unwritten the entries of the
+    table right of a best palindrome that reaches the end of the text: on
+    unary text, half the table. Anything else takes the result from
+    :func:`compute_radii`'s table.
+    """
+    if kernel is not None and kernel.takes(text):
+        return kernel.longest_palindrome(text)
     return result_from_radii(*compute_radii(text))

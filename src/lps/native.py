@@ -3,13 +3,15 @@
 The kernel is :func:`lps.core.python_radii` line for line, except where
 it compares no symbol; the comments of ``_manacher.c`` give its design:
 the one-byte table that widens, the split between two threads, and the
-tail of centers inside a palindrome that reaches the end of the text,
-which it fills from their mirrors. This module builds and loads it, says
-which texts it takes, and makes its two calls into it:
-:func:`compute_radii` scans a text into its table, with the signature of
-every other solver, and :func:`write_table`, the one writer of the radii
-text, has the kernel format its tables and formats every other engine's
-with ``str``.
+tail of centers inside a palindrome that beats the best and reaches the
+end of the text, which no scan writes: the kernel fills it from the
+mirrors once a whole table is asked for, and leaves it where only the
+longest palindrome is. This module builds and loads it, says which texts
+it takes, and makes its three calls into it: :func:`compute_radii` scans
+a text into its table, with the signature of every other solver,
+:func:`longest_palindrome` scans it for the longest palindrome alone, and
+:func:`write_table`, the one writer of the radii text, has the kernel
+format its tables and formats every other engine's with ``str``.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -34,9 +36,9 @@ import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
-from .core import CompareStats, Unsupported
+from .core import CompareStats, LpsResult, Unsupported, result_from_radii
 
-__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "report", "takes", "write_table"]
+__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "longest_palindrome", "report", "takes", "write_table"]
 
 # 2N+1 centers must index an int32 table, and the kernel's allocations
 # of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
@@ -169,6 +171,16 @@ def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
     table, comparisons, center = _kernel(text).scan(text)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
+
+
+def longest_palindrome(text: str | bytes) -> LpsResult:
+    """:func:`lps.core.longest_palindrome` from the kernel, which scans as
+    :func:`compute_radii` does but never writes the tail and frees the
+    table before it returns. Raises :class:`lps.core.Unsupported` where
+    :func:`takes` is false."""
+    comparisons, center, length = _kernel(text).longest(text)
+    # the one entry of the table that result_from_radii reads
+    return result_from_radii({center: length}, CompareStats(comparisons, center))
 
 
 def write_table(table, write) -> None:

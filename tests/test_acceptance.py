@@ -308,6 +308,23 @@ def test_c6_resident_table_follows_the_longest_radius(tmp_path):
     print(f"PASS [C6'] resident table at L=1e6: random {rises['random']:,}B, unary {rises['unary']:,}B")
 
 
+def test_c6_longest_palindrome_leaves_the_tail_untouched(tmp_path):
+    # the scan writes no entry right of a best palindrome that reaches the
+    # end of the text, and only compute_radii fills them: on unary text
+    # that is the second half of the int32 table. A rise counts from the
+    # child's peak after reading the text, which is 2 MB above where the
+    # call starts, so a table touched whole reads about 88% of it.
+    length = 2**21
+    table = 4 * (2 * length + 1)  # 16 MB
+    path = tmp_path / "unary.txt"
+    path.write_text("a" * length, encoding="ascii")
+    longest = _rss_rise("lps.native", "longest_palindrome", path)
+    radii = _rss_rise("lps.native", "compute_radii", path)
+    assert longest <= 0.6 * table
+    assert radii >= 0.75 * table
+    print(f"PASS [C6''] resident table of 16 MB at L=2^21 unary: longest {longest:,}B, compute_radii {radii:,}B")
+
+
 def test_c7_prng_golden_vectors():
     state, out = rng_next(0)
     assert out == 0xE220A8397B1DCDAF

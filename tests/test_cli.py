@@ -6,11 +6,13 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from lps import bench, cli, core, native, reference
 from lps.bench import IMPLS, parse_csv
+from lps.generator import GenSpec, gen_text
 
 
 def run_cli(*args, stdin=b""):
@@ -249,6 +251,28 @@ def test_raw_keeps_trailing_newline():
     raw = run_cli("find", "--span", "--raw", stdin=b"\n\n")
     assert stripped.stdout.endswith(b"0 1 1\n")
     assert raw.stdout.endswith(b"0 2 2\n")
+
+
+def test_trailing_newline_of_a_million_symbols(tmp_path):
+    # the line feed is left out of the decode, not sliced off the decoded
+    # text: the answer is the bare text's, from a file or from stdin
+    text = gen_text(GenSpec(10**6, 3, 1)).encode()
+    bare, fed = tmp_path / "bare.txt", tmp_path / "fed.txt"
+    bare.write_bytes(text)
+    fed.write_bytes(text + b"\n")
+    find, radii = run_cli("find", "--span", str(bare)).stdout, run_cli("radii", str(bare)).stdout
+    assert find.endswith(b"283130 283155 25\n")
+    for source, stdin in ((str(fed), b""), ("-", text + b"\n")):
+        assert run_cli("find", "--span", source, stdin=stdin).stdout == find, source
+        assert run_cli("radii", source, stdin=stdin).stdout == radii, source
+        # --raw scans it as a symbol of its own: a palindrome of one, at the end
+        assert run_cli("radii", "--raw", source, stdin=stdin).stdout == radii[:-1] + b",1,0\n", source
+    # no third buffer beside the bytes read and the decoded text
+    tracemalloc.start()
+    cli._read_input(str(fed), as_bytes=False, raw=False)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * len(text) + 2**16
 
 
 def test_carriage_return_before_the_stripped_newline_is_a_symbol():

@@ -41,10 +41,16 @@ def test_exact_counts_at_one_million():
     assert stats.comparisons == 2_036_777
     expected, _ = core.python_radii(text)
     assert list(radii) == expected
+    kernel = native.load()
+    assert kernel.longest(text) == (2_036_777, stats.center, expected[stats.center])
+    # unary text's best palindrome reaches the end at its center, 10^6
+    assert kernel.longest("a" * 10**6) == (999_999, 10**6, 10**6)
     _, stats = native.compute_radii("a" * 10**6)
     assert stats.comparisons == 999_999
-    _, stats = native.compute_radii("a" + "b" * (10**6 - 2) + "c")  # the worst case, 3n - 6
+    worst = "a" + "b" * (10**6 - 2) + "c"  # the worst case, 3n - 6
+    _, stats = native.compute_radii(worst)
     assert stats.comparisons == 2_999_994
+    assert kernel.longest(worst) == (2_999_994, stats.center, 10**6 - 2)
 
 
 def test_memory_does_not_depend_on_content():
@@ -69,7 +75,10 @@ def test_memory_does_not_depend_on_content():
         radii = native.compute_radii(text)[0]  # the one-byte and the int32 tables alike
         return lambda: native.write_table(radii, len)
 
-    for call, expected in ((scan, table), (write, buffer)):
+    def longest(text):
+        return lambda: native.longest_palindrome(text)  # the same allocation, freed unfilled
+
+    for call, expected in ((scan, table), (write, buffer), (longest, table)):
         peaks = []
         for text in texts.values():
             assert len(text) == length
@@ -348,6 +357,8 @@ def test_split_scan_matches_the_python_engine(family, length):
         assert list(radii) == expected, encoding
         _garbage(4 * (2 * n + 1))
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
+        _garbage(4 * (2 * n + 1))
+        assert native.longest_palindrome(encode(text)) == core.result_from_radii(expected, stats), encoding
 
 
 def _planted(length: int, at: float | None):
@@ -398,6 +409,8 @@ def test_table_widens_at_the_first_radius_above_255(family, length):
         assert list(radii) == expected, encoding
         _garbage(4 * (2 * n + 1))
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
+        _garbage(4 * (2 * n + 1))
+        assert native.longest_palindrome(encode(text)) == core.result_from_radii(expected, stats), encoding
 
 
 @pytest.mark.parametrize("n", WRITE_LENGTHS)
@@ -533,9 +546,10 @@ def _libtsan() -> str | None:
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], and runs scan on each text file
-# named after it and on unary text (no split point: one thread, which
-# fills the second half as tail), printing (comparisons, center).
+# Loads the kernel built at argv[1], and runs scan and longest on each
+# text file named after it and on unary text (no split point: one
+# thread, whose second half is tail), printing (comparisons, center) and
+# (comparisons, center, length).
 _TSAN_CHILD = """
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -545,8 +559,8 @@ loader.exec_module(kernel)
 for path in sys.argv[2:]:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
-    print(kernel.scan(text)[1:])
-print(kernel.scan("a" * 10**6)[1:])
+    print(kernel.scan(text)[1:], kernel.longest(text))
+print(kernel.scan("a" * 10**6)[1:], kernel.longest("a" * 10**6))
 """
 
 
@@ -573,8 +587,11 @@ def test_kernel_has_no_data_race(tmp_path):
     child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
     done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
-    expected = [tuple(native.compute_radii(text)[1]) for text in [*texts.values(), "a" * n]]
-    assert done.stdout.splitlines() == [str(stats) for stats in expected]
+    expected = []
+    for text in [*texts.values(), "a" * n]:
+        radii, stats = native.compute_radii(text)
+        expected.append(f"{tuple(stats)} {(*stats, radii[stats.center])}")
+    assert done.stdout.splitlines() == expected
 
 
 @functools.cache
@@ -610,6 +627,7 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         table, comparisons, center = kernel.scan(text)
         radii = memoryview(table) if len(table) == 2 * len(text) + 1 else memoryview(table).cast("i")
         assert (list(radii), comparisons, center) == (expected, *stats), text
+        assert kernel.longest(text) == (*stats, expected[stats.center]), text
         formats[radii.format] += 1
         out = io.BytesIO()
         kernel.write_table(radii, out.write, 4)

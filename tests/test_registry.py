@@ -64,20 +64,23 @@ def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
 
         return wrapper
 
-    monkeypatch.setattr(lps.core, "compute_radii", counting("compute_radii", lps.core.compute_radii))
-    monkeypatch.setattr(lps.core, "argmax", counting("argmax", lps.core.argmax))
-    monkeypatch.setattr(lps.native, "compute_radii", counting("native.compute_radii", lps.native.compute_radii))
+    for module, name in ((lps.core, "compute_radii"), (lps.core, "argmax"), (lps.core, "longest_palindrome")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("compute_radii", "longest_palindrome"):
+        monkeypatch.setattr(lps.native, name, counting(f"native.{name}", getattr(lps.native, name)))
     path = tmp_path / "input.txt"
     path.write_text("bananas")
     kernel = lps.native.takes("bananas")
 
     assert cli.main(["find", str(path)]) == 0
-    # the default engine runs the kernel through lps.core.kernel, which is lps.native
-    assert calls == {"compute_radii": 1, "argmax": 1, **({"native.compute_radii": 1} if kernel else {})}
+    # the default engine runs the kernel through lps.core.kernel, which is
+    # lps.native, and takes its result through argmax as every engine does
+    solved = {"native.longest_palindrome": 1} if kernel else {"compute_radii": 1}
+    assert calls == {"longest_palindrome": 1, "argmax": 1, **solved}
 
     calls.clear()
     assert cli.main(["radii", str(path)]) == 0
-    # radii solves as find does, and only writes the table after
+    # radii solves for the whole table, and only writes it after
     assert calls == {"compute_radii": 1, **({"native.compute_radii": 1} if kernel else {})}
 
     # the default engine may run the Python scan too (no kernel); count it from here on
