@@ -17,13 +17,14 @@ copies of one symbol, widened at center 256), period-2-1e6 (``ab``
 repeated, whose palindrome that reaches the end only ties the longest),
 suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
 random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write
-path, row ``write``, is ``scan(text)`` followed by the kernel's
-``write_table(table, write, chunk)``, as ``lps radii`` runs them; a REV
-whose kernel has no ``write_table`` runs ``scan(text, write, chunk)``
-there. It writes to a file in the temporary directory,
-``lps.native.CHUNK`` (65,536) entries per chunk. Row ``find`` is
-``longest(text)``, as ``lps find`` runs it; a REV whose kernel has no
-``longest`` runs ``scan(text)`` there. Within a round the side that runs
+path, row ``write``, is the kernel's ``write_radii(text, write, chunk)``,
+which scans and formats in one call, as ``lps radii`` runs it; a REV
+whose kernel has no ``write_radii`` runs ``scan(text)`` followed by
+``write_table(table, write, chunk)`` there, and one with no
+``write_table`` either ``scan(text, write, chunk)``. It writes to a file
+in the temporary directory, ``lps.native.CHUNK`` (65,536) entries per
+chunk. Row ``find`` is ``longest(text)``, as ``lps find`` runs it; a REV
+whose kernel has no ``longest`` runs ``scan(text)`` there. Within a round the side that runs
 first alternates, so a drift of the host falls on both sides.
 
 For each call it prints two columns per side, wall time
@@ -40,11 +41,23 @@ x86_64 host random-1e6 ``scan`` read min wall 13.4 / CPU 13.3 ms in one
 run (no overlap), and wall 6.5 / CPU 12.6 ms in the next. The median
 is left out: at 1e6 the wall times are bimodal, and the median moves
 between runs of the same build far more than the differences the script
-is used to resolve. In process, at 1e6 the faults column depends on
-what ran before. Until a table of 8 MB or more has been freed, glibc
-maps each table afresh, and the 2 MB a one-byte table touches fault on
-every call: about 490 pages
-on random-1e6. Once one has been freed, as after the first unary-1e6
+is used to resolve.
+
+Each round starts with a probe of the second core: two threads each run
+``zlib.crc32`` over 8 MiB, about 2 ms, with the GIL released, and the
+probe overlapped if the span from the first start to the last end is
+below 1.5 times the longer thread's CPU time. On a text whose table the
+kernel splits between two threads, the wall columns are printed twice:
+over all rounds, and over the rounds whose probe overlapped, when the
+second core was most likely free. Claim a gain from parallelism on the
+second. On a 2-core x86_64 host shared with other work, the probe
+overlapped in none of the 101 rounds of one run: the two threads took
+about twice one thread's time in every round.
+
+In process, at 1e6 the faults column depends on what ran before. Until
+a table of 8 MB or more has been freed, glibc maps each table afresh,
+and the 2 MB a one-byte table touches fault on every call: about 490
+pages on random-1e6. Once one has been freed, as after the first unary-1e6
 call, glibc serves a 1e6 table from memory already faulted in, and the
 column reads 0. The times do not follow the faults: on a 2-core x86_64
 host random-1e6 ``scan`` read min 12.2 ms at 490 faults timed alone here
@@ -81,7 +94,9 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from pathlib import Path
 
@@ -110,6 +125,40 @@ TEXTS = {
     "random-1e7": lambda: gen_text(GenSpec(10**7, 3, 1)),
     "unary-1e7": lambda: "a" * 10**7,
 }
+
+
+def splits(text: str, split_size: int) -> bool:
+    """Whether the kernel scans ``text`` on two threads: whether its table
+    of 2n+1 entries reaches ``split_size`` and has a split point, the
+    rule of ``split_point`` in the kernel, whose STEPS is 64."""
+    size = 2 * len(text) + 1
+    middle = size // 2 + (size // 2 & 1)
+    boundaries = range(middle, middle + (size - middle) // 64, 2)
+    return size >= split_size and any(text[m // 2 - 1] != text[m // 2] for m in boundaries)
+
+
+SPIN = bytes(8 << 20)  # zlib.crc32 of it takes about 2 ms, with the GIL released
+
+
+def overlapped() -> bool:
+    """Whether two threads, each running ``zlib.crc32(SPIN)``, ran at once:
+    the span from the first start to the last end is below 1.5 times the
+    longer thread's CPU time."""
+    barrier, spans = threading.Barrier(2), []
+
+    def spin() -> None:
+        barrier.wait()
+        cpu, start = time.thread_time(), time.perf_counter()
+        zlib.crc32(SPIN)
+        spans.append((start, time.perf_counter(), time.thread_time() - cpu))
+
+    threads = [threading.Thread(target=spin) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    span = max(end for _, end, _ in spans) - min(start for start, _, _ in spans)
+    return span < 1.5 * max(cpu for _, _, cpu in spans)
 
 
 def load(source: bytes, directory: str, side: str):
@@ -161,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
                 kernel.longest(text)
             elif call != "write":
                 kernel.scan(text)
+            elif hasattr(kernel, "write_radii"):
+                kernel.write_radii(text, out.write, native.CHUNK)
             elif hasattr(kernel, "write_table"):
                 table = memoryview(kernel.scan(text)[0])
                 radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
@@ -179,7 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         walls = {(name, call, side): [] for name, call in calls for side in kernels}
         cpus = {key: [] for key in walls}
         faults = {key: [] for key in walls}
+        free = []  # the rounds whose probe overlapped
         for round_ in range(args.rounds):
+            if overlapped():
+                free.append(round_)
             order = list(kernels) if round_ % 2 == 0 else list(kernels)[::-1]
             for name, call in calls:
                 for side in order:
@@ -188,21 +242,29 @@ def main(argv: list[str] | None = None) -> int:
                     cpus[name, call, side].append(cpu)
                     faults[name, call, side].append(made)
 
-    def columns(times: dict, key: tuple, side: str) -> str:
-        """Min, q1 and lower-in of ``side`` in ``times``, against the other side."""
-        values, other = times[(*key, side)], times[(*key, "change" if side == "parent" else "parent")]
+    def columns(times: dict, key: tuple, side: str, rounds: list[int]) -> str:
+        """Min, q1 and lower-in of ``side`` in ``times`` over ``rounds``, against the other side."""
+        values = [times[(*key, side)][i] for i in rounds]
+        other = [times[(*key, "change" if side == "parent" else "parent")][i] for i in rounds]
+        if len(values) < 2:
+            return f"{len(values)} rounds, too few"
         q1 = statistics.quantiles(values, n=4)[0]
         lower = sum(mine < theirs for mine, theirs in zip(values, other))
-        return f"min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}  lower in {lower:>3}/{args.rounds}"
+        return f"min {1e3 * min(values):7.2f}  q1 {1e3 * q1:7.2f}  lower in {lower:>3}/{len(rounds)}"
 
     where = "each call in a forked child" if args.fork else "in process"
     print(f"{args.rounds} rounds, parent {args.rev}, change the working tree, {where}; ms")
+    print(f"second core free (probe overlapped) in {len(free)}/{args.rounds} rounds")
+    every = list(range(args.rounds))
+    split = {name for name, text in texts.items() if splits(text, kernels["change"].SPLIT_SIZE)}
     for key in calls:
         for side in kernels:
             print(
-                f"{key[0]:<12} {key[1]:<6} {side:<7} wall {columns(walls, key, side)}"
-                f"  cpu {columns(cpus, key, side)}  faults {statistics.median(faults[(*key, side)]):g}"
+                f"{key[0]:<12} {key[1]:<6} {side:<7} wall {columns(walls, key, side, every)}"
+                f"  cpu {columns(cpus, key, side, every)}  faults {statistics.median(faults[(*key, side)]):g}"
             )
+            if key[0] in split:
+                print(f"{'':<12} {'':<6} {side:<7} wall {columns(walls, key, side, free)}  (second core free)")
     return 0
 
 

@@ -15,8 +15,10 @@
    palindrome. The caller keeps 2n+1 below 2^31, so every index and
    radius fits an int32 table. Once a palindrome that beats the best
    reaches the end of the text, no later center can beat it, and a range
-   writes no further entry: the tail, which scan fills once at the end
-   (fill_tail) and longest leaves unwritten.
+   writes no further entry: the tail, each of whose entries is the smaller
+   of its mirror entry and its distance to the end (tail_entry). scan
+   fills it once at the end (fill_tail), write_radii formats it from the
+   mirrors, and longest leaves it alone.
 
    scan_text allocates the table for four bytes per center, 4(2n+1)
    bytes, unzeroed; a one-byte table touches only its first quarter. It
@@ -28,9 +30,12 @@
    counts and centers are the sequential scan's. The calling thread holds
    the GIL throughout, and no scan calls Python code. scan fills the tail
    and shrinks a one-byte table to 2n+1 bytes; longest frees the table
-   and returns the best center and its radius. write_table, lps radii's
-   writer, formats a finished table chunk by chunk and passes each chunk
-   to a write callable; it scans nothing and runs no thread. */
+   and returns the best center and its radius. The two writers format
+   a table chunk by chunk and pass each chunk to a write callable, in one
+   loop (write_chunks): write_table a finished table, scanning nothing and
+   running no thread, and write_radii, lps radii's, the table it has just
+   scanned, with the tail read from the mirrors, after which it frees the
+   table unshrunk. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -109,9 +114,10 @@ static const ScanState SCAN_START = {.right = -1};
    its entry. An end-reaching palindrome that only ties the best, as in
    period-2 text, gets the full step, and its range writes every entry to
    stop, where tail is set. Once the scan is done, fill_tail writes
-   centers [tail, 2n] for scan, at the table's final width; longest reads
-   only the state. On unary text the tail is the second half of the
-   table, which longest never touches.
+   centers [tail, 2n] for scan, at the table's final width, write_radii
+   formats them from their mirrors, and longest reads only the state. On
+   unary text the tail is the second half of the table, which neither
+   write_radii nor longest touches.
 
    Where the tail test sits moves the scan's time through how GCC 12
    lays the loop out, by more than the tail saves on most texts (1e6
@@ -443,7 +449,7 @@ resync(Split *s, ScanState *state)
    best is never above this thread's: every radius it writes is at most
    the true one. So the adopted tail is at or before this thread's, and
    the entries before it are this thread's. Either way the entries before
-   the final tail are the sequential scan's, and fill_tail reads no other.
+   the final tail are the sequential scan's, and tail_entry reads no other.
 
    This thread scans alone where m is 0, below SPLIT_SIZE or without a
    split point, and when no thread starts. Without a split point the
@@ -469,6 +475,32 @@ split_scan(Split *s, ScanState *state)
     }
     if (j < s->size)
         widen(s, state, j);
+}
+
+/* Entry j of a finished scan's tail, in its table of one byte per entry
+   or, if wide, four: the tail SCAN leaves unwritten, right of the
+   reference, whose palindrome reaches the end, right = 2n. The entry is
+   the smaller of its mirror entry, left of the reference, and its
+   distance to the end. */
+static inline __attribute__((always_inline)) uint32_t
+tail_entry(const void *radii, int wide, const ScanState *state, int64_t j)
+{
+    int64_t k = 2 * state->ref - j, end = state->right - j;
+    uint32_t mirror = wide ? (uint32_t)((const int32_t *)radii)[k] : ((const uint8_t *)radii)[k];
+    return mirror < end ? mirror : (uint32_t)end;
+}
+
+/* Centers [tail, size) of a finished scan's table written in place
+   (tail_entry), for scan. */
+static void
+fill_tail(void *radii, int wide, const ScanState *state, int64_t size)
+{
+    if (wide)
+        for (int64_t j = state->tail; j < size; j++)
+            ((int32_t *)radii)[j] = (int32_t)tail_entry(radii, 1, state, j);
+    else
+        for (int64_t j = state->tail; j < size; j++)
+            ((uint8_t *)radii)[j] = (uint8_t)tail_entry(radii, 0, state, j);
 }
 
 /* "00" to "99": two digits per division. */
@@ -516,64 +548,68 @@ static inline char *put_decimal(char *p, uint32_t v)
     return p + 4;
 }
 
-/* radii[start:stop], one byte per entry or, if wide, four, none of them
-   negative, as decimals, each followed by a comma, into out, which holds
-   FORMAT_BYTES per entry; returns the end. */
+/* radius in decimal followed by a comma, at end; returns the new end. */
 static inline __attribute__((always_inline)) char *
-format_range(const void *radii, int wide, Py_ssize_t start, Py_ssize_t stop, char *end)
+put_entry(char *end, uint32_t radius)
 {
-    for (Py_ssize_t i = start; i < stop; i++) {
-        uint32_t radius = wide ? (uint32_t)((const int32_t *)radii)[i] : ((const uint8_t *)radii)[i];
-        if (radius < 10) {
-            end[0] = (char)('0' + radius);
-            end[1] = ',';
-            end += 2;
-            continue;
-        }
-        end = put_decimal(end, radius);
-        *end++ = ',';
+    if (radius < 10) {
+        end[0] = (char)('0' + radius);
+        end[1] = ',';
+        return end + 2;
     }
+    end = put_decimal(end, radius);
+    *end = ',';
+    return end + 1;
+}
+
+/* radii[start:stop], one byte per entry or, if wide, four, none of them
+   negative, as decimals, each followed by a comma, into end, which holds
+   FORMAT_BYTES per entry; returns the new end. */
+static inline __attribute__((always_inline)) char *
+format_range(const void *radii, int wide, int64_t start, int64_t stop, char *end)
+{
+    for (int64_t i = start; i < stop; i++)
+        end = put_entry(end, wide ? (uint32_t)((const int32_t *)radii)[i] : ((const uint8_t *)radii)[i]);
     return end;
 }
 
-/* Centers [tail, size) of a finished scan's table, one byte per entry
-   or, if wide, four: the tail SCAN leaves unwritten, right of the
-   reference, whose palindrome reaches the end, right = 2n = size - 1.
-   Each entry is the smaller of its mirror entry, left of the reference,
-   and its distance to the end. */
-static void
-fill_tail(void *radii, int wide, const ScanState *state, int64_t size)
+/* Entries [start, stop) of a tail, as format_range formats them, read
+   from their mirrors (tail_entry). Out of line: inlined beside
+   format_range's loops, it left period-2 text, which has no tail, 2%
+   slower to write (scripts/kernel_pair.py --fork, lower in 26 and 33 of
+   101 rounds; out of line, in 72 and 68). */
+static __attribute__((noinline)) char *
+format_tail(const void *radii, int wide, const ScanState *state, int64_t start, int64_t stop, char *end)
 {
-    int64_t ref = state->ref, right = state->right;
-    if (wide) {
-        int32_t *r = radii;
-        for (int64_t j = state->tail; j < size; j++)
-            r[j] = r[2 * ref - j] < right - j ? r[2 * ref - j] : (int32_t)(right - j);
-    } else {
-        uint8_t *r = radii;
-        for (int64_t j = state->tail; j < size; j++)
-            r[j] = r[2 * ref - j] < right - j ? r[2 * ref - j] : (uint8_t)(right - j);
-    }
+    for (int64_t i = start; i < stop; i++)
+        end = put_entry(end, tail_entry(radii, wide, state, i));
+    return end;
 }
 
-/* The scan that scan and longest share: object is a str or a bytes-like object
-   of n symbols, scanned from SCAN_START into a new bytearray of 4(2n+1)
-   bytes, not zero-filled (SCAN_START writes every entry before it reads
-   it), whose first 2n+1 bytes are a one-byte table unless *wide. Its
-   state is left in state and its tail is unwritten. Returns the table,
-   or NULL with an exception set. Memory: the table, of which a one-byte
-   table touches the first quarter, and the tail none. */
+/* The scan that scan, longest and write_radii share: object is a str or
+   a bytes-like object of n symbols, scanned from SCAN_START into a new
+   bytearray of 4(2n+1) bytes, not zero-filled (SCAN_START writes every
+   entry before it reads it), whose first *size = 2n+1 entries are one
+   byte each unless *wide. Its state is left in state and its tail is
+   unwritten, and the text's buffer is released. Returns the table, or
+   NULL with an exception set. Memory: the table, of which a one-byte
+   table touches the first quarter, and the tail none. Its callers take
+   the size from here, not from the table: a PyByteArray_GET_SIZE in two
+   of them, whose assert GCC 12 then moved out of line, placed this
+   function 48 bytes later and made period-2 and suffix text scan 7-12%
+   slower (1e6 symbols, minimum CPU time of 21 rounds in process, 2-core
+   x86_64 host). */
 static PyObject *
-scan_text(PyObject *object, ScanState *state, int *wide)
+scan_text(PyObject *object, ScanState *state, int *wide, int64_t *size)
 {
     Text text;
     if (text_open(object, &text) < 0)
         return NULL;
-    int64_t size = 2 * text.n + 1;
-    PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * size);
+    *size = 2 * text.n + 1;
+    PyObject *table = PyByteArray_FromStringAndSize(NULL, 4 * *size);
     if (table != NULL) {
-        Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, size),
-                   .size = size, .lock = PTHREAD_MUTEX_INITIALIZER};
+        Split s = {.text = &text, .radii = PyByteArray_AS_STRING(table), .m = split_point(&text, *size),
+                   .size = *size, .lock = PTHREAD_MUTEX_INITIALIZER};
         split_scan(&s, state);
         *wide = s.wide;
     }
@@ -591,10 +627,10 @@ scan(PyObject *Py_UNUSED(self), PyObject *object)
 {
     ScanState state = SCAN_START;
     int wide;
-    PyObject *table = scan_text(object, &state, &wide);
+    int64_t size;
+    PyObject *table = scan_text(object, &state, &wide, &size);
     if (table == NULL)
         return NULL;
-    int64_t size = PyByteArray_GET_SIZE(table) / 4;
     fill_tail(PyByteArray_AS_STRING(table), wide, &state, size);
     if (!wide && PyByteArray_Resize(table, size) < 0) {
         Py_DECREF(table);
@@ -611,48 +647,41 @@ longest(PyObject *Py_UNUSED(self), PyObject *object)
 {
     ScanState state = SCAN_START;
     int wide;
-    PyObject *table = scan_text(object, &state, &wide);
+    int64_t size;
+    PyObject *table = scan_text(object, &state, &wide, &size);
     if (table == NULL)
         return NULL;
     Py_DECREF(table);
     return Py_BuildValue("LLL", (long long)state.comparisons, (long long)state.best, (long long)state.best_len);
 }
 
-/* write_table(table, write, chunk) -> None: table is a C-contiguous
-   buffer of format B (uint8) or i (int32) of at least one entry, none
-   negative, as a memoryview over scan's table; any other format raises
-   TypeError. Passes each chunk entries of the table to write as the
-   decimals str() gives, comma separated, a comma between chunks and a
-   newline at the end, formatted into one reused bytearray of
-   FORMAT_BYTES per chunk entry, as a memoryview of it. An exception from
-   write or a signal handler propagates. */
-static PyObject *
-write_table(PyObject *Py_UNUSED(self), PyObject *args)
+/* Passes the size entries of a table of one byte per entry or, if wide,
+   four, to write, chunk entries at a time, as the decimals str() gives,
+   comma separated, a comma between chunks and a newline at the end,
+   formatted (format_range, and format_tail from state->tail on) into one
+   reused bytearray of FORMAT_BYTES per chunk entry, as a memoryview of
+   it. Returns 0, or -1 with an exception set: from write or a signal
+   handler, or ValueError for a chunk below 1. */
+static int
+write_chunks(const void *radii, int wide, const ScanState *state, int64_t size, PyObject *write, Py_ssize_t chunk)
 {
-    PyObject *object, *write, *buffer = NULL, *view = NULL;
-    Py_ssize_t chunk;
-    if (!PyArg_ParseTuple(args, "OOn:write_table", &object, &write, &chunk))
-        return NULL;
-    if (chunk < 1)
-        return PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
-    Py_buffer table;
-    if (PyObject_GetBuffer(object, &table, PyBUF_ND | PyBUF_FORMAT) < 0)
-        return NULL;
-    int wide = strcmp(table.format, "i") == 0;
-    int64_t size = table.len / table.itemsize;
+    if (chunk < 1) {
+        PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
+        return -1;
+    }
     chunk = chunk < size ? chunk : size;
-    if (!wide && strcmp(table.format, "B") != 0)
-        PyErr_Format(PyExc_TypeError, "write_table takes a table of format 'B' or 'i', got '%s'", table.format);
-    else if ((buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk)) != NULL)
-        view = PyMemoryView_FromObject(buffer);
+    PyObject *buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk);
+    PyObject *view = buffer != NULL ? PyMemoryView_FromObject(buffer) : NULL;
     int failed = view == NULL;
     for (int64_t start = 0; start < size && !failed; start += chunk) {
         int64_t stop = start + chunk < size ? start + chunk : size;
         if ((failed = PyErr_CheckSignals() < 0))
             break;
         char *base = PyByteArray_AS_STRING(buffer);
-        char *end = wide ? format_range(table.buf, 1, start, stop, base)
-                         : format_range(table.buf, 0, start, stop, base);
+        int64_t tail = state->tail < start ? start : state->tail < stop ? state->tail : stop;
+        char *end = wide ? format_range(radii, 1, start, tail, base) : format_range(radii, 0, start, tail, base);
+        if (tail < stop)
+            end = format_tail(radii, wide, state, tail, stop, end);
         if (stop == size)
             end[-1] = '\n'; /* in place of the last comma */
         PyObject *slice = PySequence_GetSlice(view, 0, end - base);
@@ -663,7 +692,58 @@ write_table(PyObject *Py_UNUSED(self), PyObject *args)
     }
     Py_XDECREF(view);
     Py_XDECREF(buffer);
+    return failed ? -1 : 0;
+}
+
+/* write_table(table, write, chunk) -> None: table is a C-contiguous
+   buffer of format B (uint8) or i (int32) of at least one entry, none
+   negative, as a memoryview over scan's table; any other format raises
+   TypeError. Passes the table to write as write_chunks does. An
+   exception from write or a signal handler propagates. */
+static PyObject *
+write_table(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *object, *write;
+    Py_ssize_t chunk;
+    if (!PyArg_ParseTuple(args, "OOn:write_table", &object, &write, &chunk))
+        return NULL;
+    Py_buffer table;
+    if (PyObject_GetBuffer(object, &table, PyBUF_ND | PyBUF_FORMAT) < 0)
+        return NULL;
+    int wide = strcmp(table.format, "i") == 0, failed = -1;
+    int64_t size = table.len / table.itemsize;
+    if (!wide && strcmp(table.format, "B") != 0)
+        PyErr_Format(PyExc_TypeError, "write_table takes a table of format 'B' or 'i', got '%s'", table.format);
+    else
+        failed = write_chunks(table.buf, wide, &(ScanState){.tail = size}, size, write, chunk);
     PyBuffer_Release(&table);
+    if (failed)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* write_radii(text, write, chunk) -> None: what write_table writes of
+   scan(text)'s table, from scan_text's table with its tail unfilled:
+   write_chunks reads each tail entry from its mirror. The text's buffer
+   is released before the first write, since no entry is formatted from a
+   symbol, so write may resize a bytearray text. The table is freed
+   unshrunk: a one-byte table never touches the rest, nor any table its
+   tail. An exception from write or a signal handler propagates. */
+static PyObject *
+write_radii(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *object, *write;
+    Py_ssize_t chunk;
+    if (!PyArg_ParseTuple(args, "OOn:write_radii", &object, &write, &chunk))
+        return NULL;
+    ScanState state = SCAN_START;
+    int wide;
+    int64_t size;
+    PyObject *table = scan_text(object, &state, &wide, &size);
+    if (table == NULL)
+        return NULL;
+    int failed = write_chunks(PyByteArray_AS_STRING(table), wide, &state, size, write, chunk);
+    Py_DECREF(table);
     if (failed)
         return NULL;
     Py_RETURN_NONE;
@@ -673,6 +753,7 @@ static PyMethodDef methods[] = {
     {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
     {"longest", longest, METH_O, "longest(text) -> (comparisons, center, length)"},
     {"write_table", write_table, METH_VARARGS, "write_table(table, write, chunk) -> None"},
+    {"write_radii", write_radii, METH_VARARGS, "write_radii(text, write, chunk) -> None"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,13 +11,15 @@ input "aba\\r\\n" is scanned as "aba\\r". The global --bytes flag switches
 the symbol model to raw bytes, in which case nothing is stripped.
 
 By default find runs lps.core.longest_palindrome and radii
-lps.core.compute_radii: the compiled kernel (lps.native), or where it
+lps.native.write_radii: the compiled kernel (lps.native), or where it
 cannot be built the pure-Python indexmap engine after one note on stderr.
-The kernel's longest palindrome leaves the part of the table it does not
-need unwritten. With --impl both run the implementation of
+Neither has the kernel write the tail of the table: the longest
+palindrome does not need it, and the radii text formats it from the
+mirrors. With --impl both run the implementation of
 lps.reference.SOLVERS it names, and find takes the result from its
-table. radii passes the table to lps.native.write_table, which has the
-kernel format its own tables and formats any other engine's with str.
+table; radii frees the text and passes the table to
+lps.native.write_table, which has the kernel format its own tables and
+formats any other engine's with str.
 Without --impl, find and radii import neither lps.reference nor
 lps.generator; the commands that use them import them.
 
@@ -88,9 +90,7 @@ def _writing():
 
 
 def _solve(args, text):
-    """The ``(radii, stats)`` pair of the chosen implementation."""
-    if not args.impl:
-        return core.compute_radii(text)
+    """The ``(radii, stats)`` pair of the implementation --impl names."""
     from .reference import SOLVERS
 
     return SOLVERS[args.impl](text)
@@ -116,11 +116,13 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_radii(args) -> int:
-    text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
-    radii, _ = _solve(args, text)
+    source, writer = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw), native.write_radii
+    if args.impl:
+        # rebinding source frees the text before its table is written
+        (source, _), writer = _solve(args, source), native.write_table
     with _writing():
         out = _stdout().buffer
-        native.write_table(radii, out.write)
+        writer(source, out.write)
         out.flush()
     return EXIT_OK
 

@@ -5,13 +5,16 @@ it compares no symbol; the comments of ``_manacher.c`` give its design:
 the one-byte table that widens, the split between two threads, and the
 tail of centers inside a palindrome that beats the best and reaches the
 end of the text, which no scan writes: the kernel fills it from the
-mirrors once a whole table is asked for, and leaves it where only the
-longest palindrome is. This module builds and loads it, says which texts
-it takes, and makes its three calls into it: :func:`compute_radii` scans
-a text into its table, with the signature of every other solver,
-:func:`longest_palindrome` scans it for the longest palindrome alone, and
-:func:`write_table`, the one writer of the radii text, has the kernel
-format its tables and formats every other engine's with ``str``.
+mirrors once a whole table is asked for, formats it from the mirrors
+when the radii text is, and leaves it where only the longest palindrome
+is asked for. This module builds and loads it, says which texts it
+takes, and makes its four calls into it: :func:`compute_radii` scans a
+text into its table, with the signature of every other solver,
+:func:`longest_palindrome` scans it for the longest palindrome alone,
+:func:`write_radii`, behind ``lps radii``, scans it and writes its radii
+text, and :func:`write_table` writes the radii text of any engine's
+table: the kernel formats its own tables, in the loop of
+:func:`write_radii`, and ``str`` every other engine's.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -36,9 +39,11 @@ import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
+from . import core
 from .core import CompareStats, LpsResult, Unsupported, result_from_radii
 
-__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "longest_palindrome", "report", "takes", "write_table"]
+__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "longest_palindrome", "report", "takes", "write_radii",
+           "write_table"]
 
 # 2N+1 centers must index an int32 table, and the kernel's allocations
 # of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
@@ -198,3 +203,15 @@ def write_table(table, write) -> None:
             write(b",")
         write(",".join(map(str, table[start : start + CHUNK])).encode("ascii"))
     write(b"\n")
+
+
+def write_radii(text, write) -> None:
+    """Pass ``text``'s radii to ``write`` as :func:`write_table` passes the
+    table of :func:`lps.core.compute_radii`. Where :func:`takes` is true,
+    the kernel scans and formats in one call, and formats the tail from
+    the mirrors instead of writing it into the table; elsewhere the
+    default engine's table goes to :func:`write_table`."""
+    if takes(text):
+        load().write_radii(text, write, CHUNK)
+    else:
+        write_table(core.compute_radii(text)[0], write)

@@ -261,31 +261,35 @@ def test_c6_memory_contract(tmp_path):
 
 
 # Reads the text file argv[3] and prints by how many bytes calling
-# argv[1].argv[2] on it raises the child's ru_maxrss (kilobytes on Linux).
+# argv[1].argv[2] on it, and on the builtins whose names follow argv[4],
+# raises the child's ru_maxrss (kilobytes on Linux).
 _RSS_CHILD = """
+import builtins
 import importlib
 import resource
 import sys
 
 sys.path.insert(0, sys.argv[4])
 solve = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])
-solve("ab")  # imports, and the kernel's build and load, come before the measure
+args = [getattr(builtins, name) for name in sys.argv[5:]]
+solve("ab", *args)  # imports, and the kernel's build and load, come before the measure
 with open(sys.argv[3], encoding="ascii") as fh:
     text = fh.read()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-solve(text)
+solve(text, *args)
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
 """
 
 
-def _rss_rise(module: str, function: str, path: Path) -> int:
+def _rss_rise(module: str, function: str, path: Path, *args: str) -> int:
     """The rise of a fresh child's peak resident memory over one call of
-    ``module.function`` on the text in ``path``, in bytes. On Linux a
-    child's ru_maxrss starts at the peak of the process it was forked
-    from, so a small launcher starts it, not this process."""
+    ``module.function`` on the text in ``path`` and the builtins named
+    ``args``, in bytes. On Linux a child's ru_maxrss starts at the peak of
+    the process it was forked from, so a small launcher starts it, not
+    this process."""
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     root = Path(lps.core.__file__).parent.parent
-    child = [sys.executable, "-c", _RSS_CHILD, module, function, str(path), str(root)]
+    child = [sys.executable, "-c", _RSS_CHILD, module, function, str(path), str(root), *args]
     argv = [sys.executable, "-S", "-c", launcher, *child]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -311,18 +315,25 @@ def test_c6_resident_table_follows_the_longest_radius(tmp_path):
 def test_c6_longest_palindrome_leaves_the_tail_untouched(tmp_path):
     # the scan writes no entry right of a best palindrome that reaches the
     # end of the text, and only compute_radii fills them: on unary text
-    # that is the second half of the int32 table. A rise counts from the
-    # child's peak after reading the text, which is 2 MB above where the
-    # call starts, so a table touched whole reads about 88% of it.
+    # that is the second half of the int32 table. write_radii formats them
+    # from their mirrors, into its 720 KB output buffer (len is its write).
+    # A rise counts from the child's peak after reading the text, which is
+    # 2 MB above where the call starts, so a table touched whole reads
+    # about 88% of it.
     length = 2**21
     table = 4 * (2 * length + 1)  # 16 MB
     path = tmp_path / "unary.txt"
     path.write_text("a" * length, encoding="ascii")
     longest = _rss_rise("lps.native", "longest_palindrome", path)
+    written = _rss_rise("lps.native", "write_radii", path, "len")
     radii = _rss_rise("lps.native", "compute_radii", path)
     assert longest <= 0.6 * table
+    assert written <= 0.6 * table
     assert radii >= 0.75 * table
-    print(f"PASS [C6''] resident table of 16 MB at L=2^21 unary: longest {longest:,}B, compute_radii {radii:,}B")
+    print(
+        f"PASS [C6''] resident table of 16 MB at L=2^21 unary: longest {longest:,}B, write_radii {written:,}B, "
+        f"compute_radii {radii:,}B"
+    )
 
 
 def test_c7_prng_golden_vectors():

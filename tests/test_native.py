@@ -12,6 +12,7 @@ import array
 import collections
 import ctypes
 import functools
+import hashlib
 import io
 import itertools
 import os
@@ -175,9 +176,16 @@ def _written(table) -> bytes:
 
 
 def _kernel_written(text) -> tuple[bytes, core.CompareStats]:
-    """What the kernel writes of ``text``, as lps radii has it write, and its stats."""
+    """What the kernel writes of the table it scans of ``text``, and its stats."""
     radii, stats = native.compute_radii(text)
     return _written(radii), stats
+
+
+def _radii_written(text) -> bytes:
+    """What lps radii writes of ``text``: the kernel's scan and format in one call."""
+    out = io.BytesIO()
+    native.write_radii(text, out.write)
+    return out.getvalue()
 
 
 def _joined(values) -> bytes:
@@ -244,8 +252,8 @@ WRITE_TEXTS = {
     "bytes": lambda n: gen_text(GenSpec(n, 4, n)).encode(),
     "unary": lambda n: "a" * n,
 }
-# the table sizes 2n+1 around one and two chunks; the empty text's is 1
-WRITE_LENGTHS = [0, native.CHUNK // 2 - 1, native.CHUNK // 2, native.CHUNK]
+# the table sizes 2n+1 around one and two chunks; the empty text's is 1, one symbol's 3
+WRITE_LENGTHS = [0, 1, native.CHUNK // 2 - 1, native.CHUNK // 2, native.CHUNK]
 
 
 def _garbage(size: int) -> None:
@@ -336,6 +344,7 @@ ENCODINGS = {
     "bmp": lambda text: text.translate({ord("a"): "\u0101"}),
     "astral": lambda text: text.translate({ord("a"): "\U0001f600"}),
     "bytes": str.encode,
+    "bytearray": lambda text: bytearray(text.encode()),
 }
 
 
@@ -357,6 +366,8 @@ def test_split_scan_matches_the_python_engine(family, length):
         assert list(radii) == expected, encoding
         _garbage(4 * (2 * n + 1))
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
+        _garbage(4 * (2 * n + 1))
+        assert _radii_written(encode(text)) == _joined(expected), encoding
         _garbage(4 * (2 * n + 1))
         assert native.longest_palindrome(encode(text)) == core.result_from_radii(expected, stats), encoding
 
@@ -410,6 +421,8 @@ def test_table_widens_at_the_first_radius_above_255(family, length):
         _garbage(4 * (2 * n + 1))
         assert _kernel_written(encode(text)) == (_joined(expected), stats), encoding
         _garbage(4 * (2 * n + 1))
+        assert _radii_written(encode(text)) == _joined(expected), encoding
+        _garbage(4 * (2 * n + 1))
         assert native.longest_palindrome(encode(text)) == core.result_from_radii(expected, stats), encoding
 
 
@@ -423,6 +436,8 @@ def test_write_radii_matches_the_python_engine(kind, n):
     expected = (_joined(core.python_radii(text)[0]), core.compute_radii(text)[1])
     _garbage(4 * (2 * n + 1))
     assert _kernel_written(text) == expected
+    _garbage(4 * (2 * n + 1))
+    assert _radii_written(text) == expected[0]
 
 
 def _threads() -> int:
@@ -440,10 +455,12 @@ def test_write_radii_runs_at_most_one_helper_thread():
         "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: the helper scans the second half
     }
     for name, text in rows.items():
-        seen = []
-        native.write_table(native.compute_radii(text)[0], lambda chunk: seen.append(_threads()))
-        assert max(seen) == before, name
-        assert _threads() == before, name
+        for write_radii in (lambda text, write: native.write_table(native.compute_radii(text)[0], write),
+                            native.write_radii):
+            seen = []
+            write_radii(text, lambda chunk: seen.append(_threads()))
+            assert max(seen) == before, name
+            assert _threads() == before, name
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
@@ -471,7 +488,7 @@ def test_write_radii_propagates_an_exception_from_write():
         calls = []
 
         def write(chunk):
-            calls.append(bytes(chunk))
+            calls.append(len(chunk))
             if len(calls) == 2:
                 raise _Stop
 
@@ -482,6 +499,31 @@ def test_write_radii_propagates_an_exception_from_write():
         # the next write is whole, and no export of the table is left held
         assert _written(radii) == _joined(radii), name
         radii.release()
+        # write_radii frees the table it scanned, 4(2n+1) bytes, and its output buffer
+        calls.clear()
+        tracemalloc.start()
+        with pytest.raises(_Stop):
+            native.write_radii(text, write)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert len(calls) == 2, name
+        assert held < 64 * 1024, name
+
+
+def test_write_radii_lets_write_resize_a_bytearray_text():
+    # the kernel releases the text's buffer before its first write: write
+    # may resize the text, and the output is still the text's as scanned
+    for text in (gen_text(GenSpec(10**5, 3, 1)).encode(), b"a" * 10**5):
+        data = bytearray(text)
+        out = io.BytesIO()
+
+        def write(chunk):
+            out.write(chunk)
+            data[len(data) // 2 :] = b""  # a BufferError while the buffer is held
+
+        native.write_radii(data, write)
+        assert len(data) < len(text) // 4
+        assert out.getvalue() == _joined(core.python_radii(text)[0])
 
 
 def test_write_radii_refuses_a_chunk_below_one():
@@ -489,6 +531,8 @@ def test_write_radii_refuses_a_chunk_below_one():
     calls = []
     with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
         native.load().write_table(native.compute_radii("ab")[0], calls.append, 0)
+    with pytest.raises(ValueError, match="^chunk must be at least 1, got -1$"):
+        native.load().write_radii("ab", calls.append, -1)
     assert calls == []
 
 
@@ -538,40 +582,75 @@ def test_kernel_compiles_without_warnings():
     assert done.returncode == 0, done.stderr
 
 
-def _libtsan() -> str | None:
-    """ThreadSanitizer's runtime library for cc, if there is one."""
+def _runtime(name: str) -> str | None:
+    """The sanitizer runtime library ``name`` of cc, such as libtsan.so, if there is one."""
     if shutil.which("cc") is None:
         return None
-    path = subprocess.run(["cc", "-print-file-name=libtsan.so"], capture_output=True, text=True).stdout.strip()
+    path = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], and runs scan and longest on each
-# text file named after it and on unary text (no split point: one
-# thread, whose second half is tail), printing (comparisons, center) and
-# (comparisons, center, length).
-_TSAN_CHILD = """
+# Loads the kernel built at argv[1], and runs scan, longest, write_table
+# of scan's table and write_radii on each text file named after argv[2],
+# as each of the comma-separated encodings argv[2] names, printing
+# (comparisons, center), (comparisons, center, length) and the SHA-256 of
+# either output.
+_SANITIZED_CHILD = """
+import hashlib
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
 loader = ExtensionFileLoader("_manacher", sys.argv[1])
 kernel = loader.create_module(ModuleSpec(loader.name, loader, origin=sys.argv[1]))
 loader.exec_module(kernel)
-for path in sys.argv[2:]:
+encodings = {
+    "str": str,
+    "bmp": lambda text: text.translate({ord("a"): "\u0101"}),
+    "astral": lambda text: text.translate({ord("a"): "\U0001f600"}),
+    "bytes": str.encode,
+    "bytearray": lambda text: bytearray(text.encode()),
+}
+for path in sys.argv[3:]:
     with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    print(kernel.scan(text)[1:], kernel.longest(text))
-print(kernel.scan("a" * 10**6)[1:], kernel.longest("a" * 10**6))
+        ascii = fh.read()
+    for encoding in sys.argv[2].split(","):
+        text = encodings[encoding](ascii)
+        table, comparisons, center = kernel.scan(text)
+        radii = memoryview(table) if len(table) == 2 * len(text) + 1 else memoryview(table).cast("i")
+        written, streamed = hashlib.sha256(), hashlib.sha256()
+        kernel.write_table(radii, written.update, 65536)
+        kernel.write_radii(text, streamed.update, 65536)
+        print((comparisons, center), kernel.longest(text), written.hexdigest(), streamed.hexdigest())
 """
 
 
-@pytest.mark.skipif(_libtsan() is None, reason="needs cc and libtsan")
-def test_kernel_has_no_data_race(tmp_path):
-    # the interpreter is not instrumented, so the runtime comes in by LD_PRELOAD
+def _sanitized(tmp_path, sanitize: list[str], env: dict, texts: dict, encodings: list[str]) -> str:
+    """Build the kernel with the flags ``sanitize``, run _SANITIZED_CHILD on
+    ``texts`` as ``encodings`` with ``env``, and check what it prints
+    against the kernel built as lps builds it; returns the child's stderr.
+    The interpreter is not instrumented, so env brings the sanitizer's
+    runtime in by LD_PRELOAD."""
     include = sysconfig.get_paths()["include"]
-    library = tmp_path / "_manacher_tsan.so"
-    command = ["cc", "-O1", "-g", "-fsanitize=thread", "-shared", "-fPIC", "-pthread", f"-I{include}"]
+    library = tmp_path / "_manacher_sanitized.so"
+    command = ["cc", "-O1", "-g", *sanitize, "-shared", "-fPIC", "-pthread", f"-I{include}"]
     built = subprocess.run([*command, str(PACKAGE / "_manacher.c"), "-o", str(library)], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    paths = [str(tmp_path / name) for name in texts]
+    child = [sys.executable, "-c", _SANITIZED_CHILD, str(library), ",".join(encodings), *paths]
+    done = subprocess.run(child, capture_output=True, text=True, env=dict(os.environ, **env), timeout=300)
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for text in texts.values():
+        radii, stats = native.compute_radii(text)
+        digest = hashlib.sha256(_written(radii)).hexdigest()
+        expected += [f"{tuple(stats)} {(*stats, radii[stats.center])} {digest} {digest}"] * len(encodings)
+    assert done.stdout.splitlines() == expected
+    return done.stderr
+
+
+@pytest.mark.skipif(_runtime("libtsan.so") is None, reason="needs cc and libtsan")
+def test_kernel_has_no_data_race(tmp_path):
     n = 10**6
     texts = {
         "random": gen_text(GenSpec(n, 3, 1)),
@@ -580,18 +659,26 @@ def test_kernel_has_no_data_race(tmp_path):
         "late": WIDTH_TEXTS["late"](n),  # the helper stops at a radius above 255, and the table widens
         "suffix-run": SPLIT_TEXTS["suffix-run"](n),  # the helper stops in the run; the caller widens, then fills the tail
         "suffix-255": WIDTH_TEXTS["suffix-255"](n),  # the helper fills the tail at one byte
+        "unary": "a" * n,  # no split point: one thread, whose second half is tail
     }
-    for name, text in texts.items():
-        (tmp_path / name).write_text(text, encoding="ascii")
-    env = dict(os.environ, LD_PRELOAD=_libtsan(), TSAN_OPTIONS="halt_on_error=1")
-    child = [sys.executable, "-c", _TSAN_CHILD, str(library), *(str(tmp_path / name) for name in texts)]
-    done = subprocess.run(child, capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
-    expected = []
-    for text in [*texts.values(), "a" * n]:
-        radii, stats = native.compute_radii(text)
-        expected.append(f"{tuple(stats)} {(*stats, radii[stats.center])}")
-    assert done.stdout.splitlines() == expected
+    env = {"LD_PRELOAD": _runtime("libtsan.so"), "TSAN_OPTIONS": "halt_on_error=1"}
+    assert "ThreadSanitizer" not in _sanitized(tmp_path, ["-fsanitize=thread"], env, texts, ["str"])
+
+
+@pytest.mark.skipif(_runtime("libasan.so") is None, reason="needs cc and libasan")
+def test_kernel_reads_and_writes_in_bounds(tmp_path):
+    # AddressSanitizer and UBSan over every split, width and tail text,
+    # each read through every width of symbol: an access outside the text,
+    # the table or the output buffer, such as a tail entry's mirror read at
+    # 2 ref - j, or undefined arithmetic, ends the child
+    n = 10**5
+    texts = {f"split-{name}": make(n) for name, make in SPLIT_TEXTS.items()}
+    texts |= {f"width-{name}": make(n) for name, make in WIDTH_TEXTS.items()}
+    texts |= {"empty": "", "one": "a", "bananas": "bananas"}
+    sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
+    env = {"LD_PRELOAD": _runtime("libasan.so"), "ASAN_OPTIONS": "detect_leaks=0"}
+    stderr = _sanitized(tmp_path, sanitize, env, texts, ["str", "bmp", "astral", "bytes", "bytearray"])
+    assert "Sanitizer" not in stderr and "runtime error" not in stderr, stderr
 
 
 @functools.cache
@@ -629,20 +716,22 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         assert (list(radii), comparisons, center) == (expected, *stats), text
         assert kernel.longest(text) == (*stats, expected[stats.center]), text
         formats[radii.format] += 1
-        out = io.BytesIO()
-        kernel.write_table(radii, out.write, 4)
-        assert out.getvalue() == _joined(expected), text
+        for write in (functools.partial(kernel.write_table, radii), functools.partial(kernel.write_radii, text)):
+            out = io.BytesIO()
+            write(out.write, 4)
+            assert out.getvalue() == _joined(expected), text
     assert formats["B"] and formats["i"]
     if helper_steps == 4:
-        # write_table at every chunk size, on the table of every text,
-        # split or not, at either width
+        # write_table and write_radii at every chunk size, on the table of
+        # every text, split or not, at either width, with a tail or not
         for text, expected, _ in _small_texts(10, 6):
             table = memoryview(kernel.scan(text)[0])
             radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
             for chunk in range(1, 2 * len(text) + 2):
-                out = io.BytesIO()
-                kernel.write_table(radii, out.write, chunk)
-                assert out.getvalue() == _joined(expected), (text, chunk)
+                for write in (functools.partial(kernel.write_table, radii), functools.partial(kernel.write_radii, text)):
+                    out = io.BytesIO()
+                    write(out.write, chunk)
+                    assert out.getvalue() == _joined(expected), (text, chunk)
 
 
 def _fresh_copy(tmp_path: Path) -> Path:
