@@ -17,9 +17,10 @@ copies of one symbol, widened at center 256), period-2-1e6 (``ab``
 repeated, whose palindrome that reaches the end only ties the longest),
 suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
 random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write
-path, row ``write``, is the kernel's ``write_radii(text, write, chunk)``,
-which scans and formats in one call, as ``lps radii`` runs it; a REV
-whose kernel has no ``write_radii`` runs ``scan(text)`` followed by
+path, row ``write``, is the kernel's ``scan_unfilled(text)`` followed by
+``write_table(table, write, chunk, ref, tail)``, which formats the tail
+from the mirrors, as ``lps radii`` runs it; a REV whose kernel has no
+``scan_unfilled`` runs ``scan(text)`` followed by
 ``write_table(table, write, chunk)`` there, and one with no
 ``write_table`` either ``scan(text, write, chunk)``. It writes to a file
 in the temporary directory, ``lps.native.CHUNK`` (65,536) entries per
@@ -46,11 +47,11 @@ is used to resolve.
 Each round starts with a probe of the second core: two threads each run
 ``zlib.crc32`` over 8 MiB, about 2 ms, with the GIL released, and the
 probe overlapped if the span from the first start to the last end is
-below 1.5 times the longer thread's CPU time. On a text whose table the
-kernel splits between two threads, the wall columns are printed twice:
-over all rounds, and over the rounds whose probe overlapped, when the
-second core was most likely free. Claim a gain from parallelism on the
-second. On a 2-core x86_64 host shared with other work, the probe
+below 1.5 times the longer thread's CPU time. The wall columns are
+printed twice: over all rounds, and over the rounds whose probe
+overlapped, when the second core was most likely free. Claim a gain from
+parallelism on the second, on a text whose table the kernel splits
+between two threads; on the others the two read alike. On a 2-core x86_64 host shared with other work, the probe
 overlapped in none of the 101 rounds of one run: the two threads took
 about twice one thread's time in every round.
 
@@ -127,16 +128,6 @@ TEXTS = {
 }
 
 
-def splits(text: str, split_size: int) -> bool:
-    """Whether the kernel scans ``text`` on two threads: whether its table
-    of 2n+1 entries reaches ``split_size`` and has a split point, the
-    rule of ``split_point`` in the kernel, whose STEPS is 64."""
-    size = 2 * len(text) + 1
-    middle = size // 2 + (size // 2 & 1)
-    boundaries = range(middle, middle + (size - middle) // 64, 2)
-    return size >= split_size and any(text[m // 2 - 1] != text[m // 2] for m in boundaries)
-
-
 SPIN = bytes(8 << 20)  # zlib.crc32 of it takes about 2 ms, with the GIL released
 
 
@@ -210,8 +201,10 @@ def main(argv: list[str] | None = None) -> int:
                 kernel.longest(text)
             elif call != "write":
                 kernel.scan(text)
-            elif hasattr(kernel, "write_radii"):
-                kernel.write_radii(text, out.write, native.CHUNK)
+            elif hasattr(kernel, "scan_unfilled"):
+                table, wide, _, _, ref, tail = kernel.scan_unfilled(text)
+                radii = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
+                kernel.write_table(radii, out.write, native.CHUNK, ref, tail)
             elif hasattr(kernel, "write_table"):
                 table = memoryview(kernel.scan(text)[0])
                 radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
@@ -256,15 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.rounds} rounds, parent {args.rev}, change the working tree, {where}; ms")
     print(f"second core free (probe overlapped) in {len(free)}/{args.rounds} rounds")
     every = list(range(args.rounds))
-    split = {name for name, text in texts.items() if splits(text, kernels["change"].SPLIT_SIZE)}
     for key in calls:
         for side in kernels:
             print(
                 f"{key[0]:<12} {key[1]:<6} {side:<7} wall {columns(walls, key, side, every)}"
                 f"  cpu {columns(cpus, key, side, every)}  faults {statistics.median(faults[(*key, side)]):g}"
             )
-            if key[0] in split:
-                print(f"{'':<12} {'':<6} {side:<7} wall {columns(walls, key, side, free)}  (second core free)")
+            print(f"{'':<12} {'':<6} {side:<7} wall {columns(walls, key, side, free)}  (second core free)")
     return 0
 
 

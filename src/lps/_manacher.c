@@ -17,8 +17,8 @@
    reaches the end of the text, no later center can beat it, and a range
    writes no further entry: the tail, each of whose entries is the smaller
    of its mirror entry and its distance to the end (tail_entry). scan
-   fills it once at the end (fill_tail), write_radii formats it from the
-   mirrors, and longest leaves it alone.
+   fills it once at the end (fill_tail), scan_unfilled leaves it for
+   write_table to format from the mirrors, and longest leaves it alone.
 
    scan_text allocates the table for four bytes per center, 4(2n+1)
    bytes, unzeroed; a one-byte table touches only its first quarter. It
@@ -29,13 +29,12 @@
    the helper and resynchronizes to its scan (split_scan); the radii,
    counts and centers are the sequential scan's. The calling thread holds
    the GIL throughout, and no scan calls Python code. scan fills the tail
-   and shrinks a one-byte table to 2n+1 bytes; longest frees the table
-   and returns the best center and its radius. The two writers format
-   a table chunk by chunk and pass each chunk to a write callable, in one
-   loop (write_chunks): write_table a finished table, scanning nothing and
-   running no thread, and write_radii, lps radii's, the table it has just
-   scanned, with the tail read from the mirrors, after which it frees the
-   table unshrunk. */
+   and shrinks a one-byte table to 2n+1 bytes; scan_unfilled returns the
+   table unshrunk and unfilled, with the reference and the tail's start;
+   longest frees the table and returns the best center and its radius.
+   write_table formats a table chunk by chunk, with a tail read from the
+   mirrors where it is given one, and passes each chunk to a write
+   callable (write_chunks), scanning nothing and running no thread. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -114,10 +113,10 @@ static const ScanState SCAN_START = {.right = -1};
    its entry. An end-reaching palindrome that only ties the best, as in
    period-2 text, gets the full step, and its range writes every entry to
    stop, where tail is set. Once the scan is done, fill_tail writes
-   centers [tail, 2n] for scan, at the table's final width, write_radii
-   formats them from their mirrors, and longest reads only the state. On
-   unary text the tail is the second half of the table, which neither
-   write_radii nor longest touches.
+   centers [tail, 2n] for scan, at the table's final width, write_table
+   formats them from their mirrors for scan_unfilled, and longest reads
+   only the state. On unary text the tail is the second half of the
+   table, which neither scan_unfilled nor longest touches.
 
    Where the tail test sits moves the scan's time through how GCC 12
    lays the loop out, by more than the tail saves on most texts (1e6
@@ -586,7 +585,7 @@ format_tail(const void *radii, int wide, const ScanState *state, int64_t start, 
     return end;
 }
 
-/* The scan that scan, longest and write_radii share: object is a str or
+/* The scan that scan, scan_unfilled and longest share: object is a str or
    a bytes-like object of n symbols, scanned from SCAN_START into a new
    bytearray of 4(2n+1) bytes, not zero-filled (SCAN_START writes every
    entry before it reads it), whose first *size = 2n+1 entries are one
@@ -660,15 +659,11 @@ longest(PyObject *Py_UNUSED(self), PyObject *object)
    comma separated, a comma between chunks and a newline at the end,
    formatted (format_range, and format_tail from state->tail on) into one
    reused bytearray of FORMAT_BYTES per chunk entry, as a memoryview of
-   it. Returns 0, or -1 with an exception set: from write or a signal
-   handler, or ValueError for a chunk below 1. */
+   it. chunk is at least 1. Returns 0, or -1 with an exception set, from
+   write or a signal handler. */
 static int
 write_chunks(const void *radii, int wide, const ScanState *state, int64_t size, PyObject *write, Py_ssize_t chunk)
 {
-    if (chunk < 1) {
-        PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
-        return -1;
-    }
     chunk = chunk < size ? chunk : size;
     PyObject *buffer = PyByteArray_FromStringAndSize(NULL, FORMAT_BYTES * chunk);
     PyObject *view = buffer != NULL ? PyMemoryView_FromObject(buffer) : NULL;
@@ -695,65 +690,73 @@ write_chunks(const void *radii, int wide, const ScanState *state, int64_t size, 
     return failed ? -1 : 0;
 }
 
-/* write_table(table, write, chunk) -> None: table is a C-contiguous
-   buffer of format B (uint8) or i (int32) of at least one entry, none
-   negative, as a memoryview over scan's table; any other format raises
-   TypeError. Passes the table to write as write_chunks does. An
-   exception from write or a signal handler propagates. */
+/* write_table(table, write, chunk, ref=0, tail=len(table)) -> None:
+   table is a C-contiguous buffer of format B (uint8) or i (int32) of at
+   least one entry, none negative, as a memoryview over the table of scan
+   or scan_unfilled; any other format raises TypeError, and a chunk below
+   1 ValueError, before anything is read. Passes the table to write as
+   write_chunks does. Entries [tail, size) are read from their mirrors
+   (tail_entry) around the reference ref, whose palindrome reaches the
+   end, as scan_unfilled leaves them; a tail below size needs
+   size / 2 <= ref < tail, so that every mirror 2 ref - j lies in
+   [0, ref), or raises ValueError. An exception from write or a signal
+   handler propagates. */
 static PyObject *
 write_table(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *object, *write;
     Py_ssize_t chunk;
-    if (!PyArg_ParseTuple(args, "OOn:write_table", &object, &write, &chunk))
+    long long ref = 0, tail = LLONG_MAX;
+    if (!PyArg_ParseTuple(args, "OOn|LL:write_table", &object, &write, &chunk, &ref, &tail))
         return NULL;
+    if (chunk < 1) {
+        PyErr_Format(PyExc_ValueError, "chunk must be at least 1, got %zd", chunk);
+        return NULL;
+    }
     Py_buffer table;
     if (PyObject_GetBuffer(object, &table, PyBUF_ND | PyBUF_FORMAT) < 0)
         return NULL;
     int wide = strcmp(table.format, "i") == 0, failed = -1;
     int64_t size = table.len / table.itemsize;
+    tail = tail < size ? tail : size;
     if (!wide && strcmp(table.format, "B") != 0)
         PyErr_Format(PyExc_TypeError, "write_table takes a table of format 'B' or 'i', got '%s'", table.format);
+    else if (tail < size && (ref < size / 2 || ref >= tail))
+        PyErr_Format(PyExc_ValueError, "the mirrors of a tail from %lld around %lld lie outside a table of %lld entries",
+                     tail, ref, (long long)size);
     else
-        failed = write_chunks(table.buf, wide, &(ScanState){.tail = size}, size, write, chunk);
+        failed = write_chunks(table.buf, wide, &(ScanState){.ref = ref, .right = size - 1, .tail = tail}, size,
+                              write, chunk);
     PyBuffer_Release(&table);
     if (failed)
         return NULL;
     Py_RETURN_NONE;
 }
 
-/* write_radii(text, write, chunk) -> None: what write_table writes of
-   scan(text)'s table, from scan_text's table with its tail unfilled:
-   write_chunks reads each tail entry from its mirror. The text's buffer
-   is released before the first write, since no entry is formatted from a
-   symbol, so write may resize a bytearray text. The table is freed
-   unshrunk: a one-byte table never touches the rest, nor any table its
-   tail. An exception from write or a signal handler propagates. */
+/* scan_unfilled(text) -> (table, wide, comparisons, center, ref, tail):
+   scan's comparisons and center from scan_text, whose table is returned
+   unshrunk, 4(2n+1) bytes, holding the 2n+1 radii as uint8 unless wide,
+   and with centers [tail, 2n] unwritten: write_table formats each from
+   its mirror around ref. A one-byte table never touches its last three
+   quarters, nor any table its tail, so neither is resident. */
 static PyObject *
-write_radii(PyObject *Py_UNUSED(self), PyObject *args)
+scan_unfilled(PyObject *Py_UNUSED(self), PyObject *object)
 {
-    PyObject *object, *write;
-    Py_ssize_t chunk;
-    if (!PyArg_ParseTuple(args, "OOn:write_radii", &object, &write, &chunk))
-        return NULL;
     ScanState state = SCAN_START;
     int wide;
     int64_t size;
     PyObject *table = scan_text(object, &state, &wide, &size);
     if (table == NULL)
         return NULL;
-    int failed = write_chunks(PyByteArray_AS_STRING(table), wide, &state, size, write, chunk);
-    Py_DECREF(table);
-    if (failed)
-        return NULL;
-    Py_RETURN_NONE;
+    return Py_BuildValue("NiLLLL", table, wide, (long long)state.comparisons, (long long)state.best,
+                         (long long)state.ref, (long long)state.tail);
 }
 
 static PyMethodDef methods[] = {
     {"scan", scan, METH_O, "scan(text) -> (table, comparisons, center)"},
     {"longest", longest, METH_O, "longest(text) -> (comparisons, center, length)"},
-    {"write_table", write_table, METH_VARARGS, "write_table(table, write, chunk) -> None"},
-    {"write_radii", write_radii, METH_VARARGS, "write_radii(text, write, chunk) -> None"},
+    {"scan_unfilled", scan_unfilled, METH_O, "scan_unfilled(text) -> (table, wide, comparisons, center, ref, tail)"},
+    {"write_table", write_table, METH_VARARGS, "write_table(table, write, chunk, ref=0, tail=len(table)) -> None"},
     {NULL, NULL, 0, NULL},
 };
 

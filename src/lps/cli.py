@@ -11,13 +11,13 @@ input "aba\\r\\n" is scanned as "aba\\r". The global --bytes flag switches
 the symbol model to raw bytes, in which case nothing is stripped.
 
 By default find runs lps.core.longest_palindrome and radii
-lps.native.write_radii: the compiled kernel (lps.native), or where it
-cannot be built the pure-Python indexmap engine after one note on stderr.
-Neither has the kernel write the tail of the table: the longest
-palindrome does not need it, and the radii text formats it from the
-mirrors. With --impl both run the implementation of
-lps.reference.SOLVERS it names, and find takes the result from its
-table; radii frees the text and passes the table to
+lps.core.compute_radii(text, fill=False): the compiled kernel
+(lps.native), or where it cannot be built the pure-Python indexmap
+engine after one note on stderr. Neither has the kernel write the tail
+of the table: the longest palindrome does not need it, and the radii
+text formats it from the mirrors. With --impl both run the
+implementation of lps.reference.SOLVERS it names, and find takes the
+result from its table. radii frees the text and passes the table to
 lps.native.write_table, which has the kernel format its own tables and
 formats any other engine's with str.
 Without --impl, find and radii import neither lps.reference nor
@@ -116,13 +116,12 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_radii(args) -> int:
-    source, writer = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw), native.write_radii
-    if args.impl:
-        # rebinding source frees the text before its table is written
-        (source, _), writer = _solve(args, source), native.write_table
+    text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
+    radii, _ = _solve(args, text) if args.impl else core.compute_radii(text, fill=False)
+    del text  # freed before its table is written
     with _writing():
         out = _stdout().buffer
-        writer(source, out.write)
+        native.write_table(radii, out.write)
         out.flush()
     return EXIT_OK
 

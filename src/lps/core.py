@@ -110,17 +110,20 @@ def to_original_span(center: int, radius: int) -> Span:
     return Span((center - radius) // 2, (center + radius) // 2)
 
 
-def compute_radii(text: Text) -> tuple[RadiiTable, CompareStats]:
+def compute_radii(text: Text, *, fill: bool = True) -> tuple[RadiiTable, CompareStats]:
     """Palindrome lengths for all 2N+1 centers: the default engine.
 
     ``str`` and ``bytes`` run on the compiled kernel where it loads (a
     memoryview over the table the kernel allocates: format ``B``, one
     byte per center, if every radius fits 255, else ``i``, four), anything
     else on :func:`python_radii` (a ``list``). Both give the same radii,
-    comparison count and center.
+    comparison count and center. With ``fill=False`` the kernel leaves
+    unwritten the entries right of a best palindrome that reaches the end
+    of the text, and its radii read each from its mirror
+    (:class:`lps.native.MirrorTable`): on unary text, half the table.
     """
     if kernel is not None and kernel.takes(text):
-        return kernel.compute_radii(text)
+        return kernel.compute_radii(text, fill=fill)
     return python_radii(text)
 
 

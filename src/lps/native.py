@@ -9,12 +9,14 @@ mirrors once a whole table is asked for, formats it from the mirrors
 when the radii text is, and leaves it where only the longest palindrome
 is asked for. This module builds and loads it, says which texts it
 takes, and makes its four calls into it: :func:`compute_radii` scans a
-text into its table, with the signature of every other solver,
-:func:`longest_palindrome` scans it for the longest palindrome alone,
-:func:`write_radii`, behind ``lps radii``, scans it and writes its radii
-text, and :func:`write_table` writes the radii text of any engine's
-table: the kernel formats its own tables, in the loop of
-:func:`write_radii`, and ``str`` every other engine's.
+text into its table, with the signature of every other solver, filled
+(``scan``) or, behind ``lps radii``, with the tail left to its mirrors
+(``scan_unfilled``, a :class:`MirrorTable`); :func:`longest_palindrome`
+scans it for the longest palindrome alone (``longest``); and
+:func:`write_table` writes the radii text of any engine's table: the
+kernel formats its own tables, a :class:`MirrorTable`'s tail from the
+mirrors (``write_table``), and ``str`` every other engine's.
+:func:`write_radii` writes a text's radii text, from an unfilled table.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -37,13 +39,14 @@ from __future__ import annotations
 import os
 import sys
 import zlib
+from collections.abc import Sequence
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from . import core
 from .core import CompareStats, LpsResult, Unsupported, result_from_radii
 
-__all__ = ["CHUNK", "MAX_SYMBOLS", "compute_radii", "load", "longest_palindrome", "report", "takes", "write_radii",
-           "write_table"]
+__all__ = ["CHUNK", "MAX_SYMBOLS", "MirrorTable", "compute_radii", "load", "longest_palindrome", "report", "takes",
+           "write_radii", "write_table"]
 
 # 2N+1 centers must index an int32 table, and the kernel's allocations
 # of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
@@ -166,16 +169,45 @@ def takes(text) -> bool:
     return True
 
 
-def compute_radii(text: str | bytes) -> tuple[memoryview, CompareStats]:
+def compute_radii(text: str | bytes, *, fill: bool = True) -> tuple[Sequence[int], CompareStats]:
     """Radii, comparison count and best center of :func:`lps.core.python_radii`,
     from the kernel, with the radii as a memoryview over the table the
     kernel allocated: of format ``B`` if every radius fits 255, else of
-    format ``i``. Raises :class:`lps.core.Unsupported` where :func:`takes`
-    is false. The kernel scans on at most one thread besides this one and
-    joins it before it returns."""
-    table, comparisons, center = _kernel(text).scan(text)
+    format ``i``. With ``fill=False`` the kernel writes no tail into the
+    table, and the radii are a :class:`MirrorTable` over it. Raises
+    :class:`lps.core.Unsupported` where :func:`takes` is false. The kernel
+    scans on at most one thread besides this one and joins it before it
+    returns."""
+    kernel = _kernel(text)
+    if not fill:
+        table, wide, comparisons, center, ref, tail = kernel.scan_unfilled(text)
+        radii = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
+        return MirrorTable(radii, ref, tail), CompareStats(comparisons, center)
+    table, comparisons, center = kernel.scan(text)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
+
+
+class MirrorTable(Sequence):
+    """The radii of a kernel table whose tail, entries ``tail`` on, the
+    scan left unwritten: right of ``ref``, whose palindrome reaches the
+    end, entry ``j`` is the smaller of its mirror entry ``2 ref - j`` and
+    its distance to the end, and is read so. :func:`write_table` has the
+    kernel format it, the tail from the mirrors."""
+
+    __slots__ = ("table", "ref", "tail")
+
+    def __init__(self, table: memoryview, ref: int, tail: int) -> None:
+        self.table, self.ref, self.tail = table, ref, tail
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]  # a negative index counts from the end; outside, IndexError
+        return self.table[j] if j < self.tail else min(self.table[2 * self.ref - j], len(self) - 1 - j)
 
 
 def longest_palindrome(text: str | bytes) -> LpsResult:
@@ -193,8 +225,11 @@ def write_table(table, write) -> None:
     ASCII bytes of ``",".join(map(str, table)) + "\\n"``, :data:`CHUNK`
     entries at a time, as a bytes-like object per chunk; an exception
     from ``write`` propagates. The kernel formats its own tables,
-    memoryviews of format ``B`` or ``i``, into one reused buffer; every
-    other table is formatted with ``str``."""
+    memoryviews of format ``B`` or ``i`` and :class:`MirrorTable`, into
+    one reused buffer; every other table is formatted with ``str``."""
+    if isinstance(table, MirrorTable):
+        load().write_table(table.table, write, CHUNK, table.ref, table.tail)
+        return
     if isinstance(table, memoryview) and table.format in ("B", "i"):
         load().write_table(table, write, CHUNK)
         return
@@ -207,11 +242,7 @@ def write_table(table, write) -> None:
 
 def write_radii(text, write) -> None:
     """Pass ``text``'s radii to ``write`` as :func:`write_table` passes the
-    table of :func:`lps.core.compute_radii`. Where :func:`takes` is true,
-    the kernel scans and formats in one call, and formats the tail from
-    the mirrors instead of writing it into the table; elsewhere the
-    default engine's table goes to :func:`write_table`."""
-    if takes(text):
-        load().write_radii(text, write, CHUNK)
-    else:
-        write_table(core.compute_radii(text)[0], write)
+    table of :func:`lps.core.compute_radii`, from a table whose tail the
+    kernel, where :func:`takes` is true, formats from the mirrors instead
+    of writing it into the table."""
+    write_table(core.compute_radii(text, fill=False)[0], write)

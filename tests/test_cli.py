@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 
 import pytest
 
@@ -306,24 +305,23 @@ def test_radii_default_engine_matches_indexmap_byte_for_byte(args, stdin):
 
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
 def test_radii_solves_through_the_default_engine_once(monkeypatch, tmp_path, capsys, kernel):
-    # lps radii solves once: through the kernel's write_radii, which scans
-    # and formats in one call, or, where the kernel does not load, through
-    # one core.compute_radii call whose table it then writes
+    # lps radii solves as lps find does, with one core.compute_radii call,
+    # and then writes that table, whichever engine the call ran; the
+    # kernel's leaves its tail to the mirrors
     if not kernel:
         monkeypatch.setattr(native, "_module", None)
         monkeypatch.setattr(native, "_error", core.Unsupported("cannot load the compiled kernel: simulated"))
         monkeypatch.setattr(native, "_noted", True)
-    solved, scanned = [], []
+    solved = []
     solve = core.compute_radii
-    monkeypatch.setattr(core, "compute_radii", lambda text: solved.append(text) or solve(text))
-    if kernel:
-        write_radii = native.load().write_radii
 
-        def counting(text, *args):
-            scanned.append(text)
-            return write_radii(text, *args)
+    def counting(text, **options):
+        solved.append((text, options))
+        radii, stats = solve(text, **options)
+        assert isinstance(radii, native.MirrorTable if kernel else list)
+        return radii, stats
 
-        monkeypatch.setattr(native, "_module", types.SimpleNamespace(write_radii=counting))
+    monkeypatch.setattr(core, "compute_radii", counting)
     inputs = {
         "empty": b"",
         "bananas": b"bananas",
@@ -335,9 +333,8 @@ def test_radii_solves_through_the_default_engine_once(monkeypatch, tmp_path, cap
         path.write_bytes(data)
         for args, text in (([], data.decode()), (["--bytes"], data)):
             solved.clear()
-            scanned.clear()
             assert cli.main([*args, "radii", str(path)]) == cli.EXIT_OK
-            assert (scanned, solved) == (([text], []) if kernel else ([], [text])), (name, args)
+            assert solved == [(text, {"fill": False})], (name, args)
             radii = core.python_radii(text)[0]
             assert capsys.readouterr() == (",".join(map(str, radii)) + "\n", ""), (name, args)
 

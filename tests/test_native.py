@@ -182,7 +182,7 @@ def _kernel_written(text) -> tuple[bytes, core.CompareStats]:
 
 
 def _radii_written(text) -> bytes:
-    """What lps radii writes of ``text``: the kernel's scan and format in one call."""
+    """What lps radii writes of ``text``: the kernel's table with its tail left to the mirrors."""
     out = io.BytesIO()
     native.write_radii(text, out.write)
     return out.getvalue()
@@ -531,9 +531,39 @@ def test_write_radii_refuses_a_chunk_below_one():
     calls = []
     with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
         native.load().write_table(native.compute_radii("ab")[0], calls.append, 0)
+    radii = native.compute_radii("a" * 300, fill=False)[0]
     with pytest.raises(ValueError, match="^chunk must be at least 1, got -1$"):
-        native.load().write_radii("ab", calls.append, -1)
+        native.load().write_table(radii.table, calls.append, -1, radii.ref, radii.tail)
     assert calls == []
+
+
+def test_write_table_refuses_a_tail_whose_mirrors_leave_the_table():
+    # every tail entry j reads its mirror 2 ref - j, which lies in [0, ref)
+    # for size / 2 <= ref < tail
+    kernel = native.load()
+    radii = native.compute_radii("a" * 300, fill=False)[0]
+    assert (len(radii), radii.ref, radii.tail) == (601, 300, 301)
+    calls = []
+    for ref, tail in ((299, 301), (301, 301), (600, 300), (-1, 301), (300, 0), (300, -5)):
+        with pytest.raises(ValueError, match="^the mirrors of a tail from"):
+            kernel.write_table(radii.table, calls.append, 7, ref, tail)
+    assert calls == []
+    out = io.BytesIO()
+    kernel.write_table(radii.table, out.write, 7, 300, 301)
+    assert out.getvalue() == _joined(core.python_radii("a" * 300)[0])
+
+
+@pytest.mark.parametrize("text", ["", "a", "bananas", "ab" * 500, "a" * 1000, "x" + "a" * 998 + "y"])
+def test_mirror_table_reads_the_tail_from_the_mirrors(text):
+    radii, stats = native.compute_radii(text, fill=False)
+    expected, expected_stats = core.python_radii(text)
+    assert stats == expected_stats
+    assert isinstance(radii, native.MirrorTable)
+    assert radii.tail <= len(expected)
+    assert list(radii) == expected
+    assert radii[-1] == expected[-1] and radii[1:-1:3] == expected[1:-1:3]
+    with pytest.raises(IndexError):
+        radii[len(expected)]
 
 
 def test_write_table_formats_b_and_i_in_the_kernel_only():
@@ -590,8 +620,9 @@ def _runtime(name: str) -> str | None:
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# Loads the kernel built at argv[1], and runs scan, longest, write_table
-# of scan's table and write_radii on each text file named after argv[2],
+# Loads the kernel built at argv[1], and runs scan, longest, and
+# write_table of scan's table and of scan_unfilled's on each text file
+# named after argv[2],
 # as each of the comma-separated encodings argv[2] names, printing
 # (comparisons, center), (comparisons, center, length) and the SHA-256 of
 # either output.
@@ -618,7 +649,10 @@ for path in sys.argv[3:]:
         radii = memoryview(table) if len(table) == 2 * len(text) + 1 else memoryview(table).cast("i")
         written, streamed = hashlib.sha256(), hashlib.sha256()
         kernel.write_table(radii, written.update, 65536)
-        kernel.write_radii(text, streamed.update, 65536)
+        table, wide, *stats, ref, tail = kernel.scan_unfilled(text)
+        assert stats == [comparisons, center]
+        unfilled = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
+        kernel.write_table(unfilled, streamed.update, 65536, ref, tail)
         print((comparisons, center), kernel.longest(text), written.hexdigest(), streamed.hexdigest())
 """
 
@@ -690,6 +724,15 @@ def _small_texts(binary: int = 13, ternary: int = 8) -> list[tuple[bytes | str, 
     return [(text, *core.python_radii(text)) for text in texts]
 
 
+def _unfilled_writer(kernel, text, stats):
+    """``write_table`` bound to ``kernel.scan_unfilled(text)``'s table, its
+    reference and its tail, after checking its stats against ``stats``."""
+    table, wide, comparisons, center, ref, tail = kernel.scan_unfilled(text)
+    assert (comparisons, center) == tuple(stats), text
+    radii = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
+    return lambda write, chunk: kernel.write_table(radii, write, chunk, ref, tail)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
 @pytest.mark.parametrize("helper_steps", range(5))
 def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
@@ -716,19 +759,20 @@ def test_small_model_matches_the_python_engine(tmp_path, helper_steps):
         assert (list(radii), comparisons, center) == (expected, *stats), text
         assert kernel.longest(text) == (*stats, expected[stats.center]), text
         formats[radii.format] += 1
-        for write in (functools.partial(kernel.write_table, radii), functools.partial(kernel.write_radii, text)):
+        for write in (functools.partial(kernel.write_table, radii), _unfilled_writer(kernel, text, stats)):
             out = io.BytesIO()
             write(out.write, 4)
             assert out.getvalue() == _joined(expected), text
     assert formats["B"] and formats["i"]
     if helper_steps == 4:
-        # write_table and write_radii at every chunk size, on the table of
-        # every text, split or not, at either width, with a tail or not
-        for text, expected, _ in _small_texts(10, 6):
+        # write_table at every chunk size, on the filled and the unfilled
+        # table of every text, split or not, at either width, with a tail or not
+        for text, expected, stats in _small_texts(10, 6):
             table = memoryview(kernel.scan(text)[0])
             radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
+            unfilled = _unfilled_writer(kernel, text, stats)
             for chunk in range(1, 2 * len(text) + 2):
-                for write in (functools.partial(kernel.write_table, radii), functools.partial(kernel.write_radii, text)):
+                for write in (functools.partial(kernel.write_table, radii), unfilled):
                     out = io.BytesIO()
                     write(out.write, chunk)
                     assert out.getvalue() == _joined(expected), (text, chunk)

@@ -66,7 +66,7 @@ def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
 
     for module, name in ((lps.core, "compute_radii"), (lps.core, "argmax"), (lps.core, "longest_palindrome")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for name in ("compute_radii", "longest_palindrome", "write_radii"):
+    for name in ("compute_radii", "longest_palindrome"):
         monkeypatch.setattr(lps.native, name, counting(f"native.{name}", getattr(lps.native, name)))
     path = tmp_path / "input.txt"
     path.write_text("bananas")
@@ -80,9 +80,8 @@ def test_engine_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
 
     calls.clear()
     assert cli.main(["radii", str(path)]) == 0
-    # radii hands the text to lps.native's writer, whose kernel scans and
-    # formats in one call; with no kernel it writes the default engine's table
-    assert calls == {"native.write_radii": 1, **({} if kernel else {"compute_radii": 1})}
+    # radii solves for the table, its tail left to the mirrors, and only writes it after
+    assert calls == {"compute_radii": 1, **({"native.compute_radii": 1} if kernel else {})}
 
     # the default engine may run the Python scan too (no kernel); count it from here on
     monkeypatch.setattr(lps.core, "python_radii", counting("python_radii", lps.core.python_radii))
