@@ -36,24 +36,29 @@ method) and in how many rounds that side was lower. Then comes the
 median number of minor page faults the call made (``ru_minflt``, both
 threads). Claim a cut in work (instructions, comparisons, faults) on CPU
 time, and a gain from parallelism on wall time. The helper thread of a
-split scan overlaps the calling thread only while the second core is
-free, so wall time moves with the host while CPU time stays: on a 2-core
-x86_64 host random-1e6 ``scan`` read min wall 13.4 / CPU 13.3 ms in one
-run (no overlap), and wall 6.5 / CPU 12.6 ms in the next. The median
-is left out: at 1e6 the wall times are bimodal, and the median moves
-between runs of the same build far more than the differences the script
-is used to resolve.
+split scan overlaps the calling thread only where it runs on another
+core, so wall time moves with where it runs while CPU time stays. A
+kernel that starts its helper with a plain ``pthread_create`` leaves it
+on the calling thread's CPU, and on a 2-core x86_64 host random-1e6
+``scan`` read min wall 13.4 / CPU 13.3 ms in one run (no overlap), and
+wall 6.5 / CPU 12.6 ms in the next; one that starts it on the other CPU
+read wall 5.6 / CPU 11.0 ms against 10.5 / 10.5 ms for the former in the
+same 101 rounds. The median is left
+out: at 1e6 the wall times of the former are bimodal, and the median
+moves between runs of the same build far more than the differences the
+script is used to resolve.
 
-Each round starts with a probe of the second core: two threads each run
-``zlib.crc32`` over 8 MiB, about 2 ms, with the GIL released, and the
-probe overlapped if the span from the first start to the last end is
-below 1.5 times the longer thread's CPU time. The wall columns are
-printed twice: over all rounds, and over the rounds whose probe
-overlapped, when the second core was most likely free. Claim a gain from
-parallelism on the second, on a text whose table the kernel splits
-between two threads; on the others the two read alike. On a 2-core x86_64 host shared with other work, the probe
-overlapped in none of the 101 rounds of one run: the two threads took
-about twice one thread's time in every round.
+Each round starts with a probe of the second core: two threads, each
+pinned to a CPU of its own, each run ``zlib.crc32`` over 8 MiB, about
+2 ms, with the GIL released, and the probe overlapped if the span from
+the first start to the last end is below 1.5 times the longer thread's
+CPU time. The wall columns are printed twice: over all rounds, and over
+the rounds whose probe overlapped, when the second core was most likely
+free. Claim a gain from parallelism on the second, on a text whose table
+the kernel splits between two threads; on the others the two read alike.
+Unpinned, the probe measured where its threads were placed, not how busy
+the host was: both started on one CPU, and on an idle 2-core x86_64 host
+it overlapped in 0 of 41 rounds, pinned in 41 of 41.
 
 In process, at 1e6 the faults column depends on what ran before. Until
 a table of 8 MB or more has been freed, glibc maps each table afresh,
@@ -61,10 +66,11 @@ and the 2 MB a one-byte table touches fault on every call: about 490
 pages on random-1e6. Once one has been freed, as after the first unary-1e6
 call, glibc serves a 1e6 table from memory already faulted in, and the
 column reads 0. The times do not follow the faults: on a 2-core x86_64
-host random-1e6 ``scan`` read min 12.2 ms at 490 faults timed alone here
-and 6.0 ms at 0 faults after unary-1e6, but in a plain loop 6.1 ms at
-490 faults and 11.2 ms at 0, the two modes of the bimodal wall times
-above, which the CPU column tells apart.
+host, with the helper started by a plain ``pthread_create``, random-1e6
+``scan`` read min 12.2 ms at 490 faults timed alone here and 6.0 ms at 0
+faults after unary-1e6, but in a plain loop 6.1 ms at 490 faults and
+11.2 ms at 0, the two modes of the bimodal wall times above, which the
+CPU column tells apart.
 At 1e7 every call maps and faults a fresh 80 MB table. Perfbench runs
 whole processes and scales by the host's speed; this compares the two
 kernels with everything else held equal, which shows differences of a
@@ -132,18 +138,21 @@ SPIN = bytes(8 << 20)  # zlib.crc32 of it takes about 2 ms, with the GIL release
 
 
 def overlapped() -> bool:
-    """Whether two threads, each running ``zlib.crc32(SPIN)``, ran at once:
-    the span from the first start to the last end is below 1.5 times the
-    longer thread's CPU time."""
-    barrier, spans = threading.Barrier(2), []
+    """Whether two threads, each pinned to a CPU of its own and running
+    ``zlib.crc32(SPIN)``, ran at once: the span from the first start to
+    the last end is below 1.5 times the longer thread's CPU time. A new
+    thread starts on its creator's CPU, so unpinned the two threads ran
+    one after the other on an idle host as well."""
+    barrier, spans, cpus = threading.Barrier(2), [], sorted(os.sched_getaffinity(0))
 
-    def spin() -> None:
+    def spin(cpu: int) -> None:
+        os.sched_setaffinity(0, {cpu})  # this thread only
         barrier.wait()
         cpu, start = time.thread_time(), time.perf_counter()
         zlib.crc32(SPIN)
         spans.append((start, time.perf_counter(), time.thread_time() - cpu))
 
-    threads = [threading.Thread(target=spin) for _ in range(2)]
+    threads = [threading.Thread(target=spin, args=(cpus[i % len(cpus)],)) for i in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:

@@ -23,14 +23,16 @@
    scan_text allocates the table for four bytes per center, 4(2n+1)
    bytes, unzeroed; a one-byte table touches only its first quarter. It
    finds the split point once and runs at most one POSIX thread besides
-   the calling one, the helper. On a table of at least SPLIT_SIZE entries
-   with two differing symbols near its middle, the helper scans the
-   second half while the calling thread scans the first, which then joins
-   the helper and resynchronizes to its scan (split_scan); the radii,
-   counts and centers are the sequential scan's. The calling thread holds
-   the GIL throughout, and no scan calls Python code. scan fills the tail
-   and shrinks a one-byte table to 2n+1 bytes; scan_unfilled returns the
-   table unshrunk and unfilled, with the reference and the tail's start;
+   the calling one, the helper, started on another CPU where the calling
+   thread may run on more than one (start_helper). On a table of at least
+   SPLIT_SIZE entries with two differing symbols near its middle, the
+   helper scans the second half while the calling thread scans the first,
+   which then joins the helper and resynchronizes to its scan
+   (split_scan); the radii, counts and centers are the sequential scan's,
+   wherever the helper runs. The calling thread holds the GIL throughout,
+   and no scan calls Python code. scan fills the tail and shrinks a
+   one-byte table to 2n+1 bytes; scan_unfilled returns the table
+   unshrunk and unfilled, with the reference and the tail's start;
    longest frees the table and returns the best center and its radius.
    write_table formats a table chunk by chunk, with a tail read from the
    mirrors where it is given one, and passes each chunk to a write
@@ -39,6 +41,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -241,9 +244,12 @@ scan_range(const Text *text, int64_t floor, void *radii, int wide, ScanState *st
 }
 
 /* Tables of at least SPLIT_SIZE entries are scanned on two threads.
-   Starting and joining the helper costs about 40 us, so the split breaks
-   even near 2^14 entries; at 2^17 it scans random text in 0.68 ms against
-   1.1-1.2 ms on one thread (2-core x86_64 host, in process). The module
+   Starting the helper on the other CPU and joining it costs 0.1-0.2 ms
+   (an idle helper, 2-core x86_64 host); at 2^17 entries longest scans
+   random text in 0.37 ms at the minimum and 0.45 ms in the median of 201
+   calls, against 0.73 and 0.79 ms with the helper started on the calling
+   thread's CPU, which scanned the two halves one after the other (in
+   process, interleaved). The module
    exports the value for its tests. SPLIT_SIZE, STEPS and BYTE_LIMIT can
    be set when compiling, for a small model of the scan, and
    HELPER_STEPS, to fix how far its helper gets (see helper). */
@@ -272,6 +278,7 @@ typedef struct {
     int quit, wide;
     pthread_mutex_t lock;
     ScanState marks[STEPS + 1];
+    int cpu; /* the calling thread's CPU as it starts the helper (start_helper) */
 } Split;
 
 /* The first center of step i of the helper's range; step STEPS is size. */
@@ -305,6 +312,62 @@ helper(void *arg)
         if (scan_range(s->text, s->m / 2, s->radii, 0, &state, step_start(s, i), next) < next)
             return NULL; /* as if told to quit: the state it stopped in is no mark */
     }
+}
+
+/* Where the helper starts. A new thread starts on the CPU of the thread
+   that creates it: there the helper first ran 0.4-5.3 ms after
+   pthread_create, in 14 calls on random text, while the calling thread
+   scanned and the other CPU of a 2-core x86_64 host stayed idle, so the
+   two halves were scanned one after the other. start_helper creates it
+   instead with the calling thread's allowed CPUs less the one that
+   thread runs on, s->cpu, and it ran 0.08-0.39 ms after, on another; as
+   its first act (placed) it adds s->cpu back to its own set, so it is
+   never held to one core. Where the calling thread may run on one CPU
+   only, where any of these calls fails, and without glibc, start_helper
+   is pthread_create(thread, attr, routine, s). It takes pthread_create's
+   arguments, which noipa keeps GCC from folding into it, and both
+   functions lie in a section of their own, after the rest of the code,
+   so that split_scan's call and every other function keep the layout
+   they had with a plain pthread_create (see scan_text). */
+#if defined(__GLIBC__) && !defined(__clang__)
+#define PLACEMENT __attribute__((noipa, section(".text.placement")))
+#else
+#define PLACEMENT __attribute__((noinline))
+#endif
+
+#ifdef __GLIBC__
+static PLACEMENT void *
+placed(void *arg)
+{
+    Split *s = arg;
+    cpu_set_t set;
+    if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0) {
+        CPU_SET(s->cpu, &set);
+        pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+    }
+    return helper(s);
+}
+#endif
+
+static PLACEMENT int
+start_helper(pthread_t *thread, const pthread_attr_t *attr, void *(*routine)(void *), Split *s)
+{
+#ifdef __GLIBC__
+    cpu_set_t set;
+    pthread_attr_t elsewhere;
+    s->cpu = sched_getcpu();
+    if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0 && CPU_ISSET(s->cpu, &set)) {
+        CPU_CLR(s->cpu, &set);
+        if (CPU_COUNT(&set) > 0 && pthread_attr_init(&elsewhere) == 0) {
+            int failed = pthread_attr_setaffinity_np(&elsewhere, sizeof set, &set) ||
+                         pthread_create(thread, &elsewhere, placed, s);
+            pthread_attr_destroy(&elsewhere);
+            if (!failed)
+                return 0;
+        }
+    }
+#endif
+    return pthread_create(thread, attr, routine, s);
 }
 
 /* Make the helper stop at its next step start, if it has not finished,
@@ -450,6 +513,18 @@ resync(Split *s, ScanState *state)
    the entries before it are this thread's. Either way the entries before
    the final tail are the sequential scan's, and tail_entry reads no other.
 
+   The helper starts on another CPU where this thread may run on more
+   than one (start_helper), and otherwise on this thread's, which it
+   shares until this thread blocks or the scheduler moves one of them.
+   Started on another, it had finished 45-64 of its 64 steps, 56 in the
+   median, when this thread reached m on random ternary 1e6 text, and
+   42-64 at 1e7 (2-core x86_64 host, in process, this thread on either
+   CPU): it starts about 0.1 ms late, about one step, and scans its half
+   more slowly, so this thread scans the rest alone after the join. On a
+   text whose scan stops before m, as period-2 text's does at its first
+   radius above BYTE_LIMIT, this thread joins a helper that has barely
+   started, which costs about 0.1 ms more on another CPU than on its own.
+
    This thread scans alone where m is 0, below SPLIT_SIZE or without a
    split point, and when no thread starts. Without a split point the
    text around the middle is one symbol repeated, and its palindromes
@@ -459,7 +534,7 @@ static void
 split_scan(Split *s, ScanState *state)
 {
     pthread_t thread;
-    int helped = s->m != 0 && pthread_create(&thread, NULL, helper, s) == 0;
+    int helped = s->m != 0 && start_helper(&thread, NULL, helper, s) == 0;
 #ifdef HELPER_STEPS
     if (helped) /* the small model's helper meets [0, m) unwritten (see above) */
         join_helper(s, thread);

@@ -626,7 +626,7 @@ def _runtime(name: str) -> str | None:
 # as each of the comma-separated encodings argv[2] names, printing
 # (comparisons, center), (comparisons, center, length) and the SHA-256 of
 # either output.
-_SANITIZED_CHILD = """
+_KERNEL_CHILD = """
 import hashlib
 import sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -657,21 +657,15 @@ for path in sys.argv[3:]:
 """
 
 
-def _sanitized(tmp_path, sanitize: list[str], env: dict, texts: dict, encodings: list[str]) -> str:
-    """Build the kernel with the flags ``sanitize``, run _SANITIZED_CHILD on
-    ``texts`` as ``encodings`` with ``env``, and check what it prints
-    against the kernel built as lps builds it; returns the child's stderr.
-    The interpreter is not instrumented, so env brings the sanitizer's
-    runtime in by LD_PRELOAD."""
-    include = sysconfig.get_paths()["include"]
-    library = tmp_path / "_manacher_sanitized.so"
-    command = ["cc", "-O1", "-g", *sanitize, "-shared", "-fPIC", "-pthread", f"-I{include}"]
-    built = subprocess.run([*command, str(PACKAGE / "_manacher.c"), "-o", str(library)], capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
+def _kernel_child(tmp_path, library, texts: dict, encodings: list[str], env: dict, first: str = "") -> str:
+    """Run _KERNEL_CHILD, after the code ``first``, on the kernel built at
+    ``library`` and ``texts`` as ``encodings`` with ``env``; returns its
+    stderr, once its stdout holds what the kernel built as lps builds it
+    gives in this process."""
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="ascii")
     paths = [str(tmp_path / name) for name in texts]
-    child = [sys.executable, "-c", _SANITIZED_CHILD, str(library), ",".join(encodings), *paths]
+    child = [sys.executable, "-c", first + _KERNEL_CHILD, str(library), ",".join(encodings), *paths]
     done = subprocess.run(child, capture_output=True, text=True, env=dict(os.environ, **env), timeout=300)
     assert done.returncode == 0, done.stderr
     expected = []
@@ -681,6 +675,33 @@ def _sanitized(tmp_path, sanitize: list[str], env: dict, texts: dict, encodings:
         expected += [f"{tuple(stats)} {(*stats, radii[stats.center])} {digest} {digest}"] * len(encodings)
     assert done.stdout.splitlines() == expected
     return done.stderr
+
+
+def _sanitized(tmp_path, sanitize: list[str], env: dict, texts: dict, encodings: list[str]) -> str:
+    """Build the kernel with the flags ``sanitize`` and run _kernel_child
+    on it; returns the child's stderr. The interpreter is not
+    instrumented, so env brings the sanitizer's runtime in by LD_PRELOAD."""
+    include = sysconfig.get_paths()["include"]
+    library = tmp_path / "_manacher_sanitized.so"
+    command = ["cc", "-O1", "-g", *sanitize, "-shared", "-fPIC", "-pthread", f"-I{include}"]
+    built = subprocess.run([*command, str(PACKAGE / "_manacher.c"), "-o", str(library)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    return _kernel_child(tmp_path, library, texts, encodings, env)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_one_allowed_cpu_scans_as_every_cpu_does(tmp_path):
+    # the helper starts on a CPU other than the calling thread's, and with
+    # one CPU allowed by a plain pthread_create, on that CPU: the same
+    # radii, counts and centers either way, those of the Python engine
+    n = 10**5
+    texts = {name: make(n) for name, make in SPLIT_TEXTS.items()} | {"late": WIDTH_TEXTS["late"](n)}
+    for text in texts.values():
+        radii, stats = core.python_radii(text)
+        assert (_kernel_written(text), native.load().longest(text)) == ((_joined(radii), stats), (*stats, radii[stats.center]))
+    one = f"import os\nos.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+    for first in ("", one):
+        _kernel_child(tmp_path, native.load().__file__, texts, ["str", "bytes"], {}, first)
 
 
 @pytest.mark.skipif(_runtime("libtsan.so") is None, reason="needs cc and libtsan")
