@@ -42,11 +42,10 @@ kernel that starts its helper with a plain ``pthread_create`` leaves it
 on the calling thread's CPU, and on a 2-core x86_64 host random-1e6
 ``scan`` read min wall 13.4 / CPU 13.3 ms in one run (no overlap), and
 wall 6.5 / CPU 12.6 ms in the next; one that starts it on the other CPU
-read wall 5.6 / CPU 11.0 ms against 10.5 / 10.5 ms for the former in the
-same 101 rounds. The median is left
-out: at 1e6 the wall times of the former are bimodal, and the median
-moves between runs of the same build far more than the differences the
-script is used to resolve.
+read wall 5.4 / CPU 10.5 ms against 10.7 / 10.7 ms for the former in the
+same 101 rounds. The median is left out: at 1e6 the wall times of the
+former are bimodal, and the median moves between runs of the same build
+far more than the differences the script is used to resolve.
 
 Each round starts with a probe of the second core: two threads, each
 pinned to a CPU of its own, each run ``zlib.crc32`` over 8 MiB, about
@@ -140,19 +139,20 @@ SPIN = bytes(8 << 20)  # zlib.crc32 of it takes about 2 ms, with the GIL release
 def overlapped() -> bool:
     """Whether two threads, each pinned to a CPU of its own and running
     ``zlib.crc32(SPIN)``, ran at once: the span from the first start to
-    the last end is below 1.5 times the longer thread's CPU time. A new
-    thread starts on its creator's CPU, so unpinned the two threads ran
-    one after the other on an idle host as well."""
+    the last end is below 1.5 times the longer thread's CPU time; where one
+    CPU is allowed, both run on it. A new thread starts on its creator's
+    CPU, so unpinned the two threads ran one after the other on an idle
+    host as well."""
     barrier, spans, cpus = threading.Barrier(2), [], sorted(os.sched_getaffinity(0))
 
-    def spin(cpu: int) -> None:
-        os.sched_setaffinity(0, {cpu})  # this thread only
+    def spin(core: int) -> None:
+        os.sched_setaffinity(0, {core})  # this thread only
         barrier.wait()
         cpu, start = time.thread_time(), time.perf_counter()
         zlib.crc32(SPIN)
         spans.append((start, time.perf_counter(), time.thread_time() - cpu))
 
-    threads = [threading.Thread(target=spin, args=(cpus[i % len(cpus)],)) for i in range(2)]
+    threads = [threading.Thread(target=spin, args=(core,)) for core in (cpus[0], cpus[-1])]
     for thread in threads:
         thread.start()
     for thread in threads:

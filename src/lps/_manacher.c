@@ -320,15 +320,15 @@ helper(void *arg)
    scanned and the other CPU of a 2-core x86_64 host stayed idle, so the
    two halves were scanned one after the other. start_helper creates it
    instead with the calling thread's allowed CPUs less the one that
-   thread runs on, s->cpu, and it ran 0.08-0.39 ms after, on another; as
-   its first act (placed) it adds s->cpu back to its own set, so it is
-   never held to one core. Where the calling thread may run on one CPU
-   only, where any of these calls fails, and without glibc, start_helper
-   is pthread_create(thread, attr, routine, s). It takes pthread_create's
-   arguments, which noipa keeps GCC from folding into it, and both
-   functions lie in a section of their own, after the rest of the code,
-   so that split_scan's call and every other function keep the layout
-   they had with a plain pthread_create (see scan_text). */
+   thread runs on, s->cpu (sched_getcpu), and it ran 0.08-0.39 ms after,
+   on another; as its first act (placed) it adds s->cpu back to its own
+   set, so it is never held to one core. Where the calling thread may run
+   on one CPU only, where any of these calls fails, and without glibc,
+   start_helper is pthread_create(thread, attr, routine, s). It takes
+   pthread_create's arguments, which noipa keeps GCC from folding into
+   it, and both functions lie in a section of their own, after the rest
+   of the code, so that split_scan's call and every other function keep
+   the layout they had with a plain pthread_create (see scan_text). */
 #if defined(__GLIBC__) && !defined(__clang__)
 #define PLACEMENT __attribute__((noipa, section(".text.placement")))
 #else
