@@ -19,14 +19,11 @@ suffix-1e6 (5e5 random ternary symbols, then 5e5 copies of one symbol),
 random-1e7 and unary-1e7, or on the texts ``--texts`` names. The write
 path, row ``write``, is the kernel's ``scan_unfilled(text)`` followed by
 ``write_table(table, write, chunk, ref, tail)``, which formats the tail
-from the mirrors, as ``lps radii`` runs it; a REV whose kernel has no
-``scan_unfilled`` runs ``scan(text)`` followed by
-``write_table(table, write, chunk)`` there, and one with no
-``write_table`` either ``scan(text, write, chunk)``. It writes to a file
-in the temporary directory, ``lps.native.CHUNK`` (65,536) entries per
-chunk. Row ``find`` is ``longest(text)``, as ``lps find`` runs it; a REV
-whose kernel has no ``longest`` runs ``scan(text)`` there. Within a round the side that runs
-first alternates, so a drift of the host falls on both sides.
+from the mirrors, as ``lps radii`` runs it. It writes to a file in the
+temporary directory, ``lps.radii_text.CHUNK`` (65,536) entries per
+chunk. Row ``find`` is ``longest(text)``, as ``lps find`` runs it.
+Within a round the side that runs first alternates, so a drift of the
+host falls on both sides.
 
 For each call it prints two columns per side, wall time
 (``time.perf_counter``) and the process's CPU time
@@ -110,6 +107,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from lps import native  # noqa: E402
+from lps.radii_text import CHUNK  # noqa: E402
 from lps.generator import GenSpec, gen_text  # noqa: E402
 
 KERNEL = "src/lps/_manacher.c"
@@ -206,20 +204,14 @@ def main(argv: list[str] | None = None) -> int:
             out.truncate()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             cpu, start = time.process_time(), time.perf_counter()
-            if call == "find" and hasattr(kernel, "longest"):
+            if call == "find":
                 kernel.longest(text)
-            elif call != "write":
+            elif call == "scan":
                 kernel.scan(text)
-            elif hasattr(kernel, "scan_unfilled"):
+            else:
                 table, wide, _, _, ref, tail = kernel.scan_unfilled(text)
                 radii = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
-                kernel.write_table(radii, out.write, native.CHUNK, ref, tail)
-            elif hasattr(kernel, "write_table"):
-                table = memoryview(kernel.scan(text)[0])
-                radii = table if len(table) == 2 * len(text) + 1 else table.cast("i")
-                kernel.write_table(radii, out.write, native.CHUNK)
-            else:  # a kernel whose scan formats, given write
-                kernel.scan(text, out.write, native.CHUNK)
+                kernel.write_table(radii, out.write, CHUNK, ref, tail)
             wall, cpu = time.perf_counter() - start, time.process_time() - cpu
             return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 

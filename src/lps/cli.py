@@ -18,10 +18,11 @@ of the table: the longest palindrome does not need it, and the radii
 text formats it from the mirrors. With --impl both run the
 implementation of lps.reference.SOLVERS it names, and find takes the
 result from its table. radii frees the text and passes the table to
-lps.native.write_table, which has the kernel format its own tables and
-formats any other engine's with str.
+lps.radii_text.write_table, which has the kernel format its own tables
+and formats any other engine's with str.
 Without --impl, find and radii import neither lps.reference nor
-lps.generator; the commands that use them import them.
+lps.generator, and find does not import lps.radii_text; the commands
+that use them import them.
 
 Command lines are read, and -h's help printed, by lps._cmdline, whose
 docstring says why that is a module of its own.
@@ -40,7 +41,7 @@ import os
 import sys
 
 from . import core, native
-from ._cmdline import _OPTIONS, _parse, _usage, _UsageError  # noqa: F401 (_OPTIONS: re-exported)
+from ._cmdline import _parse, _usage, _UsageError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,12 +117,14 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_radii(args) -> int:
+    from .radii_text import write_table
+
     text = _read_input(args.input, as_bytes=args.as_bytes, raw=args.raw)
     radii, _ = _solve(args, text) if args.impl else core.compute_radii(text, fill=False)
     del text  # freed before its table is written
     with _writing():
         out = _stdout().buffer
-        native.write_table(radii, out.write)
+        write_table(radii, out.write)
         out.flush()
     return EXIT_OK
 

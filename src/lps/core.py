@@ -120,7 +120,7 @@ def compute_radii(text: Text, *, fill: bool = True) -> tuple[RadiiTable, Compare
     comparison count and center. With ``fill=False`` the kernel leaves
     unwritten the entries right of a best palindrome that reaches the end
     of the text, and its radii read each from its mirror
-    (:class:`lps.native.MirrorTable`): on unary text, half the table.
+    (:class:`lps.radii_text.MirrorTable`): on unary text, half the table.
     """
     if kernel is not None and kernel.takes(text):
         return kernel.compute_radii(text, fill=fill)

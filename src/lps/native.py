@@ -1,22 +1,19 @@
-"""The index-mapped scan compiled from ``_manacher.c``, and the radii text.
+"""The index-mapped scan compiled from ``_manacher.c``.
 
 The kernel is :func:`lps.core.python_radii` line for line, except where
 it compares no symbol; the comments of ``_manacher.c`` give its design:
 the one-byte table that widens, the split between two threads, and the
 tail of centers inside a palindrome that beats the best and reaches the
 end of the text, which no scan writes: the kernel fills it from the
-mirrors once a whole table is asked for, formats it from the mirrors
-when the radii text is, and leaves it where only the longest palindrome
-is asked for. This module builds and loads it, says which texts it
-takes, and makes its four calls into it: :func:`compute_radii` scans a
-text into its table, with the signature of every other solver, filled
-(``scan``) or, behind ``lps radii``, with the tail left to its mirrors
-(``scan_unfilled``, a :class:`MirrorTable`); :func:`longest_palindrome`
-scans it for the longest palindrome alone (``longest``); and
-:func:`write_table` writes the radii text of any engine's table: the
-kernel formats its own tables, a :class:`MirrorTable`'s tail from the
-mirrors (``write_table``), and ``str`` every other engine's.
-:func:`write_radii` writes a text's radii text, from an unfilled table.
+mirrors once a whole table is asked for, and leaves it where only the
+longest palindrome or the radii text is asked for. This module builds
+and loads it, says which texts it takes, and makes its three scans:
+:func:`compute_radii` scans a text into its table, with the signature of
+every other solver, filled (``scan``) or, behind ``lps radii``, with the
+tail left to its mirrors (``scan_unfilled``, a
+:class:`lps.radii_text.MirrorTable`); and :func:`longest_palindrome`
+scans it for the longest palindrome alone (``longest``). The radii text
+is :mod:`lps.radii_text`'s, which only ``lps radii`` imports.
 
 The repository has no native build step, so the source is compiled on
 first use with the system ``cc`` against the interpreter's headers into
@@ -42,18 +39,14 @@ import zlib
 from collections.abc import Sequence
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
-from . import core
 from .core import CompareStats, LpsResult, Unsupported, result_from_radii
 
-__all__ = ["CHUNK", "MAX_SYMBOLS", "MirrorTable", "compute_radii", "load", "longest_palindrome", "report", "takes",
-           "write_radii", "write_table"]
+__all__ = ["MAX_SYMBOLS", "compute_radii", "load", "longest_palindrome", "report", "takes"]
 
 # 2N+1 centers must index an int32 table, and the kernel's allocations
 # of FORMAT_BYTES (11) per center fit a Py_ssize_t; longer texts stay on
 # lps.core.
 MAX_SYMBOLS = min(2**30 - 1, (sys.maxsize // 11 - 1) // 2)
-
-CHUNK = 65_536  # table entries formatted per write, so output memory stays bounded
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_manacher.c")
 
@@ -174,40 +167,20 @@ def compute_radii(text: str | bytes, *, fill: bool = True) -> tuple[Sequence[int
     from the kernel, with the radii as a memoryview over the table the
     kernel allocated: of format ``B`` if every radius fits 255, else of
     format ``i``. With ``fill=False`` the kernel writes no tail into the
-    table, and the radii are a :class:`MirrorTable` over it. Raises
-    :class:`lps.core.Unsupported` where :func:`takes` is false. The kernel
-    scans on at most one thread besides this one and joins it before it
-    returns."""
+    table, and the radii are a :class:`lps.radii_text.MirrorTable` over
+    it. Raises :class:`lps.core.Unsupported` where :func:`takes` is false.
+    The kernel scans on at most one thread besides this one and joins it
+    before it returns."""
     kernel = _kernel(text)
     if not fill:
+        from .radii_text import MirrorTable  # not at the top: lps find never compiles the writer
+
         table, wide, comparisons, center, ref, tail = kernel.scan_unfilled(text)
         radii = memoryview(table).cast("i" if wide else "B")[: 2 * len(text) + 1]
         return MirrorTable(radii, ref, tail), CompareStats(comparisons, center)
     table, comparisons, center = kernel.scan(text)
     radii = memoryview(table)
     return (radii if len(radii) == 2 * len(text) + 1 else radii.cast("i")), CompareStats(comparisons, center)
-
-
-class MirrorTable(Sequence):
-    """The radii of a kernel table whose tail, entries ``tail`` on, the
-    scan left unwritten: right of ``ref``, whose palindrome reaches the
-    end, entry ``j`` is the smaller of its mirror entry ``2 ref - j`` and
-    its distance to the end, and is read so. :func:`write_table` has the
-    kernel format it, the tail from the mirrors."""
-
-    __slots__ = ("table", "ref", "tail")
-
-    def __init__(self, table: memoryview, ref: int, tail: int) -> None:
-        self.table, self.ref, self.tail = table, ref, tail
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        j = range(len(self))[j]  # a negative index counts from the end; outside, IndexError
-        return self.table[j] if j < self.tail else min(self.table[2 * self.ref - j], len(self) - 1 - j)
 
 
 def longest_palindrome(text: str | bytes) -> LpsResult:
@@ -218,31 +191,3 @@ def longest_palindrome(text: str | bytes) -> LpsResult:
     comparisons, center, length = _kernel(text).longest(text)
     # the one entry of the table that result_from_radii reads
     return result_from_radii({center: length}, CompareStats(comparisons, center))
-
-
-def write_table(table, write) -> None:
-    """Pass any engine's ``table``, its 2n+1 radii, to ``write`` as the
-    ASCII bytes of ``",".join(map(str, table)) + "\\n"``, :data:`CHUNK`
-    entries at a time, as a bytes-like object per chunk; an exception
-    from ``write`` propagates. The kernel formats its own tables,
-    memoryviews of format ``B`` or ``i`` and :class:`MirrorTable`, into
-    one reused buffer; every other table is formatted with ``str``."""
-    if isinstance(table, MirrorTable):
-        load().write_table(table.table, write, CHUNK, table.ref, table.tail)
-        return
-    if isinstance(table, memoryview) and table.format in ("B", "i"):
-        load().write_table(table, write, CHUNK)
-        return
-    for start in range(0, len(table), CHUNK):
-        if start:
-            write(b",")
-        write(",".join(map(str, table[start : start + CHUNK])).encode("ascii"))
-    write(b"\n")
-
-
-def write_radii(text, write) -> None:
-    """Pass ``text``'s radii to ``write`` as :func:`write_table` passes the
-    table of :func:`lps.core.compute_radii`, from a table whose tail the
-    kernel, where :func:`takes` is true, formats from the mirrors instead
-    of writing it into the table."""
-    write_table(core.compute_radii(text, fill=False)[0], write)

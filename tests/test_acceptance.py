@@ -248,7 +248,7 @@ def test_c6_memory_contract(tmp_path):
     # times slower. Its table and buffer are fresh memory it fills.
     path = tmp_path / "text.txt"
     path.write_text(text, encoding="ascii")
-    aug_peak = _rss_rise("lps.reference", "augmented_radii", path)
+    aug_peak = _rss_rise("lps.reference.augmented_radii(text)", path)
 
     table_bytes = 8 * size
     assert core_peak < table_bytes + size // 2
@@ -260,36 +260,36 @@ def test_c6_memory_contract(tmp_path):
     )
 
 
-# Reads the text file argv[3] and prints by how many bytes calling
-# argv[1].argv[2] on it, and on the builtins whose names follow argv[4],
-# raises the child's ru_maxrss (kilobytes on Linux).
+# Reads the text file argv[2] and prints by how many bytes evaluating the
+# expression argv[1] of it, ``text``, raises the child's ru_maxrss
+# (kilobytes on Linux).
 _RSS_CHILD = """
-import builtins
-import importlib
 import resource
 import sys
 
-sys.path.insert(0, sys.argv[4])
-solve = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])
-args = [getattr(builtins, name) for name in sys.argv[5:]]
-solve("ab", *args)  # imports, and the kernel's build and load, come before the measure
-with open(sys.argv[3], encoding="ascii") as fh:
+sys.path.insert(0, sys.argv[3])
+import lps.radii_text, lps.reference
+
+call = compile(sys.argv[1], "<call>", "eval")
+text = "ab"
+eval(call)  # imports, and the kernel's build and load, come before the measure
+with open(sys.argv[2], encoding="ascii") as fh:
     text = fh.read()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-solve(text, *args)
+eval(call)
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
 """
 
 
-def _rss_rise(module: str, function: str, path: Path, *args: str) -> int:
-    """The rise of a fresh child's peak resident memory over one call of
-    ``module.function`` on the text in ``path`` and the builtins named
-    ``args``, in bytes. On Linux a child's ru_maxrss starts at the peak of
-    the process it was forked from, so a small launcher starts it, not
-    this process."""
+def _rss_rise(call: str, path: Path) -> int:
+    """The rise of a fresh child's peak resident memory over evaluating
+    ``call``, an expression of ``text`` that may name ``lps`` and its
+    modules, on the text in ``path``, in bytes. On Linux a child's
+    ru_maxrss starts at the peak of the process it was forked from, so a
+    small launcher starts it, not this process."""
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     root = Path(lps.core.__file__).parent.parent
-    child = [sys.executable, "-c", _RSS_CHILD, module, function, str(path), str(root), *args]
+    child = [sys.executable, "-c", _RSS_CHILD, call, str(path), str(root)]
     argv = [sys.executable, "-S", "-c", launcher, *child]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -306,7 +306,7 @@ def test_c6_resident_table_follows_the_longest_radius(tmp_path):
     for name, text in (("random", gen_text(GenSpec(length, 3, 99))), ("unary", "a" * length)):
         path = tmp_path / f"{name}.txt"
         path.write_text(text, encoding="ascii")
-        rises[name] = _rss_rise("lps.native", "compute_radii", path)
+        rises[name] = _rss_rise("lps.native.compute_radii(text)", path)
     assert rises["random"] < 2 * size
     assert rises["unary"] >= 3 * size
     print(f"PASS [C6'] resident table at L=1e6: random {rises['random']:,}B, unary {rises['unary']:,}B")
@@ -315,8 +315,8 @@ def test_c6_resident_table_follows_the_longest_radius(tmp_path):
 def test_c6_longest_palindrome_leaves_the_tail_untouched(tmp_path):
     # the scan writes no entry right of a best palindrome that reaches the
     # end of the text, and only compute_radii fills them: on unary text
-    # that is the second half of the int32 table. write_radii formats them
-    # from their mirrors, into its 720 KB output buffer (len is its write).
+    # that is the second half of the int32 table. lps radii's write formats
+    # them from their mirrors, into its 720 KB output buffer (len is its write).
     # A rise counts from the child's peak after reading the text, which is
     # 2 MB above where the call starts, so a table touched whole reads
     # about 88% of it.
@@ -324,14 +324,14 @@ def test_c6_longest_palindrome_leaves_the_tail_untouched(tmp_path):
     table = 4 * (2 * length + 1)  # 16 MB
     path = tmp_path / "unary.txt"
     path.write_text("a" * length, encoding="ascii")
-    longest = _rss_rise("lps.native", "longest_palindrome", path)
-    written = _rss_rise("lps.native", "write_radii", path, "len")
-    radii = _rss_rise("lps.native", "compute_radii", path)
+    longest = _rss_rise("lps.native.longest_palindrome(text)", path)
+    written = _rss_rise("lps.radii_text.write_table(lps.core.compute_radii(text, fill=False)[0], len)", path)
+    radii = _rss_rise("lps.native.compute_radii(text)", path)
     assert longest <= 0.6 * table
     assert written <= 0.6 * table
     assert radii >= 0.75 * table
     print(
-        f"PASS [C6''] resident table of 16 MB at L=2^21 unary: longest {longest:,}B, write_radii {written:,}B, "
+        f"PASS [C6''] resident table of 16 MB at L=2^21 unary: longest {longest:,}B, radii text {written:,}B, "
         f"compute_radii {radii:,}B"
     )
 

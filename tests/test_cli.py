@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from lps import bench, cli, core, native, reference
+from lps import _cmdline, bench, cli, core, native, radii_text, reference
 from lps.bench import IMPLS, parse_csv
 from lps.generator import GenSpec, gen_text
 
@@ -115,7 +115,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     path = tmp_path / "input.txt"
     path.write_text("bananas")
     unary = tmp_path / "unary.txt"
-    unary.write_text("a" * native.CHUNK)  # 2 * CHUNK + 1 entries: three chunks
+    unary.write_text("a" * radii_text.CHUNK)  # 2 * CHUNK + 1 entries: three chunks
     probe = (
         "import sys; before = set(sys.modules); import lps.cli; "
         f"print([name for name in {heavy!r} if name in sys.modules], flush=True); "
@@ -126,7 +126,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    n = native.CHUNK
+    n = radii_text.CHUNK
     radii = ",".join(str(min(j, 2 * n - j)) for j in range(2 * n + 1)).encode()
     assert proc.stdout == b"[]\nanana\n1 6 5\n0,1,0,1,0,3,0,5,0,3,0,1,0,1,0\n" + radii + b"\n[]\n"
     # lps bench itself, run in-process, loads numpy (and with it inspect) but
@@ -141,22 +141,14 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     assert proc.stdout == b"False\n"
 
 
-@pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="the budget was measured on CPython 3.11's parser",
-)
-def test_find_and_radii_compile_no_large_module(tmp_path):
-    # Under PYTHONDONTWRITEBYTECODE every run compiles the package from
-    # source, and the memory the parser took stays resident, so the largest
-    # module compiled sets a floor under the peak RSS of every run. No module
-    # find or radii load may peak above 560 KiB in compile() (lps.cli alone
-    # read 937 KiB while it also held the command-line syntax).
-    path = tmp_path / "input.txt"
-    path.write_text("bananas")
-    probe = f"""
+# Under PYTHONDONTWRITEBYTECODE every run compiles the package from source,
+# and the memory the parser took stays resident, so the largest module
+# compiled sets a floor under the peak RSS of every run. No module find or
+# radii load may peak above 560 KiB in compile() (lps.cli alone read
+# 937 KiB while it also held the command-line syntax).
+_COMPILE_PROBE = """
 import sys, tracemalloc, lps.cli
-assert lps.cli.main(['find', '--span', {str(path)!r}]) == 0
-assert lps.cli.main(['radii', {str(path)!r}]) == 0
+assert lps.cli.main({argv!r}) == 0
 for name, module in sorted(sys.modules.items()):
     if name.partition('.')[0] == 'lps' and module.__file__.endswith('.py'):
         with open(module.__file__, 'rb') as fh:
@@ -166,21 +158,50 @@ for name, module in sorted(sys.modules.items()):
         print(name, tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
 """
+_CPYTHON_3_11 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the budget was measured on CPython 3.11's parser",
+)
+# the modules lps find loads; lps radii loads its writer besides
+_FIND_MODULES = ["lps", "lps._cmdline", "lps.cli", "lps.core", "lps.native"]
+
+
+def _compile_peaks(tmp_path, *argv: str, lines: int) -> tuple[list[str], dict[str, int]]:
+    """The first ``lines`` lines ``lps.cli.main`` prints for ``argv`` on the
+    input bananas in a fresh process, and the compile() peak of each
+    ``lps`` module that process loaded."""
+    path = tmp_path / "input.txt"
+    path.write_text("bananas")
+    probe = _COMPILE_PROBE.format(argv=[*argv, str(path)])
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.decode().splitlines()
-    assert lines[:3] == ["anana", "1 6 5", "0,1,0,1,0,3,0,5,0,3,0,1,0,1,0"]
-    peaks = {name: int(peak) for name, peak in (line.split() for line in lines[3:])}
+    out = proc.stdout.decode().splitlines()
+    peaks = {name: int(peak) for name, peak in (line.split() for line in out[lines:])}
     assert max(peaks.values()) <= 560 * 1024, peaks
-    assert sorted(peaks) == ["lps", "lps._cmdline", "lps.cli", "lps.core", "lps.native"]
+    return out[:lines], peaks
+
+
+@_CPYTHON_3_11
+def test_find_compiles_no_large_module(tmp_path):
+    out, peaks = _compile_peaks(tmp_path, "find", "--span", lines=2)
+    assert out == ["anana", "1 6 5"]
+    assert sorted(peaks) == _FIND_MODULES
+
+
+@_CPYTHON_3_11
+def test_radii_compiles_no_large_module(tmp_path):
+    out, peaks = _compile_peaks(tmp_path, "radii", lines=1)
+    assert out == ["0,1,0,1,0,3,0,5,0,3,0,1,0,1,0"]
+    assert sorted(peaks) == sorted([*_FIND_MODULES, "lps.radii_text"])
 
 
 def test_package_exports_the_engine_only():
-    # importing the package loads neither the bench harness, the generator
-    # nor the reference solvers, and a star import binds every name of __all__
+    # importing the package loads neither the bench harness, the generator,
+    # the radii writer nor the reference solvers, and a star import binds
+    # every name of __all__
     probe = (
         "import sys, lps; "
-        "print([m for m in ('lps.bench', 'lps.generator', 'lps.reference') if m in sys.modules]); "
+        "print([m for m in ('lps.bench', 'lps.generator', 'lps.radii_text', 'lps.reference') if m in sys.modules]); "
         "from lps import *; "
         "print(lps.__all__, [n for n in lps.__all__ if n not in globals()])"
     )
@@ -318,14 +339,14 @@ def test_radii_solves_through_the_default_engine_once(monkeypatch, tmp_path, cap
     def counting(text, **options):
         solved.append((text, options))
         radii, stats = solve(text, **options)
-        assert isinstance(radii, native.MirrorTable if kernel else list)
+        assert isinstance(radii, radii_text.MirrorTable if kernel else list)
         return radii, stats
 
     monkeypatch.setattr(core, "compute_radii", counting)
     inputs = {
         "empty": b"",
         "bananas": b"bananas",
-        "unary": b"a" * native.CHUNK,  # three chunks, an int32 table
+        "unary": b"a" * radii_text.CHUNK,  # three chunks, an int32 table
         "astral": "x\u00e9\U0001f600\u00e9x".encode(),
     }
     for name, data in inputs.items():
@@ -548,7 +569,7 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
     out = capsys.readouterr()
     assert out.out.startswith("usage: lps") and out.err == ""
     command = argv[-2] if len(argv) > 1 else None
-    for option in cli._OPTIONS[command]:
+    for option in _cmdline._OPTIONS[command]:
         assert f"\n  {option}" in out.out
 
 

@@ -1,4 +1,5 @@
-"""Tests for the compiled kernel (lps.native) and the default engine.
+"""Tests for the compiled kernel (lps.native), its radii text (lps.radii_text)
+and the default engine.
 
 Radii and counts are checked against the Python engine here and in the
 four-way sweeps of test_acceptance.py, test_properties.py and
@@ -29,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import lps
-from lps import cli, core, native
+from lps import cli, core, native, radii_text
 from lps.bench import IMPLS
 from lps.generator import GenSpec, gen_text
 
@@ -67,14 +68,14 @@ def test_memory_does_not_depend_on_content():
     }
     native.load()  # build and load outside the traced calls
     table = 4 * (2 * length + 1)  # the radii table, allocated for int32
-    buffer = native.load().FORMAT_BYTES * native.CHUNK  # write_table's output buffer
+    buffer = native.load().FORMAT_BYTES * radii_text.CHUNK  # write_table's output buffer
 
     def scan(text):
         return lambda: native.compute_radii(text)
 
     def write(text):
         radii = native.compute_radii(text)[0]  # the one-byte and the int32 tables alike
-        return lambda: native.write_table(radii, len)
+        return lambda: radii_text.write_table(radii, len)
 
     def longest(text):
         return lambda: native.longest_palindrome(text)  # the same allocation, freed unfilled
@@ -171,7 +172,7 @@ def test_takes_notes_a_kernel_that_cannot_load_once(monkeypatch, capsys):
 
 def _written(table) -> bytes:
     out = io.BytesIO()
-    native.write_table(table, out.write)
+    radii_text.write_table(table, out.write)
     return out.getvalue()
 
 
@@ -181,10 +182,16 @@ def _kernel_written(text) -> tuple[bytes, core.CompareStats]:
     return _written(radii), stats
 
 
+def _write_radii(text, write) -> None:
+    """Pass ``text``'s radii to ``write`` as lps radii does: the default
+    engine's table, whose tail the kernel leaves to the mirrors."""
+    radii_text.write_table(core.compute_radii(text, fill=False)[0], write)
+
+
 def _radii_written(text) -> bytes:
-    """What lps radii writes of ``text``: the kernel's table with its tail left to the mirrors."""
+    """What lps radii writes of ``text``."""
     out = io.BytesIO()
-    native.write_radii(text, out.write)
+    _write_radii(text, out.write)
     return out.getvalue()
 
 
@@ -192,7 +199,7 @@ def _joined(values) -> bytes:
     return (",".join(map(str, values)) + "\n").encode("ascii")
 
 
-TABLE_SIZES = [1, native.CHUNK - 1, native.CHUNK, native.CHUNK + 1]
+TABLE_SIZES = [1, radii_text.CHUNK - 1, radii_text.CHUNK, radii_text.CHUNK + 1]
 
 
 @pytest.mark.parametrize("size", TABLE_SIZES)
@@ -201,7 +208,7 @@ def test_radii_output_streams_whole_table(size):
     # reached as a table of size - 1 against a chunk one entry shorter
     n = (size - 1) // 2
     text = "a" * n  # size 1 is the empty text's table, [0]
-    chunk = native.CHUNK - (size - (2 * n + 1))
+    chunk = radii_text.CHUNK - (size - (2 * n + 1))
     radii, stats = native.compute_radii(text)
     out = io.BytesIO()
     native.load().write_table(radii, out.write, chunk)
@@ -253,7 +260,7 @@ WRITE_TEXTS = {
     "unary": lambda n: "a" * n,
 }
 # the table sizes 2n+1 around one and two chunks; the empty text's is 1, one symbol's 3
-WRITE_LENGTHS = [0, 1, native.CHUNK // 2 - 1, native.CHUNK // 2, native.CHUNK]
+WRITE_LENGTHS = [0, 1, radii_text.CHUNK // 2 - 1, radii_text.CHUNK // 2, radii_text.CHUNK]
 
 
 def _garbage(size: int) -> None:
@@ -355,7 +362,7 @@ def test_split_scan_matches_the_python_engine(family, length):
     split = native.load().SPLIT_SIZE
     n = {"below": split // 2 - 1, "above": split // 2, "1e5": 10**5}[length]
     assert (2 * n + 1 < split) == (length == "below")
-    assert 2 * n + 1 > native.CHUNK
+    assert 2 * n + 1 > radii_text.CHUNK
     text = SPLIT_TEXTS[family](n)
     assert len(text) == n
     expected, stats = core.python_radii(text)
@@ -450,13 +457,13 @@ def test_write_radii_runs_at_most_one_helper_thread():
     # write_table runs no thread of its own
     before = _threads()
     rows = {
-        "one chunk": "a" * (native.CHUNK // 2 - 1),
+        "one chunk": "a" * (radii_text.CHUNK // 2 - 1),
         "unary-1e6": "a" * 10**6,  # no split point: one thread
         "random-1e6": gen_text(GenSpec(10**6, 3, 1)),  # split: the helper scans the second half
     }
     for name, text in rows.items():
-        for write_radii in (lambda text, write: native.write_table(native.compute_radii(text)[0], write),
-                            native.write_radii):
+        for write_radii in (lambda text, write: radii_text.write_table(native.compute_radii(text)[0], write),
+                            _write_radii):
             seen = []
             write_radii(text, lambda chunk: seen.append(_threads()))
             assert max(seen) == before, name
@@ -494,16 +501,16 @@ def test_write_radii_propagates_an_exception_from_write():
 
         radii, _ = native.compute_radii(text)
         with pytest.raises(_Stop):
-            native.write_table(radii, write)
+            radii_text.write_table(radii, write)
         assert len(calls) == 2, name
         # the next write is whole, and no export of the table is left held
         assert _written(radii) == _joined(radii), name
         radii.release()
-        # write_radii frees the table it scanned, 4(2n+1) bytes, and its output buffer
+        # lps radii's write frees the table it scanned, 4(2n+1) bytes, and its output buffer
         calls.clear()
         tracemalloc.start()
         with pytest.raises(_Stop):
-            native.write_radii(text, write)
+            _write_radii(text, write)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
         assert len(calls) == 2, name
@@ -521,13 +528,13 @@ def test_write_radii_lets_write_resize_a_bytearray_text():
             out.write(chunk)
             data[len(data) // 2 :] = b""  # a BufferError while the buffer is held
 
-        native.write_radii(data, write)
+        _write_radii(data, write)
         assert len(data) < len(text) // 4
         assert out.getvalue() == _joined(core.python_radii(text)[0])
 
 
 def test_write_radii_refuses_a_chunk_below_one():
-    # the chunk is the kernel's argument; lps.native always passes CHUNK
+    # the chunk is the kernel's argument; lps.radii_text always passes CHUNK
     calls = []
     with pytest.raises(ValueError, match="^chunk must be at least 1, got 0$"):
         native.load().write_table(native.compute_radii("ab")[0], calls.append, 0)
@@ -558,7 +565,7 @@ def test_mirror_table_reads_the_tail_from_the_mirrors(text):
     radii, stats = native.compute_radii(text, fill=False)
     expected, expected_stats = core.python_radii(text)
     assert stats == expected_stats
-    assert isinstance(radii, native.MirrorTable)
+    assert isinstance(radii, radii_text.MirrorTable)
     assert radii.tail <= len(expected)
     assert list(radii) == expected
     assert radii[-1] == expected[-1] and radii[1:-1:3] == expected[1:-1:3]
@@ -567,7 +574,7 @@ def test_mirror_table_reads_the_tail_from_the_mirrors(text):
 
 
 def test_write_table_formats_b_and_i_in_the_kernel_only():
-    # the kernel refuses every other format; lps.native formats those with str
+    # the kernel refuses every other format; lps.radii_text formats those with str
     kernel = native.load()
     for format, values in (("b", [0, 1, -1]), ("I", [0, 2**31]), ("q", [0, 2**40]), ("f", [0.5])):
         table = memoryview(array.array(format, values))
