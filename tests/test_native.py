@@ -17,6 +17,7 @@ import hashlib
 import io
 import itertools
 import os
+import platform
 import random
 import shutil
 import signal
@@ -971,3 +972,44 @@ def test_find_never_imports_ctypes(tmp_path):
         assert not unused & set(imported), run
         assert not any(line.startswith("lps: note") for line in imported), run  # the kernel ran
     assert len(_built(root)) == 1
+
+
+def _rss_anon() -> int | None:
+    """This process's RssAnon in KiB, where /proc/self/status has it."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next((int(line.split()[1]) for line in fh if line.startswith("RssAnon:")), None)
+    except OSError:
+        return None
+
+
+# Imports lps.cli, compiling the package from source, and prints RssAnon
+# in KiB before and after loading the kernel, which is built already.
+_TRIM_CHILD = """
+import lps.cli, lps.native
+def rss_anon():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssAnon:"))
+before = rss_anon()
+lps.native.load()
+print(before, rss_anon())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+@pytest.mark.skipif(_rss_anon() is None, reason="needs RssAnon in /proc/self/status")
+def test_loading_the_kernel_returns_the_compile_residue(tmp_path):
+    # a fresh copy holds no .pyc, so the child compiles every lps module
+    # it imports, as perfbench's runs do; it only loads this process's build
+    library = Path(native.load().__file__)
+    root = _fresh_copy(tmp_path)
+    (root / "lps" / "__pycache__").mkdir()
+    shutil.copy(library, root / "lps" / "__pycache__" / library.name)
+    env = {**os.environ, "PYTHONPATH": str(root), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _TRIM_CHILD], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    # the kernel's malloc_trim(0) returned 304-320 KiB with CPython 3.11 and
+    # glibc 2.36 on x86_64; without it RssAnon rose 8 KiB
+    assert before - after >= 128, (before, after)
+    assert _built(root) == [library.name]  # loaded, not rebuilt
