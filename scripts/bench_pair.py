@@ -31,7 +31,12 @@ rule a claimed gain must meet, for a metric where lower is better (every
 metric perfbench reports): ``parent_spread`` is q3 - q1 of the parent's
 run medians, ``gap`` is the parent median minus the change median, and
 ``claim_met`` holds when the change was lower in at least 9 of every 10
-pairs and ``gap > parent_spread``.
+pairs and ``gap > parent_spread``. For each end-to-end metric of
+``BENCHMARK.json`` it also applies the no-regression rule: ``worse_frac``
+is (change median - parent median) / parent median, ``bound`` is the
+metric's relative bound there, and ``regressed`` holds when
+``worse_frac > bound``. Per-layer metrics have no bound and get none of
+the three.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(runs: list[dict]) -> dict:
+def summarize(runs: list[dict], bounds: dict[str, float]) -> dict:
+    """The summary of ``runs``; ``bounds`` maps each end-to-end metric to its bound."""
     groups: dict[str, dict[int, dict[str, float]]] = {}  # key -> pair -> side -> run median
     for run in runs:
         for name, metric in run["metrics"].items():
@@ -125,6 +131,11 @@ def summarize(runs: list[dict]) -> dict:
         entry["parent_spread"] = spread = entry["parent_q3"] - entry["parent_q1"]
         entry["gap"] = gap = entry["parent_median"] - entry["change_median"]
         entry["claim_met"] = 10 * lower >= 9 * len(both) and gap > spread
+        bound = bounds.get(key.rsplit("/", 1)[1])
+        if bound is not None:
+            entry["worse_frac"] = worse = -gap / entry["parent_median"]
+            entry["bound"] = bound
+            entry["regressed"] = worse > bound
         summary[key] = entry
     return summary
 
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument("workloads", nargs="+", type=workload_seeds, metavar="WORKLOAD[/trace1]=SEEDS")
     args = parser.parse_args(argv)
 
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"parent": rev_parse(f"{args.parent}^{{commit}}"), "change": rev_parse(f"{args.change}^{{commit}}")}
     trees = {side: rev_parse(f"{commit}:src") for side, commit in sides.items()}
     runs = []
@@ -165,7 +177,7 @@ def main(argv=None) -> int:
         "description": description,
         "parent": sides["parent"], "parent_src": trees["parent"],
         "change": sides["change"], "change_src": trees["change"],
-        "summary": summarize(runs), "runs": runs,
+        "summary": summarize(runs, bounds), "runs": runs,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"bench_pair: wrote {args.out}", file=sys.stderr)

@@ -25,6 +25,13 @@ chunk. Row ``find`` is ``longest(text)``, as ``lps find`` runs it.
 Within a round the side that runs first alternates, so a drift of the
 host falls on both sides.
 
+Before the rounds it prints each function whose address or size differs
+between the two builds, as ``nm -S --defined-only`` lists them, or that
+only one of them has; where there is no ``nm`` it says so instead. Where
+GCC places ``scan_text`` moves the scan's time by up to 7-12%, and
+nothing in the source keeps its address fixed (see ``scan_text`` in
+``_manacher.c``), so every change to the C shows here whether it moved.
+
 For each call it prints two columns per side, wall time
 (``time.perf_counter``) and the process's CPU time
 (``time.process_time``, which counts both threads): each column's
@@ -92,6 +99,7 @@ from __future__ import annotations
 import argparse
 import os
 import resource
+import shutil
 import statistics
 import struct
 import subprocess
@@ -169,6 +177,32 @@ def load(source: bytes, directory: str, side: str):
     return module
 
 
+def functions(library: str) -> dict[str, tuple[int, int]]:
+    """The address and size of each function ``nm -S --defined-only`` lists in ``library``."""
+    listing = subprocess.run(["nm", "-S", "--defined-only", library], capture_output=True, text=True, check=True)
+    fields = (line.split() for line in listing.stdout.splitlines())
+    return {name: (int(address, 16), int(size, 16)) for address, size, kind, name in
+            (f for f in fields if len(f) == 4) if kind in "tT"}
+
+
+def layout(parent: str, change: str) -> list[str]:
+    """A count, then one line for each function that lies at a different
+    address or has a different size in the ``change`` library than in
+    ``parent``."""
+    if shutil.which("nm") is None:
+        return ["code layout: no nm, not compared"]
+    before, after = functions(parent), functions(change)
+
+    def place(entry: tuple[int, int] | None) -> str:
+        return "absent" if entry is None else f"{entry[0]:#07x} size {entry[1]:#06x}"
+
+    order = sorted(before.keys() | after.keys(), key=lambda name: (before.get(name) or after[name])[0])
+    moved = [name for name in order if before.get(name) != after.get(name)]
+    return [f"code layout: {len(moved)} of {len(order)} functions moved or resized"] + [
+        f"  {name:<28} {place(before.get(name))} -> {place(after.get(name))}" for name in moved
+    ]
+
+
 def forked(measure):
     """``measure()``, a tuple of two floats and an int, run in a child
     forked for it, which sends it back through a pipe."""
@@ -198,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     texts = {name: TEXTS[name]() for name in args.texts}
     with tempfile.TemporaryDirectory() as directory, open(os.path.join(directory, "radii"), "wb") as out:
         kernels = {"parent": load(parent, directory, "parent"), "change": load(change, directory, "change")}
+        print("\n".join(layout(kernels["parent"].__file__, kernels["change"].__file__)), flush=True)
 
         def measure(kernel, call: str, text) -> tuple[float, float, int]:
             out.seek(0)

@@ -142,8 +142,12 @@ def test_cli_import_does_not_load_numpy(tmp_path):
 
 
 # Under PYTHONDONTWRITEBYTECODE every run compiles the package from source,
-# and the memory the parser took stays resident, so the largest module
-# compiled sets a floor under the peak RSS of every run. No module find or
+# so the largest module compiled sets a floor under the peak RSS of every
+# run: a short file's run peaks in compile(). glibc keeps the memory the
+# parser freed resident until the kernel loads, at the first scan, and
+# trims the heap (test_native.py's
+# test_loading_the_kernel_returns_the_compile_residue). That keeps the
+# residue out of a long text's scan, but not this floor. No module find or
 # radii load may peak above 560 KiB in compile() (lps.cli alone read
 # 937 KiB while it also held the command-line syntax).
 _COMPILE_PROBE = """
